@@ -1,22 +1,28 @@
-// Deploy-time compiler ablation: what each pass of src/compile buys on a
-// conv-heavy network, against the uncompiled AcceleratorExecutor::run_batch
-// path that PR 5 measured 6x over per-sample run().
+// Deploy-time compiler ablation: what the compiled plan buys on a
+// conv-heavy network over the reference AcceleratorExecutor::run(), and
+// what the specialization pass adds on top.
 //
 // Two phases:
-//  1. correctness — the compiled plan's logits must be bit-identical to
-//     run() and run_batch() on the same deployment image, for the full
-//     pipeline AND every ablated variant (fusion off, specialization off,
-//     strategy forced both ways). Fusion / im2col / specialization only
-//     reorder exact integer arithmetic, so any diff is a bug;
+//  1. correctness — every variant's logits (full pipeline, specialization
+//     off) must be bit-identical to run() on the same deployment image.
+//     im2col and specialization only reorder exact integer arithmetic, so
+//     any diff is a bug;
 //  2. throughput — single-core batch throughput (min-of-repeats wall time)
-//     of each variant vs run_batch on the same thread. The full pipeline
-//     must reach >= 1.15x; the per-pass rows quantify where the win comes
-//     from (the ablation knobs of CompileOptions / DeployConfig.compile).
+//     of each variant vs run() on the same thread. Repeats of run() and of
+//     every plan are interleaved, so host-speed drift hits both sides. The
+//     full pipeline must reach kMinSpeedup over run().
+//
+// The floor derivation: compiled plans replaced an uncompiled batched
+// executor path that measured 12.1x-15.9x over run() in 7 interleaved
+// probes (CIFAR-10 topology, batches 8 and 32, 4-vCPU x86 VM). The old
+// gate was >= 1.15x over that path, so the floor is 1.15 x 15.9 = 18.2,
+// rounded up to 18.5x. Compiled plans measured 27x-33x on the same host.
 //
 // Emits a JSON fragment (path = argv[1], default ./BENCH_compile.json);
 // scripts/run_bench.sh folds it into BENCH_serve.json next to the git SHA.
 // Exits nonzero when bit-identity or the speedup floor fails. MFDFP_QUICK=1
 // shrinks batch size and repeat count.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -55,40 +61,29 @@ hw::QNetDesc make_qnet(std::uint64_t seed) {
   return hw::extract_qnet(net, spec, "cifar10");
 }
 
+/// Full-pipeline single-core speedup floor over run() (see file comment).
+constexpr double kMinSpeedup = 18.5;
+
 struct Variant {
   std::string name;
-  std::string json_key;
   compile::CompileOptions options;
 };
 
 std::vector<Variant> make_variants() {
   std::vector<Variant> variants;
-  variants.push_back({"full pipeline", "compiled", {}});
-  Variant no_fuse{"fusion off", "fusion_off", {}};
-  no_fuse.options.fuse = false;
-  variants.push_back(no_fuse);
-  Variant no_spec{"specialization off", "specialize_off", {}};
+  variants.push_back({"full pipeline", {}});
+  Variant no_spec{"specialization off", {}};
   no_spec.options.specialize = false;
   variants.push_back(no_spec);
-  Variant im2col{"strategy forced im2col", "force_im2col", {}};
-  im2col.options.strategy = compile::ConvStrategy::kForceIm2col;
-  variants.push_back(im2col);
-  Variant direct{"strategy forced direct", "force_direct", {}};
-  direct.options.strategy = compile::ConvStrategy::kForceDirect;
-  variants.push_back(direct);
   return variants;
 }
 
-/// Min-of-repeats single-thread wall time for one callable, seconds.
+/// Single-thread wall time of one call, seconds.
 template <typename Fn>
-double min_seconds(std::size_t repeats, Fn&& fn) {
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t r = 0; r < repeats; ++r) {
-    util::Stopwatch watch;
-    fn();
-    best = std::min(best, watch.seconds());
-  }
-  return best;
+double seconds_of(Fn&& fn) {
+  util::Stopwatch watch;
+  fn();
+  return watch.seconds();
 }
 
 }  // namespace
@@ -107,19 +102,18 @@ int main(int argc, char** argv) {
 
   // ---- Phase 1: bit-identity of every variant -----------------------------
   const Tensor reference = executor.run(images);
-  hw::ExecScratch legacy_scratch;
-  const Tensor batched = executor.run_batch(images, legacy_scratch);
-  bool bit_identical =
-      tensor::max_abs_diff(reference, batched) == 0.0f;
+  bool bit_identical = true;
 
   const std::vector<Variant> variants = make_variants();
   std::vector<std::shared_ptr<const compile::CompiledPlan>> plans;
-  for (const Variant& variant : variants) {
+  // One scratch per variant, kept across repeats like a serving worker's.
+  std::vector<hw::ExecScratch> scratches(variants.size());
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    const Variant& variant = variants[v];
     plans.push_back(
         compile::compile_qnet(desc, kInC, kInH, kInW, variant.options));
-    hw::ExecScratch scratch;
     const Tensor logits = compile::run_plan_batch(*plans.back(), images,
-                                                  scratch);
+                                                  scratches[v]);
     const float diff = tensor::max_abs_diff(logits, reference);
     if (diff != 0.0f) {
       bit_identical = false;
@@ -127,40 +121,45 @@ int main(int argc, char** argv) {
                   diff);
     }
   }
-  std::printf("phase 1: compiled logits bit-identical to run()/run_batch() "
-              "across %zu variants: %s\n",
+  std::printf("phase 1: compiled logits bit-identical to run() across %zu "
+              "variants: %s\n",
               variants.size(), bit_identical ? "yes" : "NO");
 
   // ---- Phase 2: single-core batch throughput ------------------------------
-  // Warm (weights/tables already resident), one thread, min over repeats.
-  const double legacy_s = min_seconds(repeats, [&] {
-    hw::ExecScratch scratch;
-    (void)executor.run_batch(images, scratch);
-  });
-  const double legacy_rps = static_cast<double>(batch) / legacy_s;
+  // Warm (weights/tables resident, scratch grown by phase 1), one thread,
+  // min over repeats; each repeat times run() and then every plan.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double reference_s = kInf;
+  std::vector<double> plan_s(variants.size(), kInf);
+  for (std::size_t r = 0; r < repeats; ++r) {
+    reference_s = std::min(
+        reference_s, seconds_of([&] { (void)executor.run(images); }));
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      plan_s[v] = std::min(plan_s[v], seconds_of([&] {
+                             (void)compile::run_plan_batch(*plans[v], images,
+                                                           scratches[v]);
+                           }));
+    }
+  }
+  const double reference_rps = static_cast<double>(batch) / reference_s;
 
   util::TablePrinter table("Compiled-plan batch throughput, one core (" +
                            std::to_string(batch) + "-sample batch, min of " +
-                           std::to_string(repeats) + " repeats)");
-  table.set_header({"variant", "steps", "fused", "im2col",
-                    "throughput (samples/s)", "speedup vs run_batch"});
-  table.add_row({"uncompiled run_batch", "-", "-", "-",
-                 util::fmt_fixed(legacy_rps, 1), "1.00x"});
+                           std::to_string(repeats) + " interleaved repeats)");
+  table.set_header({"variant", "steps", "specialized",
+                    "throughput (samples/s)", "speedup vs run()"});
+  table.add_row({"reference run()", "-", "-",
+                 util::fmt_fixed(reference_rps, 1), "1.00x"});
 
   std::vector<double> speedups;
   for (std::size_t v = 0; v < variants.size(); ++v) {
     const auto& plan = *plans[v];
-    const double seconds = min_seconds(repeats, [&] {
-      hw::ExecScratch scratch;
-      (void)compile::run_plan_batch(plan, images, scratch);
-    });
-    const double rps = static_cast<double>(batch) / seconds;
-    speedups.push_back(rps / legacy_rps);
-    table.add_row(
-        {variants[v].name, std::to_string(plan.stats.steps),
-         std::to_string(plan.stats.fused_relu + plan.stats.fused_pool),
-         std::to_string(plan.stats.im2col), util::fmt_fixed(rps, 1),
-         util::fmt_fixed(speedups.back(), 2) + "x"});
+    const double rps = static_cast<double>(batch) / plan_s[v];
+    speedups.push_back(rps / reference_rps);
+    table.add_row({variants[v].name, std::to_string(plan.stats.steps),
+                   std::to_string(plan.stats.specialized),
+                   util::fmt_fixed(rps, 1),
+                   util::fmt_fixed(speedups.back(), 2) + "x"});
   }
   table.print();
 
@@ -174,12 +173,10 @@ int main(int argc, char** argv) {
        << "  \"repeats\": " << repeats << ",\n"
        << "  \"bit_identical\": " << (bit_identical ? "true" : "false")
        << ",\n"
-       << "  \"rps_run_batch\": " << legacy_rps << ",\n"
+       << "  \"rps_reference\": " << reference_rps << ",\n"
+       << "  \"speedup_floor\": " << kMinSpeedup << ",\n"
        << "  \"speedup_compiled\": " << speedups[0] << ",\n"
-       << "  \"speedup_fusion_off\": " << speedups[1] << ",\n"
-       << "  \"speedup_specialize_off\": " << speedups[2] << ",\n"
-       << "  \"speedup_force_im2col\": " << speedups[3] << ",\n"
-       << "  \"speedup_force_direct\": " << speedups[4] << "\n"
+       << "  \"speedup_specialize_off\": " << speedups[1] << "\n"
        << "}\n";
   json.flush();
   if (!json) {
@@ -189,14 +186,13 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", json_path);
 
   if (!bit_identical) {
-    std::printf("FAIL: a compiled variant diverged from the uncompiled "
-                "executor\n");
+    std::printf("FAIL: a compiled variant diverged from run()\n");
     return 1;
   }
-  if (compiled_speedup < 1.15) {
+  if (compiled_speedup < kMinSpeedup) {
     std::printf("FAIL: full pipeline reached %.2fx single-core batch "
-                "throughput over run_batch, need >= 1.15x\n",
-                compiled_speedup);
+                "throughput over run(), need >= %.1fx\n",
+                compiled_speedup, kMinSpeedup);
     return 1;
   }
   std::printf("PASS (%.2fx)\n", compiled_speedup);

@@ -9,7 +9,8 @@
 # (ablation_shared_pu), the capacity-analyzer soundness numbers
 # (ablation_capacity), the tracing-overhead + layer-profile
 # reconciliation numbers (ablation_trace_overhead), and the deploy-time
-# compiler speedup/ablation numbers (ablation_compile). See
+# compiler numbers (ablation_compile: rps_reference = the reference run()
+# throughput, speedup_compiled / speedup_specialize_off over it). See
 # docs/benchmarks.md for every bench's enforced thresholds.
 #
 # Failure discipline: every bench must exit 0 AND write a non-empty JSON

@@ -266,7 +266,6 @@ AnalysisReport analyze_plan(const CompiledPlan& plan,
     row.kind = s.kind;
     row.in_frac = s.in_frac;
     row.out_frac = s.out_frac;
-    row.result_frac = s.result_frac();
 
     if (s.in_frac != frac) {
       violation(i, "radix chain break: step expects <8," +
@@ -318,14 +317,7 @@ AnalysisReport analyze_plan(const CompiledPlan& plan,
           const Interval routed =
               route_interval(dot, s.in_frac, s.out_frac, s.bias[oc], overflow);
           add_clip(clip, clip_excess(routed));
-          Interval out = saturate8(routed);
-          if (s.fused_relu) {
-            const Interval rectified{std::max<std::int64_t>(0, out.lo),
-                                     std::max<std::int64_t>(0, out.hi)};
-            out = convert_interval(rectified, s.out_frac, s.relu_frac, clip,
-                                   overflow);
-          }
-          next[oc] = out;
+          next[oc] = saturate8(routed);
           if (first) {
             dot_hull = dot;
             routed_hull = routed;
@@ -365,23 +357,11 @@ AnalysisReport analyze_plan(const CompiledPlan& plan,
         }
 
         // Per-output-channel (or per-feature) state keeps downstream
-        // bounds tight; the fused pool (if any) transforms it in place.
+        // bounds tight.
         state = std::move(next);
         if (conv) {
           h = s.out_h;
           w = s.out_w;
-          if (s.fused_pool) {
-            std::int64_t pool_clip = 0;
-            for (Interval& iv : state) {
-              iv = pool_interval(s.pool, iv, s.fused_relu ? s.relu_frac
-                                                          : s.out_frac,
-                                 s.out_h, s.out_w, s.pool_oh, s.pool_ow,
-                                 pool_clip, overflow);
-            }
-            add_clip(row.clip_mass, pool_clip);
-            h = s.pool_oh;
-            w = s.pool_ow;
-          }
         } else {
           spatial = false;
         }
@@ -445,7 +425,7 @@ AnalysisReport analyze_plan(const CompiledPlan& plan,
                        std::to_string(row.clip_mass) + " code units");
     }
     add_clip(report.total_clip_mass, row.clip_mass);
-    frac = s.result_frac();
+    frac = s.out_frac;
     report.steps.push_back(std::move(row));
   }
 
@@ -455,15 +435,14 @@ AnalysisReport analyze_plan(const CompiledPlan& plan,
 
 std::string AnalysisReport::table() const {
   util::TablePrinter table("plan bounds: " + model);
-  table.set_header({"step", "kind", "label", "frac m->n->r", "dot range",
+  table.set_header({"step", "kind", "label", "frac m->n", "dot range",
                     "acc bits", "routed range", "out codes", "clip"});
   for (const StepBounds& row : steps) {
     const bool mac = row.kind == StepKind::kConv ||
                      row.kind == StepKind::kFullyConnected;
     table.add_row(
         {std::to_string(row.step), kind_name(row.kind), row.label,
-         std::to_string(row.in_frac) + "->" + std::to_string(row.out_frac) +
-             "->" + std::to_string(row.result_frac),
+         std::to_string(row.in_frac) + "->" + std::to_string(row.out_frac),
          mac ? interval_str(row.dot) : "-",
          mac ? std::to_string(row.accumulator_bits) +
                    (row.int32_dot ? " (i32)" : " (i64)")

@@ -86,7 +86,6 @@ struct StepBounds {
   compile::StepKind kind = compile::StepKind::kConv;
   int in_frac = 0;
   int out_frac = 0;
-  int result_frac = 0;
   /// Worst-case raw dot-product range across output channels (conv/fc
   /// steps; zero interval otherwise) — what the accumulator must hold.
   Interval dot;
@@ -96,7 +95,7 @@ struct StepBounds {
   bool int32_dot = false;
   /// Routed value range *before* 8-bit saturation (conv/fc steps).
   Interval routed;
-  /// Final output code range after every fused stage.
+  /// Final output code range of the step.
   Interval out;
   /// Worst-case saturation excess in code units: how far the routed (or
   /// converted) value can land outside the 8-bit range. 0 = provably

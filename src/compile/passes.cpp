@@ -35,8 +35,9 @@ std::size_t out_extent(std::size_t in, std::size_t window, std::size_t stride,
 }
 
 /// Decodes a nibble-packed pow2 weight stream into the plain +/-2^(7+e)
-/// integer multipliers the fast kernels use (identical to what
-/// AcceleratorExecutor predecodes, so plan execution is bit-identical).
+/// integer multipliers the plan kernels use: synapse_product as a plain
+/// multiplier, x * (+/-2^(7+e)) in the same 2^-(m+7) units, so plan
+/// execution is bit-identical to the reference datapath.
 void decode_fast_weights(const std::vector<std::uint8_t>& packed,
                          std::size_t count, std::vector<std::int32_t>& out) {
   if (packed.size() < (count + 1) / 2) {
@@ -58,16 +59,7 @@ void refresh_stats(CompiledPlan& plan) {
   PlanStats st;
   st.steps = plan.steps.size();
   for (const PlanStep& s : plan.steps) {
-    if (s.fused_relu) ++st.fused_relu;
-    if (s.fused_pool) ++st.fused_pool;
-    if (s.kind == StepKind::kConv) {
-      if (s.algo == ConvAlgo::kIm2col) {
-        ++st.im2col;
-      } else {
-        ++st.direct_conv;
-      }
-      if (s.no_pad) ++st.specialized;
-    }
+    if (s.kind == StepKind::kConv && s.no_pad) ++st.specialized;
   }
   plan.stats = st;
 }
@@ -91,7 +83,7 @@ CompiledPlan lower_qnet(const hw::QNetDesc& desc, std::size_t in_c,
   for (std::size_t i = 0; i < desc.layers.size(); ++i) {
     const hw::QLayer& layer = desc.layers[i];
     PlanStep s;
-    s.source_layers = {i};
+    s.source_layer = i;
     s.in_frac = frac;
     if (const auto* conv = std::get_if<hw::QConv>(&layer)) {
       if (!spatial || c != conv->in_c) lower_error(i, "conv input mismatch");
@@ -181,48 +173,6 @@ CompiledPlan lower_qnet(const hw::QNetDesc& desc, std::size_t in_c,
   return plan;
 }
 
-void pass_fuse(CompiledPlan& plan) {
-  std::vector<PlanStep> fused;
-  fused.reserve(plan.steps.size());
-  for (PlanStep& s : plan.steps) {
-    if (s.kind == StepKind::kRelu && !fused.empty()) {
-      PlanStep& prev = fused.back();
-      if ((prev.kind == StepKind::kConv ||
-           prev.kind == StepKind::kFullyConnected) &&
-          !prev.fused_relu && !prev.fused_pool) {
-        prev.fused_relu = true;
-        prev.relu_frac = s.out_frac;
-        prev.source_layers.insert(prev.source_layers.end(),
-                                  s.source_layers.begin(),
-                                  s.source_layers.end());
-        prev.label += "+relu";
-        continue;
-      }
-    }
-    if (s.kind == StepKind::kPool && !fused.empty()) {
-      PlanStep& prev = fused.back();
-      // Pool folds only onto a conv that already fused its activation: a
-      // pool *before* the ReLU (conv→pool→relu) must stay standalone so
-      // the activation still sees the pooled map — fusion there would
-      // reorder the lossy stages.
-      if (prev.kind == StepKind::kConv && prev.fused_relu &&
-          !prev.fused_pool) {
-        prev.fused_pool = true;
-        prev.pool = s.pool;
-        prev.pool_oh = s.out_h;
-        prev.pool_ow = s.out_w;
-        prev.source_layers.insert(prev.source_layers.end(),
-                                  s.source_layers.begin(),
-                                  s.source_layers.end());
-        prev.label += s.pool.is_max ? "+maxpool" : "+avgpool";
-        continue;
-      }
-    }
-    fused.push_back(std::move(s));
-  }
-  plan.steps = std::move(fused);
-}
-
 void pass_specialize(CompiledPlan& plan) {
   for (PlanStep& s : plan.steps) {
     if (s.kind != StepKind::kConv) continue;
@@ -233,37 +183,10 @@ void pass_specialize(CompiledPlan& plan) {
   }
 }
 
-ConvAlgo choose_conv_algo(std::size_t out_c, std::size_t patch,
-                          ConvStrategy strategy) {
-  if (strategy == ConvStrategy::kForceIm2col) return ConvAlgo::kIm2col;
-  if (strategy == ConvStrategy::kForceDirect) return ConvAlgo::kDirect;
-  (void)patch;
-  // Host cost per output pixel, in dense-MAC units (the same pixels/patch/
-  // out_c quantities LayerWork carries): direct pays out_c*patch *indexed*
-  // MACs (~kIndexedCost each: the gather rides inside the MAC loop and
-  // defeats vectorization); im2col pays one patch materialization
-  // (~kGatherCost per tap) plus out_c*patch dense MACs. im2col wins when
-  //   out_c*patch*kIndexedCost > patch*kGatherCost + out_c*patch
-  // i.e. when out_c*(kIndexedCost-1) > kGatherCost — the gather must be
-  // amortized over enough output channels.
-  constexpr std::size_t kIndexedCost = 4;
-  constexpr std::size_t kGatherCost = 24;
-  return out_c * (kIndexedCost - 1) > kGatherCost ? ConvAlgo::kIm2col
-                                                  : ConvAlgo::kDirect;
-}
-
-void pass_strategy(CompiledPlan& plan, ConvStrategy strategy) {
-  for (PlanStep& s : plan.steps) {
-    if (s.kind != StepKind::kConv) continue;
-    s.algo = choose_conv_algo(s.out_c, s.in_c * s.kernel * s.kernel, strategy);
-    s.label += s.algo == ConvAlgo::kIm2col ? "/im2col" : "/direct";
-  }
-}
-
 void pass_build_tables(const hw::QNetDesc& desc, CompiledPlan& plan) {
   for (PlanStep& s : plan.steps) {
     if (s.kind == StepKind::kConv) {
-      const auto* conv = std::get_if<hw::QConv>(&desc.layers[s.source_layers.front()]);
+      const auto* conv = std::get_if<hw::QConv>(&desc.layers[s.source_layer]);
       if (conv == nullptr) {
         throw std::runtime_error("pass_build_tables: conv step source is not a conv layer");
       }
@@ -273,8 +196,8 @@ void pass_build_tables(const hw::QNetDesc& desc, CompiledPlan& plan) {
       hw::build_conv_gather(s.in_c, s.in_h, s.in_w, s.kernel, s.stride, s.pad,
                             s.out_h, s.out_w, s.gather);
     } else if (s.kind == StepKind::kFullyConnected) {
-      const auto* fc = std::get_if<hw::QFullyConnected>(
-          &desc.layers[s.source_layers.front()]);
+      const auto* fc =
+          std::get_if<hw::QFullyConnected>(&desc.layers[s.source_layer]);
       if (fc == nullptr) {
         throw std::runtime_error("pass_build_tables: fc step source is not an fc layer");
       }
@@ -329,23 +252,7 @@ void pass_verify(const CompiledPlan& plan) {
         c = s.out_c;
         h = s.out_h;
         w = s.out_w;
-        if (s.fused_pool) {
-          if (!s.fused_relu) verify_error(i, "pool fused before activation");
-          if (s.pool.stride == 0 || h + 2 * s.pool.pad < s.pool.window ||
-              w + 2 * s.pool.pad < s.pool.window) {
-            verify_error(i, "fused pool window exceeds padded input");
-          }
-          const std::size_t ph =
-              (h + 2 * s.pool.pad - s.pool.window) / s.pool.stride + 1;
-          const std::size_t pw =
-              (w + 2 * s.pool.pad - s.pool.window) / s.pool.stride + 1;
-          if (ph != s.pool_oh || pw != s.pool_ow) {
-            verify_error(i, "fused pool output geometry mismatch");
-          }
-          h = ph;
-          w = pw;
-        }
-        frac = s.result_frac();
+        frac = s.out_frac;
         break;
       }
       case StepKind::kFullyConnected: {
@@ -358,9 +265,8 @@ void pass_verify(const CompiledPlan& plan) {
         if (s.bias.size() != s.out_features) {
           verify_error(i, "fc bias size mismatch");
         }
-        if (s.fused_pool) verify_error(i, "pool fused onto fc");
         features = s.out_features;
-        frac = s.result_frac();
+        frac = s.out_frac;
         break;
       }
       case StepKind::kPool: {
@@ -424,20 +330,11 @@ CompiledPlan PassPipeline::run(const hw::QNetDesc& desc,
 
 PassPipeline PassPipeline::standard(const CompileOptions& options) {
   PassPipeline pipeline;
-  if (options.fuse) {
-    pipeline.add("fuse",
-                 [](const hw::QNetDesc&, CompiledPlan& p) { pass_fuse(p); });
-  }
   if (options.specialize) {
     pipeline.add("specialize", [](const hw::QNetDesc&, CompiledPlan& p) {
       pass_specialize(p);
     });
   }
-  pipeline.add("strategy",
-               [strategy = options.strategy](const hw::QNetDesc&,
-                                             CompiledPlan& p) {
-                 pass_strategy(p, strategy);
-               });
   pipeline.add("tables", [](const hw::QNetDesc& d, CompiledPlan& p) {
     pass_build_tables(d, p);
   });

@@ -1,25 +1,21 @@
 // PassPipeline: the deploy-time lowering of a QNetDesc into a CompiledPlan.
 //
-// Mirrors the graph-transformer/strategy-manager shape of NPU compilers: a
-// `lower` stage turns the layer list into 1:1 PlanSteps with fully derived
-// geometry, then named passes rewrite the step list in order:
+// Mirrors the graph-transformer shape of NPU compilers: a `lower` stage
+// turns the layer list into 1:1 PlanSteps with fully derived geometry, then
+// named passes annotate the steps in order (the step list itself stays one
+// step per desc layer; every conv runs im2col):
 //
-//   fuse        conv→ReLU(→pool) and fc→ReLU chains collapse into one step.
-//               Pool folds only onto a step that already fused its ReLU —
-//               a pool *before* the activation (CIFAR-10 block 1) is not a
-//               legal fusion target and stays a standalone generic step.
 //   specialize  SupportsGeometry: a conv whose gather table has no padded
 //               tap (pad == 0) selects the no-padding fast kernel variant;
 //               everything else keeps the generic padded-tap fallback.
-//   strategy    im2col vs direct per conv layer from a host-cost model over
-//               the same LayerWork quantities the CycleModel prices
-//               (see choose_conv_algo); overridable for ablation.
 //   tables      predecode +/-2^(7+e) integer weights and bias codes, build
 //               the per-pixel gather tables.
 //   verify      re-derive the shape/radix chain step by step and check every
 //               lowered payload against it; throws std::runtime_error on
 //               any mismatch — a plan that verifies cannot index out of
 //               bounds or mix radices at run time.
+//   analyze     numeric static analysis (src/analysis): prove the
+//               accumulator, int32 dot path, and radix chain safe.
 //
 // compile_qnet() is the front door; the pipeline object is exposed so tests
 // can run truncated/custom pipelines.
@@ -66,25 +62,16 @@ class PassPipeline {
 };
 
 /// Lowers `desc` 1:1 into an unoptimized CompiledPlan draft (geometry and
-/// radix chain fully derived; no fusion, tables, or strategy yet). Throws
+/// radix chain fully derived; no tables or specialization yet). Throws
 /// std::invalid_argument on a desc the geometry walk rejects.
 [[nodiscard]] CompiledPlan lower_qnet(const hw::QNetDesc& desc,
                                       std::size_t in_c, std::size_t in_h,
                                       std::size_t in_w);
 
 /// The individual passes, exposed for truncated pipelines in tests.
-void pass_fuse(CompiledPlan& plan);
 void pass_specialize(CompiledPlan& plan);
-void pass_strategy(CompiledPlan& plan, ConvStrategy strategy);
 void pass_build_tables(const hw::QNetDesc& desc, CompiledPlan& plan);
 void pass_verify(const CompiledPlan& plan);
-
-/// The strategy pass's host-cost choice for one conv step: im2col amortizes
-/// one patch materialization (gather of `patch` taps) over `out_c` dense
-/// branch-free dot products, direct re-walks the gather table per output
-/// channel. Auto picks im2col once the amortization wins.
-[[nodiscard]] ConvAlgo choose_conv_algo(std::size_t out_c, std::size_t patch,
-                                        ConvStrategy strategy);
 
 /// Full deploy-time compilation: lower + the standard pipeline for
 /// `options`. The returned plan is immutable and safe to share across

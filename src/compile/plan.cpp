@@ -68,16 +68,11 @@ std::string CompiledPlan::describe() const {
       << "hash " << std::hex << content_hash << std::dec << ")\n";
   for (std::size_t i = 0; i < steps.size(); ++i) {
     const PlanStep& s = steps[i];
-    out << "  [" << i << "] " << s.label << "  src={";
-    for (std::size_t k = 0; k < s.source_layers.size(); ++k) {
-      out << (k ? "," : "") << "L" << s.source_layers[k];
-    }
-    out << "}";
+    out << "  [" << i << "] " << s.label << "  src=L" << s.source_layer;
     if (s.kind == StepKind::kConv) {
       out << "  " << s.in_c << "x" << s.in_h << "x" << s.in_w << " -> "
           << s.out_c << "x" << s.out_h << "x" << s.out_w
-          << (s.algo == ConvAlgo::kIm2col ? "  im2col" : "  direct")
-          << (s.no_pad ? " no-pad" : " generic");
+          << (s.no_pad ? "  no-pad" : "  generic");
     } else if (s.kind == StepKind::kFullyConnected) {
       out << "  " << s.in_features << " -> " << s.out_features;
     }

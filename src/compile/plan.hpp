@@ -4,19 +4,20 @@
 // decode, gather layout, kernel shape — is fixed in silicon before the first
 // sample arrives. The serving stack mirrors that: at deploy() time a
 // PassPipeline (compile/passes.hpp) lowers the QNetDesc into an ordered list
-// of PlanSteps with pre-resolved kernel variants, predecoded +/-2^(7+e)
-// integer weights, prebuilt gather/im2col index tables, and fused
-// conv→ReLU(→pool) steps — so the per-batch layer loop re-makes none of
-// those decisions. Plans are shared immutably (shared_ptr<const CompiledPlan>
-// out of compile/plan_cache.hpp): N replicas and shared-PU tenants execute
-// one artifact, and an in-flight request keeps its plan alive across cache
+// of PlanSteps, one per desc layer, with pre-resolved kernel variants,
+// predecoded +/-2^(7+e) integer weights, and prebuilt im2col gather tables
+// — so the per-batch layer loop re-makes none of those decisions. Plans are
+// shared immutably (shared_ptr<const CompiledPlan> out of
+// compile/plan_cache.hpp): N replicas and shared-PU tenants execute one
+// artifact, and an in-flight request keeps its plan alive across cache
 // eviction or hot redeploy.
 //
-// Execution of a plan (compile/plan_executor.hpp) is bit-identical to
-// AcceleratorExecutor::run_batch / run() on the source desc: every lossy
-// stage goes through the shared hw/kernels.hpp implementations, and the
-// integer dot products are exact under any association, so fusion and
-// im2col only reorder exact arithmetic.
+// Compiled plans are the only batched execution path. Execution of a plan
+// (compile/plan_executor.hpp) is bit-identical to the reference
+// AcceleratorExecutor::run() on the source desc: every lossy stage goes
+// through the shared hw/kernels.hpp implementations, and the integer dot
+// products are exact under any association, so im2col only reorders exact
+// arithmetic.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +28,7 @@
 
 namespace mfdfp::compile {
 
-/// What a lowered step executes. Conv/FC steps may carry fused stages.
+/// What a lowered step executes (one step per desc layer).
 enum class StepKind : std::uint8_t {
   kConv,
   kFullyConnected,
@@ -36,32 +37,12 @@ enum class StepKind : std::uint8_t {
   kFlatten,
 };
 
-/// Per-layer conv execution strategy, chosen by the strategy pass.
-enum class ConvAlgo : std::uint8_t {
-  /// Indexed gather inside the MAC loop (run_batch's shape). No patch
-  /// materialization; each output channel re-walks the gather table.
-  kDirect,
-  /// Materialize each (sample, pixel) patch once into a contiguous int8
-  /// buffer, then run a dense branch-free dot per output channel — the
-  /// gather is amortized over out_c.
-  kIm2col,
-};
-
-/// Strategy-pass override knob (ablation: force one algo everywhere).
-enum class ConvStrategy : std::uint8_t { kAuto, kForceIm2col, kForceDirect };
-
 /// Deploy-time compilation knobs (DeployConfig.compile). Each pass can be
 /// ablated independently; `bench/ablation_compile` measures every row.
 struct CompileOptions {
-  /// Master switch: false deploys the legacy uncompiled run_batch path.
-  bool enabled = true;
-  /// Fusion pass: collapse conv→ReLU(→pool) / fc→ReLU chains into one step.
-  bool fuse = true;
   /// Geometry-specialization pass: select the no-padding fast kernel
   /// variant when SupportsGeometry says every gather tap is in-bounds.
   bool specialize = true;
-  /// Strategy pass: im2col vs direct per conv layer (kAuto = cost model).
-  ConvStrategy strategy = ConvStrategy::kAuto;
   /// Numeric static analysis pass (src/analysis): prove the accumulator /
   /// int32 fast path / radix chain safe for the deployed geometry, and
   /// reject the plan (analysis::PlanRejectedError) otherwise. On by
@@ -73,11 +54,11 @@ struct CompileOptions {
 /// One lowered, pre-resolved execution step.
 struct PlanStep {
   StepKind kind = StepKind::kConv;
-  /// Human-readable kernel identity, e.g. "conv5x5s1p2+relu+avgpool·im2col".
+  /// Human-readable kernel identity, e.g. "conv5x5s1p2".
   std::string label;
-  /// QNetDesc layer indices folded into this step (in execution order) —
-  /// the profiler attributes a fused step's host time back to these.
-  std::vector<std::size_t> source_layers;
+  /// The QNetDesc layer this step lowers — the profiler row its host time
+  /// is recorded against.
+  std::size_t source_layer = 0;
 
   // --- Geometry (spatial steps; FC uses the feature fields) ---
   std::size_t in_c = 0, in_h = 0, in_w = 0;
@@ -87,17 +68,11 @@ struct PlanStep {
 
   // --- Radix chain ---
   int in_frac = 0;   ///< m: radix of the step's input codes
-  int out_frac = 0;  ///< n: radix the core op routes into
+  int out_frac = 0;  ///< n: radix of the step's output codes
 
-  // --- Fused stages (conv/fc steps only) ---
-  bool fused_relu = false;
-  int relu_frac = 0;  ///< radix the fused ReLU refracs into
-  bool fused_pool = false;
-  hw::QPool pool{};  ///< fused trailing pool, or the pool of a kPool step
-  std::size_t pool_oh = 0, pool_ow = 0;
+  hw::QPool pool{};  ///< the pool of a kPool step
 
-  // --- Strategy / specialization (conv steps) ---
-  ConvAlgo algo = ConvAlgo::kDirect;
+  // --- Specialization (conv steps) ---
   /// SupportsGeometry result: true = every gather tap is in-bounds, the
   /// padded-tap branch is compiled out of the inner loop.
   bool no_pad = false;
@@ -110,23 +85,12 @@ struct PlanStep {
   /// Prebuilt per-output-pixel patch gather table (conv steps): oh*ow rows
   /// of in_c*k*k taps, relative to a sample's image base; SIZE_MAX = padded.
   std::vector<std::size_t> gather;
-
-  /// Radix of this step's final output (after any fused stages).
-  [[nodiscard]] int result_frac() const noexcept {
-    if (fused_pool) return pool.out_frac;
-    if (fused_relu) return relu_frac;
-    return out_frac;
-  }
 };
 
 /// What the passes did — one row per knob in the ablation bench.
 struct PlanStats {
   std::size_t steps = 0;
-  std::size_t fused_relu = 0;
-  std::size_t fused_pool = 0;
   std::size_t specialized = 0;  ///< no-padding fast-variant conv steps
-  std::size_t im2col = 0;
-  std::size_t direct_conv = 0;
 };
 
 /// The immutable deploy-time artifact. Mutated only inside the pass
@@ -144,7 +108,7 @@ struct CompiledPlan {
   std::vector<std::string> passes_run;
   PlanStats stats;
 
-  /// One line per step: kind, label, geometry, strategy — for logs/tests.
+  /// One line per step: kind, label, geometry, variant — for logs/tests.
   [[nodiscard]] std::string describe() const;
 };
 

@@ -12,8 +12,7 @@ std::string cache_key(std::uint64_t content_hash, std::size_t in_c,
                       const CompileOptions& options) {
   std::ostringstream key;
   key << std::hex << content_hash << std::dec << "|" << in_c << "x" << in_h
-      << "x" << in_w << "|" << device_key << "|f" << options.fuse << "s"
-      << options.specialize << "t" << static_cast<int>(options.strategy)
+      << "x" << in_w << "|" << device_key << "|s" << options.specialize
       << "a" << options.analyze;
   return key.str();
 }

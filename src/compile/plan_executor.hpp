@@ -1,13 +1,12 @@
-// Executes a CompiledPlan — the deploy-time-lowered twin of
-// AcceleratorExecutor::run_batch, bit-identical to it (and therefore to
-// run() and the fake-quantized software model) by construction: every lossy
-// stage calls the shared hw/kernels.hpp implementations, and the integer
-// dot products are exact under any association, so the plan's fusion,
-// prebuilt gather tables, and im2col patch buffers only reorder exact
-// arithmetic.
+// Executes a CompiledPlan — the only batched execution path — bit-identical
+// to the reference AcceleratorExecutor::run() (and therefore to the
+// fake-quantized software model) by construction: every lossy stage calls
+// the shared hw/kernels.hpp implementations, and the integer dot products
+// are exact under any association, so the plan's prebuilt gather tables and
+// im2col patch buffers only reorder exact arithmetic.
 //
-// Thread-safety matches run_batch: callers are concurrent as long as each
-// brings its own ExecScratch; the plan itself is immutable and shared.
+// Thread-safety: callers are concurrent as long as each brings its own
+// ExecScratch; the plan itself is immutable and shared.
 #pragma once
 
 #include "compile/plan.hpp"
@@ -31,13 +30,13 @@ inline constexpr std::size_t kI32SafePatch =
 
 /// Runs the plan over scratch.input (code domain), leaving the result in
 /// scratch.input. When `profiler` is non-null every step's host wall time is
-/// recorded with attribution back to its source desc layers.
+/// recorded against its source desc layer.
 void run_plan_codes(const CompiledPlan& plan, hw::ExecScratch& scratch,
                     hw::LayerProfiler* profiler = nullptr);
 
 /// Full batched pipeline: encode the stacked images ({B, C, H, W}) at the
 /// plan's input radix, execute every step, decode the logits. Bit-identical
-/// to AcceleratorExecutor::run_batch on the source desc (enforced by
+/// to AcceleratorExecutor::run() on the source desc (enforced by
 /// tests/test_compile.cpp and bench/ablation_compile).
 [[nodiscard]] tensor::Tensor run_plan_batch(const CompiledPlan& plan,
                                             const tensor::Tensor& images,

@@ -19,8 +19,8 @@ namespace mfdfp::core {
 /// Evaluates `members` as an averaged-logit ensemble (a single network is
 /// the one-member case) over raw float `images` (N, C, H, W) through
 /// compiled plans: each member is lowered once by the standard pass
-/// pipeline, then every batch runs the fused integer steps with logits
-/// averaged exactly like hw::run_ensemble_batch. Bit-identical to
+/// pipeline, then every batch runs the plan's integer steps with logits
+/// averaged exactly like hw::run_ensemble. Bit-identical to
 /// evaluating the fake-quantized float networks on quantize_input()-ed
 /// images — input encoding is idempotent, so raw and pre-quantized images
 /// produce the same codes.

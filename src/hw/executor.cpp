@@ -1,12 +1,10 @@
 #include "hw/executor.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "hw/kernels.hpp"
-#include "hw/layer_profile.hpp"
 
 namespace mfdfp::hw {
 
@@ -43,7 +41,6 @@ CodeTensor CodeTensor::encode(const Tensor& values, int frac) {
 AcceleratorExecutor::AcceleratorExecutor(QNetDesc desc)
     : desc_(std::move(desc)) {
   decoded_weights_.resize(desc_.layers.size());
-  fast_weights_.resize(desc_.layers.size());
   for (std::size_t i = 0; i < desc_.layers.size(); ++i) {
     const std::vector<std::uint8_t>* packed = nullptr;
     std::size_t count = 0;
@@ -60,19 +57,12 @@ AcceleratorExecutor::AcceleratorExecutor(QNetDesc desc)
       throw std::invalid_argument("AcceleratorExecutor: short weight stream");
     }
     auto& decoded = decoded_weights_[i];
-    auto& fast = fast_weights_[i];
     decoded.resize(count);
-    fast.resize(count);
     for (std::size_t k = 0; k < count; ++k) {
       const std::uint8_t byte = (*packed)[k / 2];
       const std::uint8_t nibble =
           (k % 2 == 0) ? (byte & 0xF) : static_cast<std::uint8_t>(byte >> 4);
       decoded[k] = quant::decode_nibble(nibble);
-      // synapse_product as a plain multiplier: x * (+/-2^(7+e)), same
-      // 2^-(m+7) units — the batched kernels' integer dot product.
-      const std::int32_t magnitude =
-          std::int32_t{1} << (kProductFracBits + decoded[k].exponent);
-      fast[k] = decoded[k].negative ? -magnitude : magnitude;
     }
   }
 }
@@ -188,105 +178,10 @@ void AcceleratorExecutor::run_fc(const QFullyConnected& fc,
   }
 }
 
-void AcceleratorExecutor::run_pool(const QPool& pool, const CodeTensor& input,
-                                   CodeTensor& out) const {
-  pool_forward(pool, input, out);
-}
-
-void AcceleratorExecutor::run_conv_fast(const QConv& conv,
-                                        std::span<const std::int32_t> weights,
-                                        const CodeTensor& input,
-                                        CodeTensor& out,
-                                        std::vector<std::size_t>& index) const {
-  const auto [batch, ih, iw, oh, ow, patch] =
-      conv_geometry(conv.in_c, conv.kernel, conv.stride, conv.pad, input.shape,
-                    "run_conv_fast");
-
-  out.shape = Shape{batch, conv.out_c, oh, ow};
-  out.frac = conv.out_frac;
-  out.codes.resize(out.shape.size());
-
-  // Build the patch gather table once per invocation: indices are relative
-  // to the sample's image base, so one table serves every sample of the
-  // batch and every output channel (the per-pixel rebuild the reference
-  // path does in its inner loop is the single hottest overhead there).
-  build_conv_gather(conv.in_c, ih, iw, conv.kernel, conv.stride, conv.pad, oh,
-                    ow, index);
-
-  for (std::size_t n = 0; n < batch; ++n) {
-    const std::size_t image_base = n * conv.in_c * ih * iw;
-    for (std::size_t pixel = 0; pixel < oh * ow; ++pixel) {
-      const std::size_t* row = index.data() + pixel * patch;
-      for (std::size_t oc = 0; oc < conv.out_c; ++oc) {
-        out.codes[(n * conv.out_c + oc) * oh * ow + pixel] =
-            static_cast<std::int8_t>(fast_neuron_dot(
-                input.codes.data(), row, image_base,
-                weights.data() + oc * patch, patch, input.frac,
-                conv.out_frac, conv.bias_codes[oc]));
-      }
-    }
-  }
-}
-
-void AcceleratorExecutor::run_fc_fast(const QFullyConnected& fc,
-                                      std::span<const std::int32_t> weights,
-                                      const CodeTensor& input,
-                                      CodeTensor& out) const {
-  if (input.shape.rank() != 2 || input.shape.dim(1) != fc.in_features) {
-    throw std::invalid_argument("run_fc_fast: bad input shape");
-  }
-  const std::size_t batch = input.shape.dim(0);
-  out.shape = Shape{batch, fc.out_features};
-  out.frac = fc.out_frac;
-  out.codes.resize(out.shape.size());
-  for (std::size_t n = 0; n < batch; ++n) {
-    const std::int8_t* row = input.codes.data() + n * fc.in_features;
-    for (std::size_t o = 0; o < fc.out_features; ++o) {
-      out.codes[n * fc.out_features + o] = static_cast<std::int8_t>(
-          fast_neuron_dot(row, nullptr, 0, weights.data() + o * fc.in_features,
-                          fc.in_features, input.frac, fc.out_frac,
-                          fc.bias_codes[o]));
-    }
-  }
-}
-
-void AcceleratorExecutor::run_codes_scratch(ExecScratch& scratch) const {
-  CodeTensor& input = scratch.input;
-  CodeTensor& out = scratch.output;
-  using clock = std::chrono::steady_clock;
-  const bool profiled = profiler_ != nullptr;
-  for (std::size_t i = 0; i < desc_.layers.size(); ++i) {
-    const QLayer& layer = desc_.layers[i];
-    const clock::time_point layer_start =
-        profiled ? clock::now() : clock::time_point{};
-    if (const auto* conv = std::get_if<QConv>(&layer)) {
-      run_conv_fast(*conv, fast_weights_[i], input, out, scratch.index);
-      std::swap(input, out);
-    } else if (const auto* fc = std::get_if<QFullyConnected>(&layer)) {
-      run_fc_fast(*fc, fast_weights_[i], input, out);
-      std::swap(input, out);
-    } else if (const auto* pool = std::get_if<QPool>(&layer)) {
-      run_pool(*pool, input, out);
-      std::swap(input, out);
-    } else if (const auto* relu = std::get_if<QRelu>(&layer)) {
-      apply_relu(input, relu->out_frac);
-    } else if (const auto* flat = std::get_if<QFlatten>(&layer)) {
-      apply_flatten(input, flat->out_frac);
-    }
-    if (profiled) {
-      profiler_->record_layer_host_ns(
-          i, static_cast<std::uint64_t>(
-                 std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     clock::now() - layer_start)
-                     .count()));
-    }
-  }
-}
-
 CodeTensor AcceleratorExecutor::run_codes(CodeTensor input) const {
   // Reference path: every conv/FC neuron goes through the width-asserted
   // shift datapath (synapse_product / adder_tree), exactly as the NPU
-  // schedules it. The batched fast path must match this bit for bit.
+  // schedules it. Every compiled plan must match this bit for bit.
   CodeTensor out;
   std::vector<std::size_t> index;
   for (std::size_t i = 0; i < desc_.layers.size(); ++i) {
@@ -298,7 +193,7 @@ CodeTensor AcceleratorExecutor::run_codes(CodeTensor input) const {
       run_fc(*fc, decoded_weights_[i], input, out);
       std::swap(input, out);
     } else if (const auto* pool = std::get_if<QPool>(&layer)) {
-      run_pool(*pool, input, out);
+      pool_forward(*pool, input, out);
       std::swap(input, out);
     } else if (const auto* relu = std::get_if<QRelu>(&layer)) {
       apply_relu(input, relu->out_frac);
@@ -314,14 +209,6 @@ Tensor AcceleratorExecutor::run(const Tensor& images) const {
   return run_codes(input).decode();
 }
 
-Tensor AcceleratorExecutor::run_batch(const Tensor& images,
-                                      ExecScratch& scratch) const {
-  CodeTensor::encode_into(images, desc_.input_frac, scratch.input);
-  run_codes_scratch(scratch);
-  if (profiler_ != nullptr) profiler_->record_pass(images.shape().n());
-  return scratch.input.decode();
-}
-
 Tensor run_ensemble(std::span<const AcceleratorExecutor* const> members,
                     const Tensor& images) {
   if (members.empty()) {
@@ -330,19 +217,6 @@ Tensor run_ensemble(std::span<const AcceleratorExecutor* const> members,
   Tensor sum = members.front()->run(images);
   for (std::size_t m = 1; m < members.size(); ++m) {
     sum.add(members[m]->run(images));
-  }
-  sum.scale(1.0f / static_cast<float>(members.size()));
-  return sum;
-}
-
-Tensor run_ensemble_batch(std::span<const AcceleratorExecutor* const> members,
-                          const Tensor& images, ExecScratch& scratch) {
-  if (members.empty()) {
-    throw std::invalid_argument("run_ensemble_batch: no members");
-  }
-  Tensor sum = members.front()->run_batch(images, scratch);
-  for (std::size_t m = 1; m < members.size(); ++m) {
-    sum.add(members[m]->run_batch(images, scratch));
   }
   sum.scale(1.0f / static_cast<float>(members.size()));
   return sum;

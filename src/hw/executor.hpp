@@ -5,6 +5,10 @@
 // pool/ReLU/flatten stages operate on 8-bit codes. The executor's outputs
 // are bit-identical to the fake-quantized software model (quant::install_mf_dfp)
 // — this invariant is enforced by integration/property tests.
+//
+// The executor is the reference, not the serving path: deployments lower
+// each QNetDesc into a CompiledPlan (compile/) and serve that. The
+// invariant every plan is held to is plan == run(), bit for bit.
 #pragma once
 
 #include "hw/datapath.hpp"
@@ -12,8 +16,6 @@
 #include "tensor/tensor.hpp"
 
 namespace mfdfp::hw {
-
-class LayerProfiler;  // hw/layer_profile.hpp
 
 /// Activation tensor in code domain: 8-bit codes at a common radix `frac`.
 struct CodeTensor {
@@ -36,90 +38,47 @@ struct CodeTensor {
                           CodeTensor& out);
 };
 
-/// Reusable scratch for the batched fast path. One instance per thread:
-/// activation buffers and conv gather indices are recycled across layers and
-/// across run_batch calls, so steady-state serving does no per-request
-/// allocation in the layer loop. Not thread-safe; workers own one each.
+/// Reusable scratch for compiled-plan execution (compile/plan_executor.hpp).
+/// One instance per thread: activation buffers and the im2col patch buffer
+/// are recycled across steps and across batches, so steady-state serving
+/// does no per-request allocation in the layer loop. Not thread-safe;
+/// workers own one each.
 struct ExecScratch {
   CodeTensor input;                 ///< current activation (ping)
   CodeTensor output;                ///< next activation (pong)
-  std::vector<std::size_t> index;   ///< per-pixel patch gather index table
-  std::vector<std::int8_t> patch;   ///< im2col patch buffer (compiled plans)
+  std::vector<std::int8_t> patch;   ///< im2col patch buffer
 };
 
 class AcceleratorExecutor {
  public:
-  /// Predecodes weight nibbles for fast synapse access. Takes the
-  /// deployment image by value so callers can move large weight streams in.
+  /// Predecodes weight nibbles for synapse access. Takes the deployment
+  /// image by value so callers can move large weight streams in.
   explicit AcceleratorExecutor(QNetDesc desc);
 
   /// Full pipeline: encode images at the input radix, run every layer on the
-  /// integer datapath, decode the final activations (logits) to float.
+  /// integer datapath, decode the final activations (logits) to float. This
+  /// is the datapath-faithful reference every compiled plan must match bit
+  /// for bit (tests/test_compile.cpp, bench/ablation_compile).
   [[nodiscard]] tensor::Tensor run(const tensor::Tensor& images) const;
-
-  /// Batched fast path for serving: encodes the whole stacked batch (N on
-  /// the outer axis) once, then runs optimized integer kernels — weights
-  /// predecoded to plain +/-2^(7+e) multipliers, conv patch gather indices
-  /// built once per layer and shared across the batch and all output
-  /// channels, activations ping-ponged through `scratch`'s recycled buffers
-  /// instead of per-call allocations. Outputs are bit-identical to calling
-  /// run() on each sample (enforced by test_serve.cpp); unlike run(), the
-  /// fast kernels do not re-assert per-wire widths — the datapath-faithful
-  /// reference path remains run()/run_codes().
-  [[nodiscard]] tensor::Tensor run_batch(const tensor::Tensor& images,
-                                         ExecScratch& scratch) const;
 
   /// Code-domain execution (exposed for layer-level tests).
   [[nodiscard]] CodeTensor run_codes(CodeTensor input) const;
 
   [[nodiscard]] const QNetDesc& desc() const noexcept { return desc_; }
 
-  /// Attaches the per-layer profiling sink run_batch reports into (pass /
-  /// sample counts plus per-layer host kernel time; the modeled cycle/DMA
-  /// tables live in the profiler itself — see hw/layer_profile.hpp). Call
-  /// before the first concurrent run_batch; null detaches. The profiler
-  /// must outlive the executor's last run_batch call.
-  void set_profiler(LayerProfiler* profiler) noexcept {
-    profiler_ = profiler;
-  }
-  [[nodiscard]] const LayerProfiler* profiler() const noexcept {
-    return profiler_;
-  }
-
  private:
-  /// Runs layer `i` out-of-place: reads `input`, fills `out` (shape/frac
-  /// set, codes resized reusing capacity). Only conv/fc/pool use this path.
+  /// Runs one layer out-of-place: reads `input`, fills `out` (shape/frac
+  /// set, codes resized reusing capacity).
   void run_conv(const QConv& conv, std::span<const quant::Pow2Weight> weights,
                 const CodeTensor& input, CodeTensor& out,
                 std::vector<std::size_t>& index) const;
   void run_fc(const QFullyConnected& fc,
               std::span<const quant::Pow2Weight> weights,
               const CodeTensor& input, CodeTensor& out) const;
-  void run_pool(const QPool& pool, const CodeTensor& input,
-                CodeTensor& out) const;
-
-  /// Fast-kernel variants used by run_batch (see run_batch docs).
-  void run_conv_fast(const QConv& conv, std::span<const std::int32_t> weights,
-                     const CodeTensor& input, CodeTensor& out,
-                     std::vector<std::size_t>& index) const;
-  void run_fc_fast(const QFullyConnected& fc,
-                   std::span<const std::int32_t> weights,
-                   const CodeTensor& input, CodeTensor& out) const;
-
-  /// Layer loop over scratch.input, ping-ponging with scratch.output.
-  /// Result is left in scratch.input.
-  void run_codes_scratch(ExecScratch& scratch) const;
 
   QNetDesc desc_;
   /// Decoded weights per layer index (empty for weight-less layers).
   std::vector<std::vector<quant::Pow2Weight>> decoded_weights_;
-  /// The same weights as plain integer multipliers +/-2^(7+e) (units
-  /// 2^-(m+7), identical to synapse_product) for the batched fast kernels.
-  std::vector<std::vector<std::int32_t>> fast_weights_;
-  /// Profiling sink of the batched serving path (null = no profiling). The
-  /// profiler's accumulators are atomic, so concurrent run_batch callers
-  /// may share it.
-  LayerProfiler* profiler_ = nullptr;
 };
 
 /// Averaged-logit ensemble execution (one accelerator processing unit per
@@ -127,11 +86,5 @@ class AcceleratorExecutor {
 [[nodiscard]] tensor::Tensor run_ensemble(
     std::span<const AcceleratorExecutor* const> members,
     const tensor::Tensor& images);
-
-/// Batched ensemble fast path: every member runs through `scratch` and the
-/// member logits are averaged. Bit-identical to run_ensemble().
-[[nodiscard]] tensor::Tensor run_ensemble_batch(
-    std::span<const AcceleratorExecutor* const> members,
-    const tensor::Tensor& images, ExecScratch& scratch);
 
 }  // namespace mfdfp::hw

@@ -10,6 +10,25 @@ namespace mfdfp::hw {
 using quant::DfpFormat;
 using tensor::Shape;
 
+namespace {
+
+/// Rejects a zero stride or window and a window larger than the padded
+/// input — the geometries whose output extent would divide by zero or wrap
+/// size_t.
+void check_window(std::size_t window, std::size_t stride, std::size_t pad,
+                  std::size_t ih, std::size_t iw, const char* who) {
+  if (stride == 0 || window == 0) {
+    throw std::invalid_argument(std::string(who) +
+                                ": zero stride or window");
+  }
+  if (ih + 2 * pad < window || iw + 2 * pad < window) {
+    throw std::invalid_argument(std::string(who) +
+                                ": window exceeds padded input");
+  }
+}
+
+}  // namespace
+
 ConvGeometry conv_geometry(std::size_t in_c, std::size_t kernel,
                            std::size_t stride, std::size_t pad,
                            const Shape& in_shape, const char* who) {
@@ -20,6 +39,7 @@ ConvGeometry conv_geometry(std::size_t in_c, std::size_t kernel,
   g.batch = in_shape.n();
   g.ih = in_shape.h();
   g.iw = in_shape.w();
+  check_window(kernel, stride, pad, g.ih, g.iw, who);
   g.oh = (g.ih + 2 * pad - kernel) / stride + 1;
   g.ow = (g.iw + 2 * pad - kernel) / stride + 1;
   g.patch = in_c * kernel * kernel;
@@ -90,6 +110,7 @@ void pool_forward(const QPool& pool, const CodeTensor& input,
     throw std::invalid_argument("pool_forward: rank-4 required");
   }
   const std::size_t ih = s.h(), iw = s.w();
+  check_window(pool.window, pool.stride, pool.pad, ih, iw, "pool_forward");
   const std::size_t oh = (ih + 2 * pool.pad - pool.window) / pool.stride + 1;
   const std::size_t ow = (iw + 2 * pool.pad - pool.window) / pool.stride + 1;
 
@@ -151,25 +172,6 @@ std::int32_t route_sum(std::int64_t sum, int in_frac, int out_frac,
   AccumulatorRouting acc(in_frac, out_frac, bias_code);
   acc.accumulate(sum);
   return acc.route();
-}
-
-std::int32_t fast_neuron_dot(const std::int8_t* codes,
-                             const std::size_t* index, std::size_t base,
-                             const std::int32_t* weights, std::size_t count,
-                             int in_frac, int out_frac,
-                             std::int32_t bias_code) {
-  std::int64_t sum = 0;
-  if (index != nullptr) {
-    for (std::size_t k = 0; k < count; ++k) {
-      if (index[k] == SIZE_MAX) continue;  // padded tap -> zero input
-      sum += static_cast<std::int64_t>(codes[base + index[k]]) * weights[k];
-    }
-  } else {
-    for (std::size_t k = 0; k < count; ++k) {
-      sum += static_cast<std::int64_t>(codes[k]) * weights[k];
-    }
-  }
-  return route_sum(sum, in_frac, out_frac, bias_code);
 }
 
 }  // namespace mfdfp::hw

@@ -1,14 +1,14 @@
 // Shared code-domain layer kernels: the single implementation of every
-// rounding the executor and the deploy-time compiler both depend on.
+// rounding the reference executor and the deploy-time compiler both depend
+// on.
 //
-// The repo's core invariant — AcceleratorExecutor::run_batch ==
-// run() == the fake-quantized software model, bit for bit — holds because
-// there is exactly one implementation of each lossy stage (ReLU refrac,
-// pool reduction, the Accumulator & Routing realignment). These helpers
-// used to live in executor.cpp's anonymous namespace; the compiled-plan
-// executor (compile/plan_executor.cpp) now runs the very same functions, so
-// a CompiledPlan is bit-identical to the uncompiled path by construction,
-// not by re-implementation.
+// The repo's core invariant — a compiled plan == AcceleratorExecutor::run()
+// == the fake-quantized software model, bit for bit — holds because there
+// is exactly one implementation of each lossy stage (ReLU refrac, pool
+// reduction, the Accumulator & Routing realignment). The reference executor
+// (hw/executor.cpp) and the compiled-plan executor
+// (compile/plan_executor.cpp) call the very same functions, so a
+// CompiledPlan matches run() by construction, not by re-implementation.
 #pragma once
 
 #include <cstdint>
@@ -21,14 +21,15 @@
 
 namespace mfdfp::hw {
 
-/// Layer geometry shared by the reference, fast, and compiled conv kernels.
+/// Layer geometry shared by the reference and compiled conv kernels.
 struct ConvGeometry {
   std::size_t batch = 0, ih = 0, iw = 0, oh = 0, ow = 0, patch = 0;
 };
 
 /// Validates `in_shape` against the conv parameters and derives the output
 /// geometry. Throws std::invalid_argument (prefixed with `who`) on a rank or
-/// channel mismatch.
+/// channel mismatch, a zero stride or kernel, or a kernel larger than the
+/// padded input.
 [[nodiscard]] ConvGeometry conv_geometry(std::size_t in_c, std::size_t kernel,
                                          std::size_t stride, std::size_t pad,
                                          const tensor::Shape& in_shape,
@@ -53,26 +54,14 @@ void apply_flatten(CodeTensor& input, int out_frac);
 /// Pool layer forward (max: convert_code of the window max; avg: float mean
 /// of the decoded taps re-encoded — mirrors the float model exactly).
 /// `out`'s shape/frac are set and its codes resized reusing capacity.
+/// Throws std::invalid_argument on a rank mismatch, a zero stride or window,
+/// or a window larger than the padded input.
 void pool_forward(const QPool& pool, const CodeTensor& input, CodeTensor& out);
-
-/// Fast-path neuron: exact integer dot product with the +/-2^(7+e)
-/// multiplier table, then the same Accumulator & Routing arithmetic as the
-/// reference path (one accumulate of the full sum — integer addition is
-/// exact, so the result matches tile-wise accumulation bit for bit).
-/// `index` non-null gathers `codes[base + index[k]]` with SIZE_MAX taps
-/// reading zero; null reads `codes[k]` densely.
-[[nodiscard]] std::int32_t fast_neuron_dot(const std::int8_t* codes,
-                                           const std::size_t* index,
-                                           std::size_t base,
-                                           const std::int32_t* weights,
-                                           std::size_t count, int in_frac,
-                                           int out_frac,
-                                           std::int32_t bias_code);
 
 /// Routes an already-accumulated integer dot-product sum (units 2^-(m+7))
 /// through the Accumulator & Routing block: add bias, realign m -> n,
-/// round-half-away, saturate to 8 bits. The tail every fast/compiled conv
-/// and FC kernel shares with fast_neuron_dot.
+/// round-half-away, saturate to 8 bits. The tail of every compiled conv and
+/// FC kernel.
 [[nodiscard]] std::int32_t route_sum(std::int64_t sum, int in_frac,
                                      int out_frac, std::int32_t bias_code);
 

@@ -56,7 +56,7 @@ LayerProfiler::LayerProfiler(const QNetDesc& desc, std::size_t in_c,
     static_.push_back(std::move(row));
   }
 
-  // Map executor layer indices onto workload rows: workload_from_qnet
+  // Map desc layer indices onto workload rows: workload_from_qnet
   // emits one row per desc layer except flatten (free wiring).
   row_of_layer_.reserve(desc.layers.size());
   std::size_t next_row = 0;
@@ -83,40 +83,6 @@ void LayerProfiler::record_layer_host_ns(std::size_t desc_layer,
   const std::size_t row = row_of_layer_[desc_layer];
   if (row == SIZE_MAX) return;
   host_ns_[row].fetch_add(ns, std::memory_order_relaxed);
-}
-
-void LayerProfiler::record_fused_host_ns(
-    std::span<const std::size_t> desc_layers, std::uint64_t ns) noexcept {
-  // Resolve the profiled rows and their modeled cycle weights first; the
-  // attribution split must sum exactly to `ns` (remainder to the first
-  // row) so fused-step totals reconcile with the unfused ones.
-  std::size_t rows[16];
-  std::uint64_t weights[16];
-  std::size_t count = 0;
-  std::uint64_t weight_sum = 0;
-  for (std::size_t desc_layer : desc_layers) {
-    if (count == 16) break;
-    if (desc_layer >= row_of_layer_.size()) continue;
-    const std::size_t row = row_of_layer_[desc_layer];
-    if (row == SIZE_MAX) continue;
-    rows[count] = row;
-    weights[count] = static_[row].cycles;
-    weight_sum += weights[count];
-    ++count;
-  }
-  if (count == 0) return;
-  if (count == 1) {
-    host_ns_[rows[0]].fetch_add(ns, std::memory_order_relaxed);
-    return;
-  }
-  std::uint64_t attributed = 0;
-  for (std::size_t i = 1; i < count; ++i) {
-    const std::uint64_t share =
-        weight_sum > 0 ? ns * weights[i] / weight_sum : ns / count;
-    host_ns_[rows[i]].fetch_add(share, std::memory_order_relaxed);
-    attributed += share;
-  }
-  host_ns_[rows[0]].fetch_add(ns - attributed, std::memory_order_relaxed);
 }
 
 LayerProfile LayerProfiler::snapshot() const {

@@ -51,6 +51,9 @@ class Parser {
     if (pos_ + size > bytes_.size()) {
       throw std::runtime_error("qnet: truncated stream");
     }
+    // An empty blob's vector has no storage: memcpy from/to null is UB even
+    // for zero bytes.
+    if (size == 0) return;
     std::memcpy(dst, bytes_.data() + pos_, size);
     pos_ += size;
   }
@@ -154,6 +157,9 @@ QNetDesc qnet_from_bytes(const std::string& bytes) {
         conv.out_frac = p.get<std::int32_t>();
         conv.packed_weights = p.blob<std::uint8_t>();
         conv.bias_codes = p.blob<std::int8_t>();
+        if (conv.kernel == 0 || conv.stride == 0) {
+          throw std::runtime_error("qnet: conv with zero kernel or stride");
+        }
         const std::size_t weights = conv.out_c * conv.in_c * conv.kernel *
                                     conv.kernel;
         if (conv.packed_weights.size() != (weights + 1) / 2 ||
@@ -185,6 +191,9 @@ QNetDesc qnet_from_bytes(const std::string& bytes) {
         pool.stride = p.get<std::uint64_t>();
         pool.pad = p.get<std::uint64_t>();
         pool.out_frac = p.get<std::int32_t>();
+        if (pool.window == 0 || pool.stride == 0) {
+          throw std::runtime_error("qnet: pool with zero window or stride");
+        }
         desc.layers.emplace_back(pool);
         break;
       }

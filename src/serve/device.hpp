@@ -18,8 +18,9 @@
 // DMA bytes of the batch, and the cost accessors (sample_us / batch_us /
 // batch_dma_bytes) feed admission control, paced execution, and
 // load-normalized routing. SimulatedAcceleratorBackend — the only
-// production implementation — wraps the bit-accurate AcceleratorExecutor
-// members plus the hw::CycleModel / hw::TrafficModel accounting; tests
+// production implementation — serves each member's deploy-time CompiledPlan
+// (bit-identical to the reference AcceleratorExecutor::run()) plus the
+// hw::CycleModel / hw::TrafficModel accounting; tests
 // inject stub backends to exercise the engine against synthetic devices,
 // and a future shared-PU cross-model backend plugs in here without touching
 // the engine.
@@ -28,7 +29,7 @@
 //   - execute() is called concurrently from every worker thread of every
 //     engine deployed on the backend (each caller with its own ExecScratch);
 //     implementations must be const-safe under that, like
-//     AcceleratorExecutor::run_batch is. execute() may block (a shared
+//     compile::run_plan_batch is. execute() may block (a shared
 //     device serializes tenants' passes), but must eventually return for
 //     every call — the engine's drain-on-stop guarantee depends on it.
 //   - The cost accessors (sample_us / batch_us / batch_dma_bytes) and
@@ -149,22 +150,15 @@ class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
 
-  /// Executes one stacked batch ({B, C, H, W}, the executor's native
-  /// layout) and returns logits plus the batch's modeled cost on this
-  /// device. Called concurrently from all worker threads, each with its own
-  /// scratch.
-  [[nodiscard]] virtual BatchResult execute(const tensor::Tensor& stacked,
-                                            hw::ExecScratch& scratch) const = 0;
-
-  /// Hinted overload: same contract as execute() above, plus scheduling
-  /// hints (see ExecHints). The engine always calls this form; the default
-  /// drops the hints and forwards, so backends that don't multiplex callers
-  /// implement only the 2-argument overload.
+  /// Executes one stacked batch ({B, C, H, W}, the plan's native layout)
+  /// and returns logits plus the batch's modeled cost on this device.
+  /// Called concurrently from all worker threads, each with its own
+  /// scratch. `hints` may reorder how a multiplexing backend schedules the
+  /// batch, never what it computes (see ExecHints); backends that don't
+  /// multiplex callers ignore them.
   [[nodiscard]] virtual BatchResult execute(const tensor::Tensor& stacked,
                                             hw::ExecScratch& scratch,
-                                            const ExecHints& /*hints*/) const {
-    return execute(stacked, scratch);
-  }
+                                            const ExecHints& hints) const = 0;
 
   /// The device this backend executes on.
   [[nodiscard]] virtual const DeviceSpec& device() const noexcept = 0;
@@ -224,11 +218,11 @@ class ExecutionBackend {
   }
 };
 
-/// Production backend: the paper's simulated accelerator. Owns the
-/// bit-accurate executor members (one simulated processing unit each,
-/// logits averaged for ensembles) and prices every batch on hw::CycleModel
-/// (latency, scaled by the device's speed_factor — ensemble latency is the
-/// max over members, batch latency is sequential samples) and
+/// Production backend: the paper's simulated accelerator. Holds one
+/// deploy-time CompiledPlan per model member (one simulated processing unit
+/// each, logits averaged for ensembles) and prices every batch on
+/// hw::CycleModel (latency, scaled by the device's speed_factor — ensemble
+/// latency is the max over members, batch latency is sequential samples) and
 /// hw::TrafficModel (DMA bytes: weights fetched once per batch, activations
 /// per sample; *not* speed-scaled — speed provisions compute, and the
 /// paper's DMA is double-buffered behind it).
@@ -238,22 +232,24 @@ class SimulatedAcceleratorBackend final : public ExecutionBackend {
   /// geometry. Throws std::invalid_argument on an empty member list or an
   /// invalid device (speed_factor <= 0).
   ///
-  /// `compile` controls deploy-time compilation (the default lowers every
-  /// member into a CompiledPlan executed by execute(); .enabled = false
-  /// keeps the legacy per-batch run_batch path — the ablation baseline).
-  /// A non-null `plan_cache` shares plans across backends: replicas and
-  /// shared-PU tenants deploying identical content on the same device
-  /// class reuse one artifact. The backend pins its plans by shared_ptr,
-  /// so cache eviction or a hot redeploy never invalidates a deployed
-  /// backend (see compile/plan_cache.hpp).
+  /// `compile` controls deploy-time compilation: every member is lowered
+  /// into a CompiledPlan that execute() runs. A non-null `plan_cache`
+  /// shares plans across backends: replicas and shared-PU tenants deploying
+  /// identical content on the same device class reuse one artifact. The
+  /// backend pins its plans by shared_ptr, so cache eviction or a hot
+  /// redeploy never invalidates a deployed backend (see
+  /// compile/plan_cache.hpp).
   SimulatedAcceleratorBackend(
       std::vector<hw::QNetDesc> members, hw::AcceleratorConfig accel,
       DeviceSpec device, std::size_t in_c, std::size_t in_h, std::size_t in_w,
       const compile::CompileOptions& compile = {},
       const std::shared_ptr<compile::PlanCache>& plan_cache = nullptr);
 
+  /// Hints are ignored: a dedicated device serves one caller's batch at a
+  /// time.
   [[nodiscard]] BatchResult execute(const tensor::Tensor& stacked,
-                                    hw::ExecScratch& scratch) const override;
+                                    hw::ExecScratch& scratch,
+                                    const ExecHints& hints) const override;
   [[nodiscard]] const DeviceSpec& device() const noexcept override {
     return device_;
   }
@@ -263,7 +259,7 @@ class SimulatedAcceleratorBackend final : public ExecutionBackend {
   [[nodiscard]] double batch_us(std::size_t batch_size) const override;
   [[nodiscard]] double batch_dma_bytes(std::size_t batch_size) const override;
   [[nodiscard]] std::size_t member_count() const noexcept override {
-    return executors_.size();
+    return plans_.size();
   }
   [[nodiscard]] std::vector<hw::LayerProfile> layer_profiles() const override;
 
@@ -271,11 +267,7 @@ class SimulatedAcceleratorBackend final : public ExecutionBackend {
     return accel_;
   }
 
-  /// True when execute() runs compiled plans (compilation enabled at
-  /// construction).
-  [[nodiscard]] bool compiled() const noexcept { return !plans_.empty(); }
-
-  /// The compiled plan of member `member` (null when uncompiled).
+  /// The compiled plan of member `member` (null when out of range).
   [[nodiscard]] std::shared_ptr<const compile::CompiledPlan> plan(
       std::size_t member = 0) const {
     return member < plans_.size() ? plans_[member] : nullptr;
@@ -284,13 +276,11 @@ class SimulatedAcceleratorBackend final : public ExecutionBackend {
  private:
   DeviceSpec device_;
   hw::AcceleratorConfig accel_;
-  std::vector<std::unique_ptr<hw::AcceleratorExecutor>> executors_;
-  std::vector<const hw::AcceleratorExecutor*> member_ptrs_;
-  /// Deploy-time compiled plans, one per member (empty = uncompiled legacy
-  /// path). shared_ptr pins each plan across cache eviction / redeploy.
+  /// Deploy-time compiled plans, one per member. shared_ptr pins each plan
+  /// across cache eviction / redeploy.
   std::vector<std::shared_ptr<const compile::CompiledPlan>> plans_;
-  /// One profiling sink per member, attached to the matching executor; the
-  /// executors report passes into them from every worker thread.
+  /// One profiling sink per member; every worker thread's plan passes
+  /// report into them.
   std::vector<std::unique_ptr<hw::LayerProfiler>> profilers_;
 
   // Per-sample modeled costs, precomputed from the members' workloads.

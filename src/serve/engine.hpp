@@ -7,10 +7,12 @@
 // on, what runs the batch, and what it costs. The production backend is
 // SimulatedAcceleratorBackend — a single QNetDesc or an ensemble of members
 // (one simulated processing unit each, logits averaged as in paper Section
-// 4.3), costed on the paper's hardware models: latency from hw::CycleModel
-// scaled by the device's speed_factor (ensemble = max over members, batch =
-// sequential samples) and DMA bytes from hw::TrafficModel (weights fetched
-// once per batch — the traffic win of batching — activations per sample).
+// 4.3), each served by its deploy-time CompiledPlan (bit-identical to the
+// reference AcceleratorExecutor::run()) and costed on the paper's hardware
+// models: latency from hw::CycleModel scaled by the device's speed_factor
+// (ensemble = max over members, batch = sequential samples) and DMA bytes
+// from hw::TrafficModel (weights fetched once per batch — the traffic win of
+// batching — activations per sample).
 // Tests inject stub backends through the backend constructor to exercise
 // the engine against synthetic devices.
 //
@@ -134,11 +136,9 @@ struct DeployConfig {
   /// accounting; `device.speed_factor` scales its effective clock.
   hw::AcceleratorConfig accel{};
 
-  /// Deploy-time compilation knobs (src/compile): by default every member
-  /// is lowered through the pass pipeline into a CompiledPlan the backend
-  /// executes — bit-identical to the uncompiled path, measurably faster.
-  /// .enabled = false deploys the legacy per-batch run_batch path (the
-  /// ablation baseline).
+  /// Deploy-time compilation knobs (src/compile): every member is lowered
+  /// through the pass pipeline into a CompiledPlan the backend executes —
+  /// bit-identical to the reference AcceleratorExecutor::run().
   compile::CompileOptions compile{};
 
   /// Declared traffic contract for this model (see

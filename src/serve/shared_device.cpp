@@ -76,7 +76,7 @@ void SharedDevice::sleep_device_us(std::int64_t duration_us) const {
 std::shared_ptr<const SharedDeviceBackend> SharedDevice::attach(
     std::vector<hw::QNetDesc> members, const DeployConfig& config,
     DeviceSpec resolved) {
-  // The tenant's executors and per-sample pricing are exactly a dedicated
+  // The tenant's plans and per-sample pricing are exactly a dedicated
   // simulated backend on this PU's provisioning; the shared device adds the
   // queue, pass scheduling, and switch costs on top.
   auto tenant = std::make_unique<Tenant>();
@@ -139,10 +139,10 @@ void SharedDevice::bind_tenant_load(const SharedDeviceBackend& backend,
 void SharedDevice::release_tenant(Tenant* tenant) {
   util::MutexLock lock(mutex_);
   // The owning engine drained before its backend died, so nothing of this
-  // tenant is queued or executing; drop the executors and predecoded
-  // weights so redeploy churn cannot accumulate dead models' working
-  // sets. The accounting row (label, counters) stays for snapshots, and
-  // switch_us stays valid in case resident_ still points here.
+  // tenant is queued or executing; drop the compiled plans so redeploy
+  // churn cannot accumulate dead models' working sets. The accounting row
+  // (label, counters) stays for snapshots, and switch_us stays valid in
+  // case resident_ still points here.
   tenant->lanes[kInteractiveLane].clear();
   tenant->lanes[kBatchLane].clear();
   tenant->load_provider = nullptr;
@@ -335,9 +335,8 @@ void SharedDevice::execute_pass(PassPlan& plan, hw::ExecScratch& scratch,
   }
 
   plan.start_us = now_device_us();
-  // Execute every sub-batch through its own tenant's bit-accurate
-  // executors, group by group — pass composition can never change the
-  // logits.
+  // Execute every sub-batch through its own tenant's compiled plans, group
+  // by group — pass composition can never change the logits.
   double compute_total_us = 0.0;
   for (const PassPlan::Group& group : plan.groups) {
     const std::int64_t group_start = now_device_us();
@@ -349,7 +348,8 @@ void SharedDevice::execute_pass(PassPlan& plan, hw::ExecScratch& scratch,
     }
     for (std::size_t i = group.begin; i < group.end; ++i) {
       Job* job = plan.jobs[i];
-      job->result = job->owner->sim->execute(*job->stacked, scratch);
+      job->result = job->owner->sim->execute(*job->stacked, scratch,
+                                                 ExecHints{});
       compute_total_us += job->result.sim_accel_us;
     }
     if (tracing) {
@@ -583,8 +583,8 @@ void SharedDevice::execute_chunk(ActivePass& pass, Chunk& chunk,
                        chunk.tenant->trace_model);
   }
 
-  // Execute the chunk's sample range through the tenant's bit-accurate
-  // executors. Sub-batches fully inside the chunk take the ordinary
+  // Execute the chunk's sample range through the tenant's compiled plans.
+  // Sub-batches fully inside the chunk take the ordinary
   // whole-tensor path; a sub-batch split by the chunk boundary executes as
   // sample slices — per-sample identical arithmetic, so the staged logits
   // are bit-identical to an unsplit execution.
@@ -596,12 +596,14 @@ void SharedDevice::execute_chunk(ActivePass& pass, Chunk& chunk,
     const std::size_t s0 = j == pass.next_job ? pass.next_sample : 0;
     const std::size_t s1 = j < chunk.end_job ? job->samples : chunk.end_sample;
     if (s0 == 0 && s1 == job->samples) {
-      job->result = job->owner->sim->execute(*job->stacked, scratch);
+      job->result = job->owner->sim->execute(*job->stacked, scratch,
+                                                 ExecHints{});
       job->exec_us += job->result.sim_accel_us;
       compute_us += job->result.sim_accel_us;
     } else {
       const tensor::Tensor part = tensor::slice_outer(*job->stacked, s0, s1);
-      const BatchResult result = job->owner->sim->execute(part, scratch);
+      const BatchResult result = job->owner->sim->execute(part, scratch,
+                                                           ExecHints{});
       const std::size_t classes = result.logits.shape().dim(1);
       if (job->result.logits.size() == 0) {
         job->result.logits =
@@ -902,11 +904,6 @@ SharedDeviceBackend::SharedDeviceBackend(std::shared_ptr<SharedDevice> device,
 
 SharedDeviceBackend::~SharedDeviceBackend() {
   device_->release_tenant(tenant_);
-}
-
-BatchResult SharedDeviceBackend::execute(const tensor::Tensor& stacked,
-                                         hw::ExecScratch& scratch) const {
-  return execute(stacked, scratch, ExecHints{});
 }
 
 BatchResult SharedDeviceBackend::execute(const tensor::Tensor& stacked,

@@ -35,7 +35,7 @@
 // maximal chunk plus a reload — the tightened term
 // `analysis::analyze_capacity` proves and `bench/ablation_shared_pu`
 // enforces. Chunking slices sub-batch tensors on sample boundaries and runs
-// them through the same bit-accurate executors, so it can never change any
+// them through the same compiled plans, so it can never change any
 // logit — only when a sub-batch completes. With the default granularity 0
 // passes stay monolithic (the pre-preemption behaviour, bit-for-bit).
 //
@@ -54,7 +54,7 @@
 // another model evicts them, so co-batching's throughput win — amortizing
 // reloads and per-pass overhead over more samples — is the same
 // statistical-multiplexing effect a real shared accelerator sees. Logits
-// are computed by each tenant's own bit-accurate executors regardless of
+// are computed by each tenant's own compiled plans regardless of
 // pass composition, so co-batching can never change *what* a batch
 // computes, only *when* it completes.
 //
@@ -248,7 +248,7 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   SharedDevice(const SharedDevice&) = delete;
   SharedDevice& operator=(const SharedDevice&) = delete;
 
-  /// Attaches one tenant engine: builds the bit-accurate executors for
+  /// Attaches one tenant engine: builds the compiled plans for
   /// `members` priced on this device's spec, registers a tenant lane, and
   /// returns the ExecutionBackend the engine submits through. Called by
   /// ReplicaSet for every replica whose placement entry carries this
@@ -323,12 +323,12 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
     double extra_dma_bytes = 0.0;  ///< weight bytes for reloads it carried
   };
 
-  /// One attached engine: its executors, switch pricing, lanes, accounting.
+  /// One attached engine: its plans, switch pricing, lanes, accounting.
   /// Heap-allocated and never destroyed before the device, so Tenant*
   /// stays valid across concurrent attach() reallocation of tenants_;
   /// everything but the accounting/lane fields is immutable after attach.
   /// When the tenant's backend is destroyed (undeploy/redeploy), `sim` —
-  /// the heavy part: executors and predecoded weights — is released and
+  /// the heavy part: compiled plans and profilers — is released and
   /// the row freezes; churning redeploys on a long-lived PU must not
   /// accumulate dead models' working sets.
   struct Tenant {
@@ -428,7 +428,7 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   /// SharedDeviceBackend).
   void submit_and_wait(Job& job) EXCLUDES(mutex_);
 
-  /// Called by ~SharedDeviceBackend: frees the tenant's executors and load
+  /// Called by ~SharedDeviceBackend: frees the tenant's plans and load
   /// provider (its engine has drained, so the lanes are empty) while
   /// keeping the accounting row readable in snapshots.
   void release_tenant(Tenant* tenant) EXCLUDES(mutex_);
@@ -462,8 +462,8 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   /// model is not the resident one; updates resident_. Monolithic path.
   [[nodiscard]] PassPlan plan_pass_locked() REQUIRES(mutex_);
 
-  /// Executes a planned monolithic pass through the tenants' bit-accurate
-  /// executors, records trace spans, and (when paced) holds it until its
+  /// Executes a planned monolithic pass through the tenants' compiled
+  /// plans, records trace spans, and (when paced) holds it until its
   /// modeled completion. Touches no lane/accounting state — runs unlocked.
   void execute_pass(PassPlan& plan, hw::ExecScratch& scratch,
                     bool& thread_labeled) EXCLUDES(mutex_);
@@ -503,7 +503,7 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   /// resident_), and the pass overhead on the first chunk.
   [[nodiscard]] Chunk plan_chunk_locked(ActivePass& pass) REQUIRES(mutex_);
 
-  /// Executes a planned chunk through the tenant's bit-accurate executors
+  /// Executes a planned chunk through the tenant's compiled plans
   /// (slicing sub-batches on sample boundaries when the chunk splits one),
   /// records the chunk trace span, and (when paced) holds it until its
   /// modeled completion. Touches no lane/accounting state — runs unlocked.
@@ -594,7 +594,7 @@ class SharedDeviceBackend final : public ExecutionBackend {
   SharedDeviceBackend(std::shared_ptr<SharedDevice> device,
                       SharedDevice::Tenant* tenant, DeviceSpec resolved);
 
-  /// Releases the tenant's device-side executors (see
+  /// Releases the tenant's device-side plans (see
   /// SharedDevice::release_tenant). Runs only after the owning engine
   /// drained, so no execute() is in flight and the lanes are empty.
   ~SharedDeviceBackend() override;
@@ -602,11 +602,8 @@ class SharedDeviceBackend final : public ExecutionBackend {
   SharedDeviceBackend(const SharedDeviceBackend&) = delete;
   SharedDeviceBackend& operator=(const SharedDeviceBackend&) = delete;
 
-  [[nodiscard]] BatchResult execute(const tensor::Tensor& stacked,
-                                    hw::ExecScratch& scratch) const override;
-  /// The hinted overload the engine calls: `hints.interactive` routes the
-  /// sub-batch into the tenant's interactive lane, which preemptible
-  /// passes re-check between chunks.
+  /// `hints.interactive` routes the sub-batch into the tenant's
+  /// interactive lane, which preemptible passes re-check between chunks.
   [[nodiscard]] BatchResult execute(const tensor::Tensor& stacked,
                                     hw::ExecScratch& scratch,
                                     const ExecHints& hints) const override;
@@ -631,7 +628,7 @@ class SharedDeviceBackend final : public ExecutionBackend {
   void bind_load_provider(
       std::function<double()> outstanding_us) const override;
   /// This tenant's member profiles on the shared PU (empty after the
-  /// tenant's executors were released — i.e. never while the owning engine
+  /// tenant's plans were released — i.e. never while the owning engine
   /// is alive).
   [[nodiscard]] std::vector<hw::LayerProfile> layer_profiles() const override;
 

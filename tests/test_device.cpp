@@ -102,7 +102,7 @@ TEST(SimulatedBackend, ExecuteIsBitIdenticalAndPricesTheBatch) {
   images.fill_uniform(rng, -1.0f, 1.0f);
 
   hw::ExecScratch scratch;
-  const BatchResult result = backend.execute(images, scratch);
+  const BatchResult result = backend.execute(images, scratch, ExecHints{});
   for (std::size_t i = 0; i < images.shape().n(); ++i) {
     const Tensor sample = tensor::slice_outer(images, i, i + 1);
     EXPECT_EQ(tensor::max_abs_diff(tensor::slice_outer(result.logits, i, i + 1),
@@ -183,8 +183,8 @@ class StubBackend final : public ExecutionBackend {
       : device_(std::move(device)), classes_(classes),
         sample_us_(sample_us) {}
 
-  [[nodiscard]] BatchResult execute(const Tensor& stacked,
-                                    hw::ExecScratch&) const override {
+  [[nodiscard]] BatchResult execute(const Tensor& stacked, hw::ExecScratch&,
+                                    const ExecHints&) const override {
     const std::size_t batch_size = stacked.shape().n();
     BatchResult result;
     result.logits = Tensor{Shape{batch_size, classes_}};

@@ -120,5 +120,54 @@ TEST(Executor, RejectsShortWeightStream) {
   EXPECT_THROW(AcceleratorExecutor{desc}, std::invalid_argument);
 }
 
+/// One-layer image the loader would refuse but a caller can still build in
+/// memory: the executor itself must reject the geometry, not divide by zero
+/// or wrap the output extent.
+QNetDesc single_layer(QLayer layer) {
+  QNetDesc desc;
+  desc.input_frac = 7;
+  desc.layers.push_back(std::move(layer));
+  return desc;
+}
+
+QConv conv_layer(std::size_t kernel, std::size_t stride) {
+  QConv conv;
+  conv.in_c = conv.out_c = 1;
+  conv.kernel = kernel;
+  conv.stride = stride;
+  conv.packed_weights.assign((kernel * kernel + 1) / 2, 0);
+  conv.bias_codes = {0};
+  return conv;
+}
+
+TEST(Executor, RejectsDegenerateConvAndPoolGeometry) {
+  Tensor images{Shape{1, 1, 3, 3}};
+  images.fill(0.25f);
+
+  // Sanity: a valid conv and pool run.
+  EXPECT_NO_THROW(
+      (void)AcceleratorExecutor{single_layer(conv_layer(3, 1))}.run(images));
+  EXPECT_NO_THROW((void)AcceleratorExecutor{single_layer(QPool{})}.run(images));
+
+  // Zero stride: the output extent would divide by zero.
+  EXPECT_THROW(
+      (void)AcceleratorExecutor{single_layer(conv_layer(3, 0))}.run(images),
+      std::invalid_argument);
+  QPool zero_stride_pool;
+  zero_stride_pool.stride = 0;
+  EXPECT_THROW(
+      (void)AcceleratorExecutor{single_layer(zero_stride_pool)}.run(images),
+      std::invalid_argument);
+
+  // Window larger than the padded 3x3 input: the extent would wrap size_t.
+  EXPECT_THROW(
+      (void)AcceleratorExecutor{single_layer(conv_layer(5, 1))}.run(images),
+      std::invalid_argument);
+  QPool wide_pool;
+  wide_pool.window = 4;
+  EXPECT_THROW((void)AcceleratorExecutor{single_layer(wide_pool)}.run(images),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace mfdfp::hw

@@ -2,7 +2,7 @@
 // (integer ==, not approximately) with the CycleModel and TrafficModel the
 // serving cost accounting is priced on — same workload, same tables, no
 // recomputation drift. Also covers accumulation across passes, occupancy
-// bounds, flatten-row mapping, executor host-time recording, and the
+// bounds, flatten-row mapping, compiled-plan host-time recording, and the
 // engine-integrated profiles a ModelServer deployment exposes. Runs under
 // ThreadSanitizer and ASan+UBSan in CI (see ci.yml): record_pass /
 // record_layer_host_ns race snapshot() by design.
@@ -17,6 +17,8 @@
 #include <variant>
 #include <vector>
 
+#include "compile/passes.hpp"
+#include "compile/plan_executor.hpp"
 #include "hw/executor.hpp"
 #include "hw/traffic_model.hpp"
 #include "nn/zoo.hpp"
@@ -182,34 +184,31 @@ TEST(LayerProfiler, HostNsForFlattenAndOutOfRangeLayersIsIgnored) {
   EXPECT_EQ(profile.rows[0].host_ns_total, 500u);
 }
 
-TEST(LayerProfiler, ExecutorReportsPassesSamplesAndHostTime) {
+TEST(LayerProfiler, PlanReportsPassesSamplesAndHostTime) {
   const QNetDesc desc = make_conv_qnet(17);
   LayerProfiler profiler(desc, kInC, kInH, kInW, AcceleratorConfig{});
-  AcceleratorExecutor executor(make_conv_qnet(17));
-  executor.set_profiler(&profiler);
+  const auto plan = compile::compile_qnet(desc, kInC, kInH, kInW);
 
   util::Rng rng{99};
   Tensor images{Shape{3, kInC, kInH, kInW}};
   images.fill_uniform(rng, -1.0f, 1.0f);
   ExecScratch scratch;
-  const Tensor with_profiler = executor.run_batch(images, scratch);
+  const Tensor with_profiler =
+      compile::run_plan_batch(*plan, images, scratch, &profiler);
 
   const LayerProfile profile = profiler.snapshot();
   EXPECT_EQ(profile.passes, 1u);
   EXPECT_EQ(profile.samples, 3u);
   EXPECT_GT(profile.host_ns_total, 0u);
-  // Every conv/fc row burned measurable host time in the fast kernel.
+  // Every row burned measurable host time in its own plan step.
   for (const LayerProfileRow& row : profile.rows) {
-    if (row.kind == LayerWork::Kind::kConv ||
-        row.kind == LayerWork::Kind::kFullyConnected) {
-      EXPECT_GT(row.host_ns_total, 0u) << row.name;
-    }
+    EXPECT_GT(row.host_ns_total, 0u) << row.name;
   }
 
   // Profiling must not perturb the math: logits stay bit-identical.
-  executor.set_profiler(nullptr);
   ExecScratch scratch2;
-  const Tensor without_profiler = executor.run_batch(images, scratch2);
+  const Tensor without_profiler =
+      compile::run_plan_batch(*plan, images, scratch2);
   ASSERT_EQ(with_profiler.size(), without_profiler.size());
   for (std::size_t i = 0; i < with_profiler.size(); ++i) {
     EXPECT_EQ(with_profiler[i], without_profiler[i]);

@@ -85,5 +85,46 @@ TEST(QNetIo, DetectsBlobSizeMismatch) {
   EXPECT_THROW(qnet_from_bytes(bytes), std::runtime_error);
 }
 
+/// One-layer conv image with correctly sized (zero) weight and bias blobs.
+QNetDesc single_conv(std::size_t kernel, std::size_t stride) {
+  QNetDesc desc;
+  desc.input_frac = 7;
+  QConv conv;
+  conv.in_c = 1;
+  conv.out_c = 1;
+  conv.kernel = kernel;
+  conv.stride = stride;
+  conv.packed_weights.assign((kernel * kernel + 1) / 2, 0);
+  conv.bias_codes.assign(1, 0);
+  desc.layers.emplace_back(std::move(conv));
+  return desc;
+}
+
+QNetDesc single_pool(std::size_t window, std::size_t stride) {
+  QNetDesc desc;
+  desc.input_frac = 7;
+  QPool pool;
+  pool.window = window;
+  pool.stride = stride;
+  desc.layers.emplace_back(pool);
+  return desc;
+}
+
+// A zero stride divides by zero in the output-extent arithmetic, and a zero
+// kernel/window is meaningless: the loader refuses both instead of handing
+// the executor an image that would crash it.
+TEST(QNetIo, RejectsZeroStrideKernelOrWindow) {
+  EXPECT_NO_THROW((void)qnet_from_bytes(qnet_to_bytes(single_conv(3, 1))));
+  EXPECT_THROW((void)qnet_from_bytes(qnet_to_bytes(single_conv(3, 0))),
+               std::runtime_error);
+  EXPECT_THROW((void)qnet_from_bytes(qnet_to_bytes(single_conv(0, 1))),
+               std::runtime_error);
+  EXPECT_NO_THROW((void)qnet_from_bytes(qnet_to_bytes(single_pool(2, 2))));
+  EXPECT_THROW((void)qnet_from_bytes(qnet_to_bytes(single_pool(2, 0))),
+               std::runtime_error);
+  EXPECT_THROW((void)qnet_from_bytes(qnet_to_bytes(single_pool(0, 2))),
+               std::runtime_error);
+}
+
 }  // namespace
 }  // namespace mfdfp::hw
