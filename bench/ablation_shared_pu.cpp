@@ -33,6 +33,7 @@
 // scripts/run_bench.sh folds it into BENCH_serve.json next to the git SHA.
 // Exits nonzero when any phase fails its acceptance check. MFDFP_QUICK=1
 // shrinks the request counts.
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -90,6 +91,36 @@ constexpr std::size_t kProbeBurst = 4;
 /// bench/envelopes/shared_pu_preempt.envelope, which proves the analyzer
 /// bound for exactly this configuration.
 constexpr double kPreemptGranularityUs = 4000.0;
+
+/// Proof that the preemption budget split a pass: two consecutive chunks
+/// of one pass run the same model with no join admitted between them.
+/// Without a budget a chunk is a tenant's whole contiguous run, so only a
+/// joiner could extend that run, and the remaining-sample count rules that
+/// out. observe() runs on the dispatch thread (the chunk_hook seam).
+class SplitWitness {
+ public:
+  void observe(const serve::SharedDeviceChunkEvent& event) {
+    if (event.pass == last_pass_ && event.chunk == last_chunk_ + 1 &&
+        event.model == last_model_ &&
+        event.remaining_samples + event.chunk_samples == last_remaining_) {
+      split_.store(true, std::memory_order_relaxed);
+    }
+    last_pass_ = event.pass;
+    last_chunk_ = event.chunk;
+    last_model_ = event.model;
+    last_remaining_ = event.remaining_samples;
+  }
+  [[nodiscard]] bool split() const {
+    return split_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::uint64_t last_pass_ = 0;
+  std::uint64_t last_chunk_ = 0;
+  std::string last_model_;
+  std::size_t last_remaining_ = 0;
+  std::atomic<bool> split_{false};
+};
 
 serve::SharedDeviceConfig pu_config(bool cobatch, bool paced) {
   serve::SharedDeviceConfig config;
@@ -212,6 +243,7 @@ std::int64_t run_interference_tail(const hw::QNetDesc& qnet_a,
 struct PreemptTailResult {
   std::int64_t p99_us = 0;
   bool bit_identical = true;
+  bool split = false;  ///< SplitWitness saw the budget split a pass
   serve::SharedDeviceSnapshot device;
 };
 
@@ -229,11 +261,15 @@ PreemptTailResult run_preemptible_tail(const hw::QNetDesc& qnet_a,
   constexpr std::size_t kBurst = kProbeBurst;
   constexpr std::size_t kBacklog = 64;
 
+  SplitWitness witness;
   serve::SharedDeviceConfig config = pu_config(/*cobatch=*/true,
                                                /*paced=*/true);
   config.preempt_granularity_us = kPreemptGranularityUs;
-  if (std::getenv("MFDFP_DEBUG_PREEMPT") != nullptr) {
-    config.chunk_hook = [](const serve::SharedDeviceChunkEvent& event) {
+  const bool debug = std::getenv("MFDFP_DEBUG_PREEMPT") != nullptr;
+  config.chunk_hook = [&witness,
+                       debug](const serve::SharedDeviceChunkEvent& event) {
+    witness.observe(event);
+    if (debug) {
       std::fprintf(stderr,
                    "chunk t=%lld pass=%llu model=%s samples=%zu "
                    "remaining=%zu interactive=%d preempting=%d\n",
@@ -241,8 +277,8 @@ PreemptTailResult run_preemptible_tail(const hw::QNetDesc& qnet_a,
                    (unsigned long long)event.pass, event.model.c_str(),
                    event.chunk_samples, event.remaining_samples,
                    (int)event.interactive_pass, (int)event.preempting);
-    };
-  }
+    }
+  };
   auto pu = serve::SharedDevice::create({}, config);
   serve::ModelServer server;
   server.deploy("a", {qnet_a}, tenant_config(pu, accel));
@@ -301,6 +337,7 @@ PreemptTailResult run_preemptible_tail(const hw::QNetDesc& qnet_a,
     if (!serve::ok(future.get().status)) std::abort();
   }
   result.p99_us = probe_e2e.p99();
+  result.split = witness.split();
   result.device = pu->snapshot();
   return result;
 }
@@ -330,11 +367,12 @@ int main(int argc, char** argv) {
   }
 
   // ---- Phase 1: co-batched execution, bit-identical logits ----------------
-  // Runs twice: once monolithic and once with the pass chunked every
-  // ~2 samples (900us budget at 400us/sample), so chunk boundaries
+  // Runs twice: once without preemption and once with the pass chunked
+  // every ~2 samples (900us budget at 400us/sample), so chunk boundaries
   // provably split sub-batches mid-tensor without changing a bit.
   struct CorrectnessResult {
     bool bit_identical = true;
+    bool split = false;  ///< SplitWitness saw the budget split a pass
     std::uint64_t cobatched = 0;
     std::uint64_t chunks = 0;
     std::uint64_t passes = 0;
@@ -346,9 +384,13 @@ int main(int argc, char** argv) {
     // Paced: while one pass sleeps out its ~400us/sample modeled cost,
     // both models' engines keep feeding the lanes, so later passes
     // provably mix the two models (enforced below).
+    SplitWitness witness;
     serve::SharedDeviceConfig config = pu_config(/*cobatch=*/true,
                                                  /*paced=*/true);
     config.preempt_granularity_us = granularity_us;
+    config.chunk_hook = [&witness](const serve::SharedDeviceChunkEvent& e) {
+      witness.observe(e);
+    };
     auto pu = serve::SharedDevice::create({}, config);
     serve::ModelServer server;
     server.deploy("a", {qnet_a}, tenant_config(pu, accel));
@@ -376,6 +418,7 @@ int main(int argc, char** argv) {
     }
     server.shutdown();
     const serve::SharedDeviceSnapshot snapshot = pu->snapshot();
+    result.split = witness.split();
     result.cobatched = snapshot.cobatched_passes;
     result.chunks = snapshot.chunks;
     result.passes = snapshot.passes;
@@ -384,17 +427,15 @@ int main(int argc, char** argv) {
   };
   const CorrectnessResult mono = run_correctness(0.0);
   const CorrectnessResult chunked = run_correctness(900.0);
-  const bool bit_identical = mono.bit_identical && chunked.bit_identical &&
-                             chunked.chunks > chunked.passes;
+  const bool bit_identical =
+      mono.bit_identical && chunked.bit_identical && chunked.split;
   const std::uint64_t correctness_cobatched = mono.cobatched;
   std::printf("phase 1: co-batched logits bit-identical to run(): %s "
               "(%llu cross-model passes); chunked rerun: %s "
               "(%llu chunks over %llu passes)\n",
               mono.bit_identical ? "yes" : "NO",
               static_cast<unsigned long long>(mono.cobatched),
-              chunked.bit_identical && chunked.chunks > chunked.passes
-                  ? "yes"
-                  : "NO",
+              chunked.bit_identical && chunked.split ? "yes" : "NO",
               static_cast<unsigned long long>(chunked.chunks),
               static_cast<unsigned long long>(chunked.passes));
 
@@ -508,7 +549,8 @@ int main(int argc, char** argv) {
 
   if (!bit_identical) {
     std::printf("FAIL: co-batched logits diverged from per-sample run() "
-                "(or no pass ever mixed the models)\n");
+                "(or no pass ever mixed the models, or the chunked rerun "
+                "never split a pass)\n");
     return 1;
   }
   if (speedup < 1.3) {
@@ -536,9 +578,9 @@ int main(int argc, char** argv) {
                 static_cast<long long>(preempt_p99_bound_us));
     return 1;
   }
-  if (preempt.device.chunks <= preempt.device.passes) {
-    std::printf("FAIL: preemptible PU never split a pass into chunks "
-                "(%llu chunks / %llu passes)\n",
+  if (!preempt.split) {
+    std::printf("FAIL: preemptible PU never split a tenant's run in a pass "
+                "into chunks (%llu chunks / %llu passes)\n",
                 static_cast<unsigned long long>(preempt.device.chunks),
                 static_cast<unsigned long long>(preempt.device.passes));
     return 1;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -273,8 +274,7 @@ void SharedDevice::wait_for_work_locked() {
   // can join the in-flight pass instead of needing the window. This is the
   // implementation guarantee that lets the capacity analyzer drop the
   // window term from the interactive bound of chunked placements.
-  const bool probes_cut = config_.preempt_granularity_us > 0.0;
-  if (probes_cut && interactive_pending_locked()) return;
+  if (preemptible() && interactive_pending_locked()) return;
   // Give just-woken engine workers a bounded beat to refill the lanes,
   // so passes form full instead of racing the resubmission (see
   // SharedDeviceConfig::coalesce_window_us). The window ends early
@@ -292,155 +292,14 @@ void SharedDevice::wait_for_work_locked() {
          std::chrono::steady_clock::now() < deadline) {
     const bool timed_out =
         work_ready_.wait_for(mutex_, slice) == std::cv_status::timeout;
-    if (probes_cut && interactive_pending_locked()) return;
+    if (preemptible() && interactive_pending_locked()) return;
     const std::size_t now_pending = pending_samples_locked();
     if (timed_out && now_pending == seen) break;  // refill went quiet
     seen = now_pending;
   }
 }
 
-SharedDevice::PassPlan SharedDevice::plan_pass_locked() {
-  // Plan the pass while still holding the lock: contiguous same-tenant
-  // ranges ("groups"), each paying one weight reload iff its model is
-  // not the resident one. Jobs already left the lanes, so concurrent
-  // submitters cannot perturb the plan.
-  PassPlan plan;
-  plan.jobs = next_pass_locked(/*interactive_only=*/false);
-  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-    plan.samples += plan.jobs[i]->samples;
-    if (plan.groups.empty() ||
-        plan.groups.back().tenant != plan.jobs[i]->owner) {
-      PassPlan::Group group;
-      group.begin = i;
-      group.tenant = plan.jobs[i]->owner;
-      group.switched = resident_ != plan.jobs[i]->owner;
-      if (group.switched) plan.switch_total_us += group.tenant->switch_us;
-      resident_ = plan.jobs[i]->owner;
-      plan.groups.push_back(group);
-    }
-    plan.groups.back().end = i + 1;
-    plan.groups.back().samples += plan.jobs[i]->samples;
-  }
-  return plan;
-}
-
-void SharedDevice::execute_pass(PassPlan& plan, hw::ExecScratch& scratch,
-                                bool& thread_labeled) {
-  obs::TraceRecorder& rec = obs::trace();
-  const bool tracing = rec.enabled();
-  if (tracing && !thread_labeled) {
-    // Lazy: name this PU's dispatcher track the first time tracing is on.
-    rec.set_thread_label(rec.intern("pu/" + spec_.name));
-    thread_labeled = true;
-  }
-
-  plan.start_us = now_device_us();
-  // Execute every sub-batch through its own tenant's compiled plans, group
-  // by group — pass composition can never change the logits.
-  double compute_total_us = 0.0;
-  for (const PassPlan::Group& group : plan.groups) {
-    const std::int64_t group_start = now_device_us();
-    if (tracing && group.switched) {
-      rec.record_instant("weight_reload", "pu", group_start, 0,
-                         "switch_us",
-                         static_cast<std::int64_t>(group.tenant->switch_us),
-                         group.tenant->trace_model);
-    }
-    for (std::size_t i = group.begin; i < group.end; ++i) {
-      Job* job = plan.jobs[i];
-      job->result = job->owner->sim->execute(*job->stacked, scratch,
-                                                 ExecHints{});
-      compute_total_us += job->result.sim_accel_us;
-    }
-    if (tracing) {
-      // One span per model riding this pass: co-batch membership is
-      // visible as adjacent tenant_group spans under one pu_pass.
-      rec.record_span("tenant_group", "pu", group_start,
-                      now_device_us() - group_start, 0, "samples",
-                      static_cast<std::int64_t>(group.samples),
-                      group.tenant->trace_model);
-    }
-  }
-  plan.cost_us =
-      config_.pass_overhead_us + plan.switch_total_us + compute_total_us;
-
-  if (config_.paced) {
-    // The device is the single pacing authority: hold the whole pass
-    // until the modeled PU would have finished it.
-    const std::int64_t target_us =
-        plan.start_us + static_cast<std::int64_t>(plan.cost_us);
-    sleep_device_us(target_us - now_device_us());
-  }
-
-  if (tracing) {
-    rec.record_span("pu_pass", "pu", plan.start_us,
-                    now_device_us() - plan.start_us, 0, "samples",
-                    static_cast<std::int64_t>(plan.samples));
-  }
-}
-
-void SharedDevice::retire_pass_locked(PassPlan& plan) {
-  std::size_t distinct_models = 0;
-  for (std::size_t g = 0; g < plan.groups.size(); ++g) {
-    if (g == 0 ||
-        plan.groups[g].tenant->model != plan.groups[g - 1].tenant->model) {
-      ++distinct_models;
-    }
-  }
-  obs::TraceRecorder& rec = obs::trace();
-  if (rec.enabled() && distinct_models > 1) {
-    rec.record_instant("cobatched_pass", "pu", plan.start_us, 0, "models",
-                       static_cast<std::int64_t>(distinct_models));
-  }
-  ++passes_;
-  ++chunks_;  // a monolithic pass is one chunk; chunks == passes here
-  if (distinct_models > 1) ++cobatched_passes_;
-  for (const PassPlan::Group& group : plan.groups) {
-    model_switches_ += group.switched;
-  }
-  busy_us_ += plan.cost_us;
-  switch_busy_us_ += plan.switch_total_us;
-
-  // Retire the pass: attribute its cost exactly across the sub-batches
-  // (compute is each job's own; overhead splits by pass samples; each
-  // group's reload splits by that group's samples), so the tenants' busy
-  // times sum to the device's and a shared PU can never read > 100%
-  // utilized from its tenants' rows.
-  for (const PassPlan::Group& group : plan.groups) {
-    for (std::size_t i = group.begin; i < group.end; ++i) {
-      Job* job = plan.jobs[i];
-      Tenant& tenant = *job->owner;
-      const double sample_share =
-          plan.samples == 0 ? 0.0
-                            : static_cast<double>(job->samples) /
-                                  static_cast<double>(plan.samples);
-      const double group_share =
-          group.samples == 0 ? 0.0
-                             : static_cast<double>(job->samples) /
-                                   static_cast<double>(group.samples);
-      const double attributed_us =
-          job->result.sim_accel_us +
-          config_.pass_overhead_us * sample_share +
-          (group.switched ? tenant.switch_us * group_share : 0.0);
-      // DMA: activations always stream; weights only crossed the bus if
-      // this group actually reloaded them (resident otherwise).
-      const double weight_bytes = tenant.sim->batch_dma_bytes(0);
-      const double act_bytes =
-          tenant.sim->batch_dma_bytes(job->samples) - weight_bytes;
-      job->result.sim_accel_us = attributed_us;
-      job->result.sim_dma_bytes =
-          act_bytes + (group.switched ? weight_bytes * group_share : 0.0);
-
-      tenant.sub_batches += 1;
-      tenant.samples += job->samples;
-      tenant.busy_us += attributed_us;
-      tenant.pending_us = std::max(0.0, tenant.pending_us - job->est_cost_us);
-      job->done = true;
-    }
-  }
-}
-
-// ---- Preemptible (chunked) execution ----------------------------------------
+// ---- Pass execution: the chunk loop -----------------------------------------
 
 SharedDevice::ActivePass SharedDevice::start_pass_locked(
     bool interactive_only) {
@@ -458,7 +317,7 @@ SharedDevice::ActivePass SharedDevice::start_pass_locked(
 }
 
 void SharedDevice::admit_joiners_locked(ActivePass& pass) {
-  if (!config_.cobatch || !config_.join_inflight) return;
+  if (!config_.cobatch) return;
   const std::size_t count = active_.size();
   if (count == 0) return;
   // Earliest position a joiner can take: right behind the cursor, but
@@ -539,9 +398,12 @@ SharedDevice::Chunk SharedDevice::plan_chunk_locked(ActivePass& pass) {
   // compute budget is spent (always at least one sample, so a granularity
   // below one sample degrades to per-sample chunks, never to zero
   // progress) or the tenant's contiguous run ends — a chunk never mixes
-  // tenants, so it pays at most the one reload above.
+  // tenants, so it pays at most the one reload above. Without preemption
+  // there is no budget: the chunk is the whole run.
   const double per_sample_us = tenant->sim->sample_us();
-  const double budget_us = config_.preempt_granularity_us;
+  const double budget_us = preemptible()
+                               ? config_.preempt_granularity_us
+                               : std::numeric_limits<double>::infinity();
   double used_us = 0.0;
   std::size_t j = pass.next_job;
   std::size_t s = pass.next_sample;
@@ -656,9 +518,9 @@ void SharedDevice::retire_chunk_locked(ActivePass& pass, Chunk& chunk) {
   if (!seen_model) pass.models.push_back(chunk.tenant->model);
 
   // The chunk's reload + overhead ride its lead sub-batch whole (not
-  // split): reloads only ever happen at tenant boundaries, so the
-  // per-tenant totals match what the monolithic attribution would have
-  // produced, and the device/tenant busy sums stay exactly equal.
+  // split): reloads only ever happen at tenant boundaries, so each one is
+  // charged to the tenant that paid it, and the device/tenant busy sums
+  // stay exactly equal.
   Job* lead = pass.jobs[pass.next_job];
   lead->extra_us += chunk.switch_us + chunk.overhead_us;
   if (chunk.switch_us > 0.0) {
@@ -714,9 +576,8 @@ bool SharedDevice::should_preempt_locked(const ActivePass& pass) const {
   for (const Tenant* tenant : active_) {
     for (const Job* job : tenant->lanes[kInteractiveLane]) {
       const bool joinable =
-          config_.cobatch && config_.join_inflight &&
-          tenant->in_c == pass.in_c && tenant->in_h == pass.in_h &&
-          tenant->in_w == pass.in_w &&
+          config_.cobatch && tenant->in_c == pass.in_c &&
+          tenant->in_h == pass.in_h && tenant->in_w == pass.in_w &&
           pass.planned_samples + job->samples <= config_.max_pass_samples;
       if (!joinable) return true;
     }
@@ -731,7 +592,7 @@ void SharedDevice::run_pass_chunked(ActivePass pass, hw::ExecScratch& scratch,
     Chunk chunk;
     {
       util::MutexLock lock(mutex_);
-      admit_joiners_locked(pass);
+      if (preemptible()) admit_joiners_locked(pass);
       chunk = plan_chunk_locked(pass);
     }
     execute_chunk(pass, chunk, scratch, thread_labeled);
@@ -745,7 +606,7 @@ void SharedDevice::run_pass_chunked(ActivePass pass, hw::ExecScratch& scratch,
       finished = pass.next_job == pass.jobs.size();
       if (finished) {
         finish_pass_locked(pass);
-      } else if (depth == 0) {
+      } else if (depth == 0 && preemptible()) {
         // Only outermost passes suspend: a preemption pass is already the
         // most urgent work the device has, so nesting stays depth <= 1.
         preempt = should_preempt_locked(pass);
@@ -791,38 +652,18 @@ void SharedDevice::run_pass_chunked(ActivePass pass, hw::ExecScratch& scratch,
 void SharedDevice::dispatch_main() {
   hw::ExecScratch scratch;
   bool thread_labeled = false;
-  const bool chunked = config_.preempt_granularity_us > 0.0;
   for (;;) {
-    if (chunked) {
-      ActivePass pass;
-      {
-        util::MutexLock lock(mutex_);
-        wait_for_work_locked();
-        pass = start_pass_locked(/*interactive_only=*/false);
-        if (pass.jobs.empty()) {
-          if (stop_) return;
-          continue;
-        }
-      }
-      run_pass_chunked(std::move(pass), scratch, thread_labeled, 0);
-      continue;
-    }
-    PassPlan plan;
+    ActivePass pass;
     {
       util::MutexLock lock(mutex_);
       wait_for_work_locked();
-      plan = plan_pass_locked();
-      if (plan.jobs.empty()) {
+      pass = start_pass_locked(/*interactive_only=*/false);
+      if (pass.jobs.empty()) {
         if (stop_) return;
         continue;
       }
     }
-    execute_pass(plan, scratch, thread_labeled);
-    {
-      util::MutexLock lock(mutex_);
-      retire_pass_locked(plan);
-    }
-    pass_retired_.notify_all();
+    run_pass_chunked(std::move(pass), scratch, thread_labeled, 0);
   }
 }
 

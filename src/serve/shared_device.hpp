@@ -20,24 +20,30 @@
 // strict round-robin over tenants) — the ablation baseline of
 // bench/ablation_shared_pu.
 //
-// Preemption + continuous batching (`preempt_granularity_us > 0`): instead
-// of executing a pass as one non-preemptible unit, the dispatcher splits it
-// into same-tenant *chunks* whose modeled cost is at most the granularity
-// (never below one sample), and between chunks it
+// Execution: every pass runs through one chunk loop. The dispatcher splits
+// a pass into same-tenant *chunks* — a chunk never mixes tenants, so it
+// pays at most one weight reload, entering it — executes them in order,
+// and retires each sub-batch at the end of the chunk that finishes it.
+// With the default `preempt_granularity_us == 0` a chunk is a tenant's
+// whole contiguous run in the pass: nothing joins mid-pass and nothing
+// preempts it, so a probe waits out the whole pass.
+//
+// Preemption + continuous batching (`preempt_granularity_us > 0`): chunks
+// are additionally capped at the granularity's worth of modeled compute
+// (never below one sample), and between chunks the dispatcher
 //   - admits late-arriving geometry-compatible sub-batches into the
 //     in-flight pass ("joins": the weight reload is already paid, so a
 //     joiner rides the current pass instead of waiting out a coalesce
 //     window — continuous batching), and
 //   - suspends the pass when an interactive probe is pending that *cannot*
-//     join (geometry mismatch, pass at capacity, or joins disabled): the
+//     join (geometry mismatch, pass at capacity, or time slicing): the
 //     probe gets its own pass immediately, then the suspended pass resumes.
 // Worst-case interactive blocking shrinks from one maximal pass to one
 // maximal chunk plus a reload — the tightened term
 // `analysis::analyze_capacity` proves and `bench/ablation_shared_pu`
 // enforces. Chunking slices sub-batch tensors on sample boundaries and runs
 // them through the same compiled plans, so it can never change any
-// logit — only when a sub-batch completes. With the default granularity 0
-// passes stay monolithic (the pre-preemption behaviour, bit-for-bit).
+// logit — only when a sub-batch completes.
 //
 // Cost model: a pass pays
 //   - `pass_overhead_us` once (pipeline fill/drain + dispatch), plus
@@ -46,8 +52,9 @@
 //     set over `dma_gbps`, or the fixed `model_switch_us` override), plus
 //   - each sub-batch's compute (its tenant's cycle-model latency on this
 //     device, exactly as a dedicated SimulatedAcceleratorBackend prices it).
-// A chunk boundary never splits a reload: each chunk covers one tenant and
-// pays at most one reload, entering it. A suspended pass whose tenant was
+// A chunk's reload, and on the first chunk the pass overhead, are
+// attributed whole to the chunk's lead sub-batch, so per-tenant busy time
+// sums exactly to device busy time. A suspended pass whose tenant was
 // evicted by the preempting probe pays the reload again on resume — that
 // cost is real on the modeled hardware and is priced by the analyzer's
 // preemption overhead term. Weights stay resident across passes until
@@ -59,12 +66,11 @@
 // computes, only *when* it completes.
 //
 // Pacing: with `paced = true` (default) the dispatch thread itself holds
-// each pass (each chunk, when preemptible) until the modeled completion
-// time before resolving the tenants' execute() calls — the device is the
-// single pacing authority, so N tenant engines can never pace N devices'
-// worth of work out of one PU. Tenant engines must leave
-// DeployConfig.paced_execution off; their backend->paces_execution() tells
-// them so.
+// each chunk until its modeled completion time before resolving the
+// tenants' execute() calls — the device is the single pacing authority,
+// so N tenant engines can never pace N devices' worth of work out of one
+// PU. Tenant engines must leave DeployConfig.paced_execution off; their
+// backend->paces_execution() tells them so.
 //
 // Thread-safety: attach() and every accessor may be called from any thread;
 // execute() blocks the calling engine worker until its sub-batch retires.
@@ -101,7 +107,7 @@ namespace mfdfp::serve {
 struct DeployConfig;  // serve/engine.hpp
 class SharedDeviceBackend;
 
-/// One chunk boundary of a preemptible pass, as reported to the
+/// One chunk boundary of a device pass, as reported to the
 /// SharedDeviceConfig::chunk_hook test seam right after the chunk retired
 /// (outside the device mutex, before the next chunk is planned). Lets the
 /// deterministic scheduler harness (tests/serve_test_util.hpp) park the
@@ -145,12 +151,12 @@ struct SharedDeviceConfig {
   /// work joins in-flight passes instead of needing the window.
   std::int64_t coalesce_window_us = 500;
 
-  /// Hold each pass until its modeled completion time before resolving the
-  /// tenants' execute() calls, so wall-clock behaviour tracks the device's
-  /// cycle model (the shared-device analogue of
+  /// Hold each chunk until its modeled completion time before resolving
+  /// the tenants' execute() calls, so wall-clock behaviour tracks the
+  /// device's cycle model (the shared-device analogue of
   /// DeployConfig.paced_execution — central, one pacing thread per PU).
-  /// Preemptible passes pace chunk by chunk, so a suspension takes effect
-  /// at the modeled chunk boundary, not after a whole modeled pass.
+  /// Pacing per chunk makes a suspension take effect at the modeled chunk
+  /// boundary, not after a whole modeled pass.
   bool paced = true;
 
   /// Modeled DMA bandwidth for weight reloads when the PU switches models,
@@ -166,18 +172,13 @@ struct SharedDeviceConfig {
   double pass_overhead_us = 0.0;
 
   /// Preemption granularity, microseconds. > 0 makes passes preemptible:
-  /// each is executed as same-tenant chunks of at most this much modeled
-  /// compute (never less than one sample), and between chunks the
-  /// dispatcher admits joiners and serves pending interactive probes that
-  /// cannot join (see file comment). 0 (default) keeps passes monolithic —
-  /// the strictly pre-preemption behaviour.
+  /// each same-tenant chunk holds at most this much modeled compute (never
+  /// less than one sample), and between chunks the dispatcher admits
+  /// geometry-compatible joiners up to max_pass_samples (with cobatch) and
+  /// serves pending interactive probes that cannot join (see file
+  /// comment). 0 (default): one chunk per tenant run, no joins, no
+  /// preemption.
   double preempt_granularity_us = 0.0;
-
-  /// Let geometry-compatible sub-batches arriving mid-pass join the pass
-  /// at the next chunk boundary until max_pass_samples is reached
-  /// (continuous batching). Effective only with cobatch and
-  /// preempt_granularity_us > 0.
-  bool join_inflight = true;
 
   /// Test seam: the microsecond clock the dispatcher paces against; null =
   /// util::Stopwatch::now_us (the host monotonic clock). Lets the
@@ -190,11 +191,11 @@ struct SharedDeviceConfig {
   /// clock here instead of blocking.
   std::function<void(std::int64_t)> sleep_us;
 
-  /// Test seam: called (without the device mutex) after every chunk of a
-  /// preemptible pass retires. Never called when preempt_granularity_us is
-  /// 0. The hook may block — the deterministic harness uses that to hold
-  /// the dispatcher at a chunk boundary — but must not deadlock against
-  /// device shutdown (release it before the last tenant detaches).
+  /// Test seam: called (without the device mutex) after every chunk
+  /// retires, at any granularity. The hook may block — the deterministic
+  /// harness uses that to hold the dispatcher at a chunk boundary — but
+  /// must not deadlock against device shutdown (release it before the
+  /// last tenant detaches).
   std::function<void(const SharedDeviceChunkEvent&)> chunk_hook;
 };
 
@@ -218,8 +219,9 @@ struct SharedDeviceSnapshot {
   std::uint64_t passes = 0;           ///< device passes executed
   std::uint64_t cobatched_passes = 0; ///< passes mixing >= 2 models
   std::uint64_t model_switches = 0;   ///< weight reloads paid
-  std::uint64_t chunks = 0;       ///< execution chunks (== passes when
-                                  ///< preemption is off)
+  std::uint64_t chunks = 0;       ///< execution chunks: one per
+                                  ///< same-tenant run of a pass, more when
+                                  ///< the granularity splits runs
   std::uint64_t preemptions = 0;  ///< passes suspended for a probe
   std::uint64_t joined_jobs = 0;  ///< sub-batches that joined in-flight
                                   ///< passes (continuous batching)
@@ -314,9 +316,8 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
     double est_cost_us = 0.0;  ///< backlog contribution until retired
     BatchResult result;
     bool done = false;
-    // Chunked-execution accounting (preemptible passes only): a job can
-    // execute across several chunks, so its exact attribution accumulates
-    // here until it retires.
+    // Chunk accounting: a job can execute across several chunks, so its
+    // exact attribution accumulates here until it retires.
     std::size_t executed = 0;   ///< samples executed so far
     double exec_us = 0.0;       ///< accumulated modeled compute
     double extra_us = 0.0;      ///< reloads + pass overhead it carried
@@ -353,33 +354,10 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
     double pending_us = 0.0;
   };
 
-  /// One planned device pass, handed between the dispatch loop's phases:
-  /// the jobs popped from the lanes, their contiguous same-tenant groups
-  /// (each paying at most one weight reload), and the cost totals the
-  /// execute/retire phases fill in. Planned and retired under mutex_;
-  /// executed without it (the jobs already left the lanes, so no
-  /// concurrent submitter can reach them). This is the monolithic
-  /// (preempt_granularity_us == 0) execution unit.
-  struct PassPlan {
-    struct Group {
-      std::size_t begin = 0, end = 0;  ///< [begin, end) into `jobs`
-      Tenant* tenant = nullptr;
-      std::size_t samples = 0;
-      bool switched = false;  ///< pays this tenant's weight reload
-    };
-    std::vector<Job*> jobs;
-    std::vector<Group> groups;
-    std::size_t samples = 0;
-    double switch_total_us = 0.0;
-    /// Filled by execute_pass: modeled pass cost and wall start time.
-    double cost_us = 0.0;
-    std::int64_t start_us = 0;
-  };
-
-  /// One live preemptible pass (preempt_granularity_us > 0): jobs in
-  /// execution order with a cursor; retired jobs fall off in front of the
-  /// cursor, joiners are inserted behind it. Owned by the dispatch thread;
-  /// mutated only under mutex_ between chunks.
+  /// One live device pass: jobs in execution order with a cursor; retired
+  /// jobs fall off in front of the cursor, joiners are inserted behind it.
+  /// Owned by the dispatch thread; mutated only under mutex_ between
+  /// chunks.
   struct ActivePass {
     std::vector<Job*> jobs;
     std::size_t next_job = 0;     ///< first not-fully-executed job
@@ -437,12 +415,11 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   [[nodiscard]] double backlog_excluding_us(const Tenant* tenant) const
       EXCLUDES(mutex_);
 
-  /// The dispatch thread's loop. Each iteration is MutexLock scopes around
-  /// lock-free execution phases: {wait for work, plan} under mutex_,
-  /// execute/pace unlocked, {retire} under mutex_ — every locked phase is
-  /// a REQUIRES-annotated helper, so the whole loop stays inside the
-  /// static analysis (no opt-out). With preemption enabled the
-  /// plan/execute/retire cycle runs per *chunk* (run_pass_chunked).
+  /// The dispatch thread's loop: {wait for work, start a pass} under
+  /// mutex_, then run_pass_chunked, whose per-chunk cycle is {plan} under
+  /// mutex_, execute/pace unlocked, {retire} under mutex_ — every locked
+  /// phase is a REQUIRES-annotated helper, so the whole loop stays inside
+  /// the static analysis (no opt-out).
   void dispatch_main() EXCLUDES(mutex_);
 
   /// Samples currently queued across all active tenant lanes.
@@ -457,22 +434,6 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   /// a pending interactive sub-batch cuts the window short.
   void wait_for_work_locked() REQUIRES(mutex_);
 
-  /// Pops the next pass (next_pass_locked) and plans its execution:
-  /// contiguous same-tenant groups, each paying one weight reload iff its
-  /// model is not the resident one; updates resident_. Monolithic path.
-  [[nodiscard]] PassPlan plan_pass_locked() REQUIRES(mutex_);
-
-  /// Executes a planned monolithic pass through the tenants' compiled
-  /// plans, records trace spans, and (when paced) holds it until its
-  /// modeled completion. Touches no lane/accounting state — runs unlocked.
-  void execute_pass(PassPlan& plan, hw::ExecScratch& scratch,
-                    bool& thread_labeled) EXCLUDES(mutex_);
-
-  /// Retires an executed monolithic pass: bumps the device counters and
-  /// attributes the pass cost exactly across its sub-batches, marking each
-  /// job done.
-  void retire_pass_locked(PassPlan& plan) REQUIRES(mutex_);
-
   /// Pops the next pass from the tenant lanes: strict round-robin one
   /// sub-batch per pass when cobatch is off; otherwise round-robin across
   /// geometry-compatible tenants up to max_pass_samples, returned grouped
@@ -482,25 +443,30 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   [[nodiscard]] std::vector<Job*> next_pass_locked(bool interactive_only)
       REQUIRES(mutex_);
 
-  // ---- Preemptible (chunked) execution, preempt_granularity_us > 0 ----
+  /// Passes chunked to the granularity, with joins and preemption?
+  [[nodiscard]] bool preemptible() const noexcept {
+    return config_.preempt_granularity_us > 0.0;
+  }
 
-  /// Plans a new preemptible pass: pops jobs (next_pass_locked), fixes the
-  /// pass geometry to the lead tenant's, assigns the sequence number.
+  /// Plans a new pass: pops jobs (next_pass_locked), fixes the pass
+  /// geometry to the lead tenant's, assigns the sequence number.
   /// Returns an empty-jobs pass when no (matching) work is pending.
   [[nodiscard]] ActivePass start_pass_locked(bool interactive_only)
       REQUIRES(mutex_);
 
   /// Admits pending geometry-compatible sub-batches into the in-flight
-  /// pass up to max_pass_samples (continuous batching): batch joiners are
+  /// pass up to max_pass_samples (continuous batching; preemptible
+  /// devices only, called between chunks): batch joiners are
   /// inserted next to their tenant's unexecuted jobs (grouping minimizes
   /// reloads) or appended; interactive joiners are inserted at the
   /// earliest unexecuted position so they ride the very next chunks.
   void admit_joiners_locked(ActivePass& pass) REQUIRES(mutex_);
 
   /// Plans the next chunk: a same-tenant sample range from the pass cursor
-  /// whose modeled compute is at most preempt_granularity_us (at least one
-  /// sample), the reload iff the tenant is not resident (updates
-  /// resident_), and the pass overhead on the first chunk.
+  /// — the tenant's whole contiguous run, capped on preemptible devices at
+  /// preempt_granularity_us of modeled compute (at least one sample) — the
+  /// reload iff the tenant is not resident (updates resident_), and the
+  /// pass overhead on the first chunk.
   [[nodiscard]] Chunk plan_chunk_locked(ActivePass& pass) REQUIRES(mutex_);
 
   /// Executes a planned chunk through the tenant's compiled plans
@@ -521,19 +487,19 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   /// per-tenant busy sums to device busy across preemption boundaries.
   void retire_job_locked(Job& job) REQUIRES(mutex_);
 
-  /// Bumps pass-level counters once a preemptible pass fully retires and
-  /// records its pu_pass span / cobatched_pass instant.
+  /// Bumps pass-level counters once a pass fully retires and records its
+  /// pu_pass span / cobatched_pass instant.
   void finish_pass_locked(ActivePass& pass) REQUIRES(mutex_);
 
   /// True when an interactive sub-batch is pending that could not join
   /// `pass` at the next chunk boundary (geometry mismatch, pass at
-  /// capacity, or joining disabled) — the suspend-this-pass trigger.
+  /// capacity, or time slicing) — the suspend-this-pass trigger.
   [[nodiscard]] bool should_preempt_locked(const ActivePass& pass) const
       REQUIRES(mutex_);
 
-  /// Runs one preemptible pass to completion: per chunk, {admit joiners,
-  /// plan chunk} under mutex_, execute unlocked, {retire} under mutex_;
-  /// between chunks, suspends for interactive-only passes when
+  /// Runs one pass to completion: per chunk, {admit joiners, plan chunk}
+  /// under mutex_, execute unlocked, {retire} under mutex_; on preemptible
+  /// devices, suspends between chunks for interactive-only passes when
   /// should_preempt_locked fires. `depth` bounds the suspension nesting:
   /// interactive passes (depth 1) never suspend.
   void run_pass_chunked(ActivePass pass, hw::ExecScratch& scratch,

@@ -13,14 +13,18 @@
 //                   chunk_hook seam, called outside the device mutex) until
 //                   the test releases it. Tests single-step the chunk loop:
 //                   hold the boundary, inject a probe or a joiner, release,
-//                   observe the event stream. The destructor opens the gate
-//                   so a failing test can still shut the server down.
+//                   observe the event stream. open_on_exit() opens the
+//                   gate when a failed ASSERT unwinds the test, so a parked
+//                   dispatcher cannot hang the server shutdown.
+//   await_device_lane — waits until a model's sub-batches are queued on
+//                   the device, so a parked dispatcher's next plan sees them.
 //   make_preempt_qnet / preempt_image — the same tiny quantized MLP zoo
 //                   entries the shared-device suite uses (seeded, so
 //                   schedules replay from a seed).
 //
-// Used by tests/test_preemption.cpp; any future SharedDevice scheduling
-// test should build on these seams rather than wall-clock sleeps.
+// Used by tests/test_preemption.cpp and tests/test_shared_device.cpp; any
+// future SharedDevice scheduling test should build on these seams rather
+// than wall-clock sleeps.
 #pragma once
 
 #include <atomic>
@@ -28,6 +32,8 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <string>
+#include <thread>
 
 #include "nn/zoo.hpp"
 #include "serve/shared_device.hpp"
@@ -57,6 +63,23 @@ inline tensor::Tensor preempt_image(util::Rng& rng, std::size_t hw_dim = 16) {
   tensor::Tensor image{tensor::Shape{1, 3, hw_dim, hw_dim}};
   image.fill_uniform(rng, -1.0f, 1.0f);
   return image;
+}
+
+/// Waits (up to 20 s) until `model` has at least `jobs` sub-batches queued
+/// in its device lanes — with the dispatcher parked, the next pass or chunk
+/// plan sees them.
+inline bool await_device_lane(const SharedDevice& pu,
+                              const std::string& model,
+                              std::size_t jobs = 1) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (std::chrono::steady_clock::now() < deadline) {
+    for (const SharedTenantRow& row : pu.snapshot().tenants) {
+      if (row.model == model && row.queued_jobs >= jobs) return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
 }
 
 /// Virtual microsecond clock for the SharedDeviceConfig::now_us/sleep_us
@@ -94,6 +117,18 @@ class VirtualClock {
 class ChunkGate {
  public:
   ~ChunkGate() { open(); }
+
+  /// Opens the gate when the returned guard is destroyed. The gate must
+  /// outlive the device, so declare the guard after the ModelServer
+  /// instead: a failed ASSERT then opens the gate before the server
+  /// drains, and a dispatcher parked in the hook cannot hang the shutdown.
+  [[nodiscard]] auto open_on_exit() {
+    struct Guard {
+      ChunkGate* gate;
+      ~Guard() { gate->open(); }
+    };
+    return Guard{this};
+  }
 
   void bind(SharedDeviceConfig& config) {
     config.chunk_hook = [this](const SharedDeviceChunkEvent& event) {

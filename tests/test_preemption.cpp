@@ -1,14 +1,16 @@
 // Preemptible shared-PU passes + continuous batching
 // (SharedDeviceConfig::preempt_granularity_us), driven through the
-// deterministic scheduler harness (tests/serve_test_util.hpp): the chunk
-// loop splits passes without changing a single logit, late-arriving
-// compatible work joins in-flight passes, geometry-mismatched interactive
-// probes suspend a pass between chunks, the final-chunk race neither
-// deadlocks nor double-dispatches, RequestQueue edges (capacity-1 queue,
-// interactive reserve floor) compose with preemption, and a seeded fuzz
-// over randomized arrival schedules proves conservation: no sample lost,
-// duplicated, or mis-attributed — per-tenant busy_us sums exactly to the
-// device's across preemption boundaries. The whole file must run clean
+// deterministic scheduler harness (tests/serve_test_util.hpp): at
+// granularity 0 the chunk loop runs one chunk per tenant run with no joins
+// and no preemption, finer granularities split passes without changing a
+// single logit, late-arriving compatible work joins in-flight passes,
+// geometry-mismatched interactive probes suspend a pass between chunks,
+// the final-chunk race neither deadlocks nor double-dispatches,
+// RequestQueue edges (capacity-1 queue, interactive reserve floor) compose
+// with preemption, and a seeded fuzz over randomized arrival schedules
+// proves conservation at granularity 0 and 1: no sample lost, duplicated,
+// or mis-attributed — per-tenant busy_us sums exactly to the device's
+// across chunk and preemption boundaries. The whole file must run clean
 // under ThreadSanitizer and ASan+UBSan (see ci.yml).
 #include <gtest/gtest.h>
 
@@ -28,6 +30,7 @@ namespace mfdfp::serve {
 namespace {
 
 using tensor::Tensor;
+using testing::await_device_lane;
 using testing::ChunkGate;
 using testing::make_preempt_qnet;
 using testing::preempt_image;
@@ -88,6 +91,99 @@ TEST(Preemption, LegacyMonolithicPathUnchanged) {
   EXPECT_EQ(snapshot.joined_passes, 0u);
 }
 
+// ---- granularity 0: one chunk per tenant run, no joins, no preemption -------
+
+TEST(Preemption, GranularityZeroRetiresPerTenantRunWithoutJoins) {
+  const hw::QNetDesc qnet_a = make_preempt_qnet(915);
+  const hw::QNetDesc qnet_b = make_preempt_qnet(916);  // same geometry
+  const hw::AcceleratorExecutor ref_a(qnet_a);
+  const hw::AcceleratorExecutor ref_b(qnet_b);
+
+  ChunkGate gate;
+  SharedDeviceConfig pu_config;
+  pu_config.paced = false;
+  pu_config.max_pass_samples = 64;  // room a joiner would have
+  gate.bind(pu_config);
+  auto pu = SharedDevice::create({}, pu_config);
+
+  ModelServer server;
+  const auto opener = gate.open_on_exit();
+  server.deploy("a", {qnet_a}, tenant_config(pu));
+  server.deploy("b", {qnet_b}, tenant_config(pu));
+
+  // Park the dispatcher at the end of a one-tenant warm-up pass, so the
+  // next pass forms with both tenants already queued.
+  util::Rng rng{917};
+  const Tensor warmup_image = preempt_image(rng);
+  std::future<Response> warmup = server.submit("a", warmup_image);
+  const auto first = gate.next_for(std::chrono::seconds(20));
+  ASSERT_TRUE(first.has_value())
+      << "the chunk hook must fire at granularity 0";
+  EXPECT_EQ(first->remaining_samples, 0u);
+
+  const Tensor image_a = preempt_image(rng);
+  const Tensor image_b = preempt_image(rng);
+  std::future<Response> future_a = server.submit("a", image_a);
+  std::future<Response> future_b = server.submit("b", image_b);
+  ASSERT_TRUE(await_device_lane(*pu, "a"));
+  ASSERT_TRUE(await_device_lane(*pu, "b"));
+
+  // The two-tenant pass runs one chunk per tenant: after the first, that
+  // tenant's sub-batch has retired and the other's has not executed.
+  gate.release();
+  const auto lead = gate.next_for(std::chrono::seconds(20));
+  ASSERT_TRUE(lead.has_value());
+  EXPECT_NE(lead->pass, first->pass);
+  EXPECT_EQ(lead->chunk, 0u);
+  EXPECT_EQ(lead->chunk_samples, 1u);
+  EXPECT_EQ(lead->remaining_samples, 1u) << "one chunk per tenant run";
+  EXPECT_FALSE(lead->preempting);
+  const bool a_leads = lead->model == "a";
+  std::future<Response>& lead_future = a_leads ? future_a : future_b;
+  std::future<Response>& other_future = a_leads ? future_b : future_a;
+  ASSERT_EQ(lead_future.wait_for(std::chrono::seconds(20)),
+            std::future_status::ready)
+      << "a tenant run's riders resolve at the end of its chunk";
+  EXPECT_EQ(other_future.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+
+  // A compatible probe queued mid-pass neither joins nor preempts it.
+  const Tensor probe_image = preempt_image(rng);
+  std::future<Response> probe = server.submit("a", probe_image);
+  ASSERT_TRUE(await_device_lane(*pu, "a"));
+  gate.release();
+  const auto tail = gate.next_for(std::chrono::seconds(20));
+  ASSERT_TRUE(tail.has_value());
+  EXPECT_EQ(tail->pass, lead->pass);
+  EXPECT_EQ(tail->model, a_leads ? "b" : "a");
+  EXPECT_EQ(tail->remaining_samples, 0u) << "the probe must not join";
+  EXPECT_FALSE(tail->preempting);
+  EXPECT_FALSE(tail->interactive_pass);
+  gate.open();
+
+  const Response response = probe.get();
+  ASSERT_TRUE(ok(response.status)) << response.detail;
+  EXPECT_EQ(tensor::max_abs_diff(response.logits, ref_a.run(probe_image)),
+            0.0f);
+  const Response ra = future_a.get();
+  const Response rb = future_b.get();
+  ASSERT_TRUE(ok(ra.status)) << ra.detail;
+  ASSERT_TRUE(ok(rb.status)) << rb.detail;
+  EXPECT_EQ(tensor::max_abs_diff(ra.logits, ref_a.run(image_a)), 0.0f);
+  EXPECT_EQ(tensor::max_abs_diff(rb.logits, ref_b.run(image_b)), 0.0f);
+  ASSERT_TRUE(ok(warmup.get().status));
+  server.shutdown();
+
+  // Warm-up (1 chunk), the two-tenant pass (2 chunks), the probe (1).
+  const SharedDeviceSnapshot snapshot = pu->snapshot();
+  EXPECT_EQ(snapshot.passes, 3u);
+  EXPECT_EQ(snapshot.chunks, 4u);
+  EXPECT_EQ(snapshot.cobatched_passes, 1u);
+  EXPECT_EQ(snapshot.joined_jobs, 0u);
+  EXPECT_EQ(snapshot.joined_passes, 0u);
+  EXPECT_EQ(snapshot.preemptions, 0u);
+}
+
 // ---- chunking preserves logits bit-for-bit ----------------------------------
 
 TEST(Preemption, ChunkLoopSplitsPassesAndPreservesLogits) {
@@ -137,9 +233,11 @@ TEST(Preemption, ChunkLoopSplitsPassesAndPreservesLogits) {
   }
   server.shutdown();
 
+  // Below one sample's cost every chunk is one sample, so the chunk count
+  // proves the budget split every multi-sample sub-batch.
   const SharedDeviceSnapshot snapshot = pu->snapshot();
-  EXPECT_GT(snapshot.chunks, snapshot.passes)
-      << "per-sample granularity must split multi-sample passes";
+  EXPECT_EQ(snapshot.chunks, 48u)
+      << "per-sample granularity must run one chunk per served sample";
   EXPECT_EQ(samples_by_model(snapshot)["a"], 24u);
   EXPECT_EQ(samples_by_model(snapshot)["b"], 24u);
 }
@@ -192,12 +290,13 @@ TEST(Preemption, ProbeJoinsInFlightPass) {
   ChunkGate gate;
   SharedDeviceConfig pu_config;
   pu_config.paced = false;
-  pu_config.preempt_granularity_us = 1.0;  // a boundary after every sample
+  pu_config.preempt_granularity_us = 1.0;  // up to 4 samples per chunk
   pu_config.max_pass_samples = 64;  // room for joiners
   gate.bind(pu_config);
   auto pu = SharedDevice::create({}, pu_config);
 
   ModelServer server;
+  const auto opener = gate.open_on_exit();
   server.deploy("a", {qnet_a}, tenant_config(pu));
   server.deploy("b", {qnet_b}, tenant_config(pu));  // same geometry: joinable
 
@@ -226,25 +325,21 @@ TEST(Preemption, ProbeJoinsInFlightPass) {
       parked_mid_pass = true;
       break;
     }
+    // The pass finished. A chunk here holds up to 4 samples (a whole
+    // sub-batch), so only a pass of two sub-batches has a mid-pass
+    // boundary: hold this one until both of a's workers have queued their
+    // next sub-batch, or a loaded machine can run the whole flood as
+    // one-sub-batch passes.
+    ASSERT_TRUE(await_device_lane(*pu, "a", 2))
+        << "flood drained before a mid-pass park";
     gate.release();
   }
   ASSERT_TRUE(parked_mid_pass);
 
   const Tensor probe_image = preempt_image(rng);
   std::future<Response> probe = server.submit("b", probe_image);
-  const auto lane_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  for (;;) {
-    const SharedDeviceSnapshot mid = pu->snapshot();
-    bool queued = false;
-    for (const SharedTenantRow& row : mid.tenants) {
-      if (row.model == "b" && row.queued_jobs > 0) queued = true;
-    }
-    if (queued) break;
-    ASSERT_LT(std::chrono::steady_clock::now(), lane_deadline)
-        << "probe never reached the device lane";
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(await_device_lane(*pu, "b"))
+      << "probe never reached the device lane";
 
   // The probe joined iff its model executes inside the SAME pass (same
   // sequence number), not an interactive preemption pass of its own.
@@ -325,19 +420,8 @@ TEST(Preemption, MismatchedProbeSuspendsPassBetweenChunks) {
 
   const Tensor probe_image = preempt_image(rng, 8);
   std::future<Response> probe = server.submit("b", probe_image);
-  const auto lane_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  for (;;) {
-    const SharedDeviceSnapshot mid = pu->snapshot();
-    bool queued = false;
-    for (const SharedTenantRow& row : mid.tenants) {
-      if (row.model == "b" && row.queued_jobs > 0) queued = true;
-    }
-    if (queued) break;
-    ASSERT_LT(std::chrono::steady_clock::now(), lane_deadline)
-        << "probe never reached the device lane";
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(await_device_lane(*pu, "b"))
+      << "probe never reached the device lane";
 
   bool saw_preempt = false;
   bool probe_ran_as_interactive_pass = false;
@@ -524,16 +608,18 @@ TEST(Preemption, InteractiveReserveFloorHoldsUnderBatchFlood) {
 
 // ---- seeded fuzz over randomized arrival schedules --------------------------
 
-// Conservation properties across ~600 requests per seed, three tenants
-// (two joinable geometries plus one mismatched), random priorities and
-// random inter-arrival jitter from three submitter threads:
+// Conservation properties across ~600 requests per seed and granularity
+// (0: one chunk per tenant run; 1: chunks, joins and preemption), with a
+// per-pass overhead and weight reloads to attribute, three tenants (two
+// joinable geometries plus one mismatched), random priorities and random
+// inter-arrival jitter from three submitter threads:
 //   1. every response is served with logits bit-identical to its model's
 //      reference executor (nothing lost, duplicated, or cross-wired);
 //   2. device-side per-tenant sample counts equal the submitted counts;
 //   3. per-tenant busy_us sums to the device's busy_us exactly (modulo
-//      float summation order) across every preemption/join boundary;
+//      float summation order) across every chunk/preemption/join boundary;
 //   4. chunked scheduling really ran (chunks >= passes).
-TEST(Preemption, FuzzSeededSchedulesConserveSamplesAndAttribution) {
+void fuzz_conservation(double granularity_us) {
   for (const std::uint64_t seed : {3101ull, 3202ull, 3303ull}) {
     const hw::QNetDesc qnet_a = make_preempt_qnet(seed);
     const hw::QNetDesc qnet_b = make_preempt_qnet(seed + 7);
@@ -544,7 +630,9 @@ TEST(Preemption, FuzzSeededSchedulesConserveSamplesAndAttribution) {
 
     SharedDeviceConfig pu_config;
     pu_config.paced = false;
-    pu_config.preempt_granularity_us = 1.0;
+    pu_config.preempt_granularity_us = granularity_us;
+    pu_config.pass_overhead_us = 3.0;
+    pu_config.model_switch_us = 5.0;
     auto pu = SharedDevice::create({}, pu_config);
 
     ModelServer server;
@@ -615,6 +703,13 @@ TEST(Preemption, FuzzSeededSchedulesConserveSamplesAndAttribution) {
         << ": attribution must stay exact across preemption boundaries";
     EXPECT_GE(snapshot.chunks, snapshot.passes);
     EXPECT_GT(snapshot.chunks, 0u);
+  }
+}
+
+TEST(Preemption, FuzzSeededSchedulesConserveSamplesAndAttribution) {
+  for (const double granularity_us : {0.0, 1.0}) {
+    SCOPED_TRACE("granularity " + std::to_string(granularity_us));
+    fuzz_conservation(granularity_us);
   }
 }
 

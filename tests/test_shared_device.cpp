@@ -17,6 +17,7 @@
 
 #include "nn/zoo.hpp"
 #include "serve/server.hpp"
+#include "serve_test_util.hpp"
 
 namespace mfdfp::serve {
 namespace {
@@ -128,16 +129,22 @@ TEST(SharedDevice, CoBatchesAcrossModelsWhilePaced) {
   const hw::QNetDesc qnet_a = make_test_qnet(511);
   const hw::QNetDesc qnet_b = make_test_qnet(512);
 
-  // The first pass paces for pass_overhead_us; every later submission lands
-  // in the tenant lanes meanwhile, so the second pass must coalesce both
-  // models — deterministically, since the single dispatcher cannot form it
-  // before the first pass retires.
+  // Twelve requests per model are more than one pass can take of either
+  // (two workers x max_batch 4 in flight), so both models still have work
+  // when the first pass ends. The gate parks the dispatcher there until
+  // both models' next sub-batches are queued, so the next pass must
+  // coalesce both — deterministically, however slowly a loaded machine
+  // schedules the engine workers. The pass overhead gives pacing a cost
+  // the utilization check below can see.
   SharedDeviceConfig pu_config;
   pu_config.paced = true;
   pu_config.pass_overhead_us = 20'000;
+  testing::ChunkGate gate;
+  gate.bind(pu_config);
   auto pu = SharedDevice::create({}, pu_config);
 
   ModelServer server;
+  const auto opener = gate.open_on_exit();
   DeployConfig config = small_config();
   config.placement = {DeviceSpec::on(pu)};
   server.deploy("a", {qnet_a}, config);
@@ -145,10 +152,20 @@ TEST(SharedDevice, CoBatchesAcrossModelsWhilePaced) {
 
   util::Rng rng{513};
   std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < 12; ++i) {
     futures.push_back(server.submit("a", random_image(rng)));
     futures.push_back(server.submit("b", random_image(rng)));
   }
+  auto event = gate.next_for(std::chrono::seconds(20));
+  ASSERT_TRUE(event.has_value());
+  while (event->remaining_samples > 0) {  // walk to the end of the pass
+    gate.release();
+    event = gate.next_for(std::chrono::seconds(20));
+    ASSERT_TRUE(event.has_value());
+  }
+  ASSERT_TRUE(testing::await_device_lane(*pu, "a"));
+  ASSERT_TRUE(testing::await_device_lane(*pu, "b"));
+  gate.open();
   for (auto& future : futures) {
     ASSERT_TRUE(ok(future.get().status));
   }

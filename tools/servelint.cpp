@@ -13,6 +13,7 @@
 //
 // Usage:
 //   servelint <spec.envelope>...
+//   (exit 0: all schedulable, 1: some spec infeasible, 2: bad spec)
 //
 // Spec format (line-oriented; '#' starts a comment):
 //   model <name>                   starts a model section
@@ -32,10 +33,14 @@
 //
 // Replicas naming the same `device` with shared=1 are tenants of one PU
 // (the analyzer prices their mutual blocking); dedicated replicas get
-// private per-replica device keys. docs/static-analysis.md walks through a
-// full spec.
+// private per-replica device keys. Every number must be finite and >= 0,
+// <n> values and max_wait_us/coalesce_window_us whole, speed_factor > 0;
+// anything else is a bad spec (exit 2), never a proof over garbage.
+// docs/static-analysis.md walks through a full spec.
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -51,21 +56,37 @@ struct ParseError {
   std::string message;
 };
 
+/// Every spec quantity is a finite, non-negative number.
 double to_double(const std::string& token, const std::string& context) {
+  double value = 0.0;
   try {
     std::size_t used = 0;
-    const double value = std::stod(token, &used);
+    value = std::stod(token, &used);
     if (used != token.size()) throw std::invalid_argument(token);
-    return value;
   } catch (const std::exception&) {
     throw ParseError{"bad number '" + token + "' in " + context};
   }
+  if (!std::isfinite(value) || value < 0.0) {
+    throw ParseError{"number '" + token + "' must be finite and >= 0 in " +
+                     context};
+  }
+  return value;
+}
+
+/// A whole number that fits T, so the cast below is defined.
+template <typename T>
+T to_whole(const std::string& token, const std::string& context) {
+  const double value = to_double(token, context);
+  if (value != std::floor(value) ||
+      value >= static_cast<double>(std::numeric_limits<T>::max())) {
+    throw ParseError{"count '" + token +
+                     "' must be a whole number in range in " + context};
+  }
+  return static_cast<T>(value);
 }
 
 std::size_t to_count(const std::string& token, const std::string& context) {
-  const double value = to_double(token, context);
-  if (value < 0.0) throw ParseError{"negative count in " + context};
-  return static_cast<std::size_t>(value);
+  return to_whole<std::size_t>(token, context);
 }
 
 /// One `k=v` token of a replica line.
@@ -77,13 +98,15 @@ void apply_replica_key(ReplicaFacts& replica, const std::string& key,
     replica.shared = to_count(value, context) != 0;
   } else if (key == "speed_factor") {
     replica.speed_factor = to_double(value, context);
+    if (replica.speed_factor <= 0.0) {
+      throw ParseError{"speed_factor must be > 0 in " + context};
+    }
   } else if (key == "sample_us") {
     replica.sample_us = to_double(value, context);
   } else if (key == "max_batch") {
     replica.max_batch = to_count(value, context);
   } else if (key == "max_wait_us") {
-    replica.max_wait_us =
-        static_cast<std::int64_t>(to_double(value, context));
+    replica.max_wait_us = to_whole<std::int64_t>(value, context);
   } else if (key == "queue_capacity") {
     replica.queue_capacity = to_count(value, context);
   } else if (key == "switch_us") {
@@ -93,8 +116,7 @@ void apply_replica_key(ReplicaFacts& replica, const std::string& key,
   } else if (key == "cobatch") {
     replica.cobatch = to_count(value, context) != 0;
   } else if (key == "coalesce_window_us") {
-    replica.coalesce_window_us =
-        static_cast<std::int64_t>(to_double(value, context));
+    replica.coalesce_window_us = to_whole<std::int64_t>(value, context);
   } else if (key == "pass_overhead_us") {
     replica.pass_overhead_us = to_double(value, context);
   } else if (key == "preempt_granularity_us") {
