@@ -1,16 +1,15 @@
 // Deploy-time compiler ablation: what the compiled plan buys on a
-// conv-heavy network over the reference AcceleratorExecutor::run(), and
-// what the specialization pass adds on top.
+// conv-heavy network over the reference AcceleratorExecutor::run(), and how
+// many bytes its lowered payload (weights, bias, tap offsets) holds.
 //
 // Two phases:
-//  1. correctness — every variant's logits (full pipeline, specialization
-//     off) must be bit-identical to run() on the same deployment image.
-//     im2col and specialization only reorder exact integer arithmetic, so
-//     any diff is a bug;
+//  1. correctness — the plan's logits must be bit-identical to run() on the
+//     same deployment image. The zero-padded sample and im2col only reorder
+//     exact integer arithmetic, so any diff is a bug;
 //  2. throughput — single-core batch throughput (min-of-repeats wall time)
-//     of each variant vs run() on the same thread. Repeats of run() and of
-//     every plan are interleaved, so host-speed drift hits both sides. The
-//     full pipeline must reach kMinSpeedup over run().
+//     of the plan vs run() on the same thread. Repeats of run() and of the
+//     plan are interleaved, so host-speed drift hits both sides. The plan
+//     must reach kMinSpeedup over run().
 //
 // The floor derivation: compiled plans replaced an uncompiled batched
 // executor path that measured 12.1x-15.9x over run() in 7 interleaved
@@ -27,7 +26,6 @@
 #include <fstream>
 #include <limits>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "compile/passes.hpp"
@@ -61,22 +59,9 @@ hw::QNetDesc make_qnet(std::uint64_t seed) {
   return hw::extract_qnet(net, spec, "cifar10");
 }
 
-/// Full-pipeline single-core speedup floor over run() (see file comment).
+/// Single-core speedup floor of the compiled plan over run() (see file
+/// comment).
 constexpr double kMinSpeedup = 18.5;
-
-struct Variant {
-  std::string name;
-  compile::CompileOptions options;
-};
-
-std::vector<Variant> make_variants() {
-  std::vector<Variant> variants;
-  variants.push_back({"full pipeline", {}});
-  Variant no_spec{"specialization off", {}};
-  no_spec.options.specialize = false;
-  variants.push_back(no_spec);
-  return variants;
-}
 
 /// Single-thread wall time of one call, seconds.
 template <typename Fn>
@@ -100,70 +85,47 @@ int main(int argc, char** argv) {
 
   const hw::AcceleratorExecutor executor(desc);
 
-  // ---- Phase 1: bit-identity of every variant -----------------------------
+  // ---- Phase 1: bit-identity ---------------------------------------------
   const Tensor reference = executor.run(images);
-  bool bit_identical = true;
-
-  const std::vector<Variant> variants = make_variants();
-  std::vector<std::shared_ptr<const compile::CompiledPlan>> plans;
-  // One scratch per variant, kept across repeats like a serving worker's.
-  std::vector<hw::ExecScratch> scratches(variants.size());
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    const Variant& variant = variants[v];
-    plans.push_back(
-        compile::compile_qnet(desc, kInC, kInH, kInW, variant.options));
-    const Tensor logits = compile::run_plan_batch(*plans.back(), images,
-                                                  scratches[v]);
-    const float diff = tensor::max_abs_diff(logits, reference);
-    if (diff != 0.0f) {
-      bit_identical = false;
-      std::printf("DIVERGED: %s (max|diff| %g)\n", variant.name.c_str(),
-                  diff);
-    }
-  }
-  std::printf("phase 1: compiled logits bit-identical to run() across %zu "
-              "variants: %s\n",
-              variants.size(), bit_identical ? "yes" : "NO");
+  const auto plan = compile::compile_qnet(desc, kInC, kInH, kInW);
+  // One scratch kept across repeats, like a serving worker's.
+  hw::ExecScratch scratch;
+  const float diff = tensor::max_abs_diff(
+      compile::run_plan_batch(*plan, images, scratch), reference);
+  const bool bit_identical = diff == 0.0f;
+  if (!bit_identical) std::printf("DIVERGED: max|diff| %g\n", diff);
+  std::printf("phase 1: compiled logits bit-identical to run(): %s\n",
+              bit_identical ? "yes" : "NO");
 
   // ---- Phase 2: single-core batch throughput ------------------------------
-  // Warm (weights/tables resident, scratch grown by phase 1), one thread,
-  // min over repeats; each repeat times run() and then every plan.
+  // Warm (weights/taps resident, scratch grown by phase 1), one thread, min
+  // over repeats; each repeat times run() and then the plan.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   double reference_s = kInf;
-  std::vector<double> plan_s(variants.size(), kInf);
+  double plan_s = kInf;
   for (std::size_t r = 0; r < repeats; ++r) {
     reference_s = std::min(
         reference_s, seconds_of([&] { (void)executor.run(images); }));
-    for (std::size_t v = 0; v < variants.size(); ++v) {
-      plan_s[v] = std::min(plan_s[v], seconds_of([&] {
-                             (void)compile::run_plan_batch(*plans[v], images,
-                                                           scratches[v]);
-                           }));
-    }
+    plan_s = std::min(plan_s, seconds_of([&] {
+                        (void)compile::run_plan_batch(*plan, images, scratch);
+                      }));
   }
   const double reference_rps = static_cast<double>(batch) / reference_s;
+  const double compiled_rps = static_cast<double>(batch) / plan_s;
+  const double compiled_speedup = compiled_rps / reference_rps;
 
   util::TablePrinter table("Compiled-plan batch throughput, one core (" +
                            std::to_string(batch) + "-sample batch, min of " +
                            std::to_string(repeats) + " interleaved repeats)");
-  table.set_header({"variant", "steps", "specialized",
-                    "throughput (samples/s)", "speedup vs run()"});
+  table.set_header({"path", "steps", "plan bytes", "throughput (samples/s)",
+                    "speedup vs run()"});
   table.add_row({"reference run()", "-", "-",
                  util::fmt_fixed(reference_rps, 1), "1.00x"});
-
-  std::vector<double> speedups;
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    const auto& plan = *plans[v];
-    const double rps = static_cast<double>(batch) / plan_s[v];
-    speedups.push_back(rps / reference_rps);
-    table.add_row({variants[v].name, std::to_string(plan.stats.steps),
-                   std::to_string(plan.stats.specialized),
-                   util::fmt_fixed(rps, 1),
-                   util::fmt_fixed(speedups.back(), 2) + "x"});
-  }
+  table.add_row({"compiled plan", std::to_string(plan->stats.steps),
+                 std::to_string(plan->stats.payload_bytes),
+                 util::fmt_fixed(compiled_rps, 1),
+                 util::fmt_fixed(compiled_speedup, 2) + "x"});
   table.print();
-
-  const double compiled_speedup = speedups.front();  // full pipeline row
 
   // ---- Report + acceptance ------------------------------------------------
   std::ofstream json(json_path);
@@ -175,8 +137,8 @@ int main(int argc, char** argv) {
        << ",\n"
        << "  \"rps_reference\": " << reference_rps << ",\n"
        << "  \"speedup_floor\": " << kMinSpeedup << ",\n"
-       << "  \"speedup_compiled\": " << speedups[0] << ",\n"
-       << "  \"speedup_specialize_off\": " << speedups[1] << "\n"
+       << "  \"speedup_compiled\": " << compiled_speedup << ",\n"
+       << "  \"plan_bytes\": " << plan->stats.payload_bytes << "\n"
        << "}\n";
   json.flush();
   if (!json) {
@@ -186,11 +148,11 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", json_path);
 
   if (!bit_identical) {
-    std::printf("FAIL: a compiled variant diverged from run()\n");
+    std::printf("FAIL: the compiled plan diverged from run()\n");
     return 1;
   }
   if (compiled_speedup < kMinSpeedup) {
-    std::printf("FAIL: full pipeline reached %.2fx single-core batch "
+    std::printf("FAIL: the compiled plan reached %.2fx single-core batch "
                 "throughput over run(), need >= %.1fx\n",
                 compiled_speedup, kMinSpeedup);
     return 1;

@@ -10,7 +10,7 @@
 # (ablation_capacity), the tracing-overhead + layer-profile
 # reconciliation numbers (ablation_trace_overhead), and the deploy-time
 # compiler numbers (ablation_compile: rps_reference = the reference run()
-# throughput, speedup_compiled / speedup_specialize_off over it). See
+# throughput, speedup_compiled over it, plan_bytes). See
 # docs/benchmarks.md for every bench's enforced thresholds.
 #
 # Failure discipline: every bench must exit 0 AND write a non-empty JSON

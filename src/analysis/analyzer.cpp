@@ -191,23 +191,25 @@ Interval pool_interval(const hw::QPool& pool, const Interval& in,
           avg_pool_code(sum_hi, in_frac, out_format, inv_area)};
 }
 
-/// Which conv taps can be padded (SIZE_MAX) for at least one output pixel
-/// — those contribute 0 instead of w*code for such pixels, so their
-/// interval is widened with 0.
+/// Which conv taps read the zero border for at least one output pixel —
+/// those contribute 0 instead of w*code for such pixels, so their interval
+/// is widened with 0. On one axis, tap k is padded for the first window iff
+/// k < pad and for the last iff (out-1)*stride + k >= in + pad; a tap is
+/// paddable iff it is on either axis.
 std::vector<bool> maybe_padded_taps(const PlanStep& s) {
-  const std::size_t patch = s.in_c * s.kernel * s.kernel;
-  std::vector<bool> maybe(patch, false);
-  if (s.gather.size() == s.out_h * s.out_w * patch) {
-    for (std::size_t row = 0; row < s.out_h * s.out_w; ++row) {
-      const std::size_t* taps = s.gather.data() + row * patch;
-      for (std::size_t k = 0; k < patch; ++k) {
-        if (taps[k] == SIZE_MAX) maybe[k] = true;
+  const auto padded_on_axis = [&s](std::size_t k, std::size_t in,
+                                   std::size_t out) {
+    return k < s.pad || (out - 1) * s.stride + k >= in + s.pad;
+  };
+  std::vector<bool> maybe;
+  maybe.reserve(s.in_c * s.kernel * s.kernel);
+  for (std::size_t c = 0; c < s.in_c; ++c) {
+    for (std::size_t ky = 0; ky < s.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < s.kernel; ++kx) {
+        maybe.push_back(padded_on_axis(ky, s.in_h, s.out_h) ||
+                        padded_on_axis(kx, s.in_w, s.out_w));
       }
     }
-  } else if (s.pad != 0) {
-    // No gather table to consult (hand-built plan): conservatively treat
-    // every tap as paddable.
-    maybe.assign(patch, true);
   }
   return maybe;
 }

@@ -9,8 +9,9 @@
 //
 //   * conv / fc dots are bounded exactly per output channel: each
 //     predecoded ±2^(7+e) weight contributes max(w·lo, w·hi) to the upper
-//     bound and min(w·lo, w·hi) to the lower (taps that can be padded for
-//     some output pixel widen their contribution with 0);
+//     bound and min(w·lo, w·hi) to the lower (taps that read the zero
+//     border for some output pixel — derived from the conv geometry —
+//     widen their contribution with 0);
 //   * route_sum is modeled shift-for-shift: radix alignment onto the
 //     common grid, bias add, round-half-away, 8-bit saturation — the
 //     interval before saturation yields the worst-case clip mass;

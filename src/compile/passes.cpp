@@ -1,5 +1,6 @@
 #include "compile/passes.hpp"
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -7,7 +8,6 @@
 
 #include "analysis/analyzer.hpp"
 #include "hw/datapath.hpp"
-#include "hw/kernels.hpp"
 #include "quant/pow2.hpp"
 
 namespace mfdfp::compile {
@@ -28,6 +28,7 @@ namespace {
 std::size_t out_extent(std::size_t in, std::size_t window, std::size_t stride,
                        std::size_t pad, std::size_t layer, const char* what) {
   if (stride == 0) lower_error(layer, std::string(what) + ": zero stride");
+  if (window == 0) lower_error(layer, std::string(what) + ": zero window");
   if (in + 2 * pad < window) {
     lower_error(layer, std::string(what) + ": window exceeds padded input");
   }
@@ -59,7 +60,9 @@ void refresh_stats(CompiledPlan& plan) {
   PlanStats st;
   st.steps = plan.steps.size();
   for (const PlanStep& s : plan.steps) {
-    if (s.kind == StepKind::kConv && s.no_pad) ++st.specialized;
+    st.payload_bytes += s.weights.size() * sizeof(std::int32_t) +
+                        s.bias.size() * sizeof(std::int8_t) +
+                        s.taps.size() * sizeof(std::uint32_t);
   }
   plan.stats = st;
 }
@@ -173,16 +176,6 @@ CompiledPlan lower_qnet(const hw::QNetDesc& desc, std::size_t in_c,
   return plan;
 }
 
-void pass_specialize(CompiledPlan& plan) {
-  for (PlanStep& s : plan.steps) {
-    if (s.kind != StepKind::kConv) continue;
-    // SupportsGeometry: with no padding every gather tap is in-bounds, so
-    // the padded-tap branch can be compiled out of the inner loop. Padded
-    // (or otherwise irregular) convs keep the generic fallback.
-    s.no_pad = s.pad == 0;
-  }
-}
-
 void pass_build_tables(const hw::QNetDesc& desc, CompiledPlan& plan) {
   for (PlanStep& s : plan.steps) {
     if (s.kind == StepKind::kConv) {
@@ -193,8 +186,22 @@ void pass_build_tables(const hw::QNetDesc& desc, CompiledPlan& plan) {
       const std::size_t patch = s.in_c * s.kernel * s.kernel;
       decode_fast_weights(conv->packed_weights, s.out_c * patch, s.weights);
       s.bias = conv->bias_codes;
-      hw::build_conv_gather(s.in_c, s.in_h, s.in_w, s.kernel, s.stride, s.pad,
-                            s.out_h, s.out_w, s.gather);
+      const std::size_t ph = s.in_h + 2 * s.pad;
+      const std::size_t pw = s.in_w + 2 * s.pad;
+      if (s.in_c * ph * pw > UINT32_MAX) {
+        throw std::invalid_argument(
+            "pass_build_tables: padded sample exceeds 32-bit tap offsets");
+      }
+      s.taps.clear();
+      s.taps.reserve(patch);
+      for (std::size_t c = 0; c < s.in_c; ++c) {
+        for (std::size_t ky = 0; ky < s.kernel; ++ky) {
+          for (std::size_t kx = 0; kx < s.kernel; ++kx) {
+            s.taps.push_back(
+                static_cast<std::uint32_t>((c * ph + ky) * pw + kx));
+          }
+        }
+      }
     } else if (s.kind == StepKind::kFullyConnected) {
       const auto* fc =
           std::get_if<hw::QFullyConnected>(&desc.layers[s.source_layer]);
@@ -222,7 +229,7 @@ void pass_verify(const CompiledPlan& plan) {
         if (!spatial || s.in_c != c || s.in_h != h || s.in_w != w) {
           verify_error(i, "conv input geometry mismatch");
         }
-        if (s.stride == 0 || h + 2 * s.pad < s.kernel ||
+        if (s.stride == 0 || s.kernel == 0 || h + 2 * s.pad < s.kernel ||
             w + 2 * s.pad < s.kernel) {
           verify_error(i, "conv window exceeds padded input");
         }
@@ -236,17 +243,17 @@ void pass_verify(const CompiledPlan& plan) {
           verify_error(i, "conv weight table size mismatch");
         }
         if (s.bias.size() != s.out_c) verify_error(i, "conv bias size mismatch");
-        if (s.gather.size() != oh * ow * patch) {
-          verify_error(i, "conv gather table size mismatch");
+        if (s.taps.size() != patch) {
+          verify_error(i, "conv tap row size mismatch");
         }
-        const std::size_t image = s.in_c * s.in_h * s.in_w;
-        for (std::size_t tap : s.gather) {
-          if (tap == SIZE_MAX) {
-            if (s.no_pad) {
-              verify_error(i, "no-pad specialization with padded taps");
-            }
-          } else if (tap >= image) {
-            verify_error(i, "gather tap out of bounds");
+        // The last window's origin plus every offset stays inside the
+        // padded sample, so no window of the step can read past it.
+        const std::size_t ph = h + 2 * s.pad, pw = w + 2 * s.pad;
+        const std::size_t last =
+            (oh - 1) * s.stride * pw + (ow - 1) * s.stride;
+        for (std::uint32_t tap : s.taps) {
+          if (last + tap >= s.in_c * ph * pw) {
+            verify_error(i, "conv tap offset outside the padded sample");
           }
         }
         c = s.out_c;
@@ -273,7 +280,8 @@ void pass_verify(const CompiledPlan& plan) {
         if (!spatial || s.in_c != c || s.in_h != h || s.in_w != w) {
           verify_error(i, "pool input geometry mismatch");
         }
-        if (s.pool.stride == 0 || h + 2 * s.pool.pad < s.pool.window ||
+        if (s.pool.stride == 0 || s.pool.window == 0 ||
+            h + 2 * s.pool.pad < s.pool.window ||
             w + 2 * s.pool.pad < s.pool.window) {
           verify_error(i, "pool window exceeds padded input");
         }
@@ -330,11 +338,6 @@ CompiledPlan PassPipeline::run(const hw::QNetDesc& desc,
 
 PassPipeline PassPipeline::standard(const CompileOptions& options) {
   PassPipeline pipeline;
-  if (options.specialize) {
-    pipeline.add("specialize", [](const hw::QNetDesc&, CompiledPlan& p) {
-      pass_specialize(p);
-    });
-  }
   pipeline.add("tables", [](const hw::QNetDesc& d, CompiledPlan& p) {
     pass_build_tables(d, p);
   });

@@ -5,15 +5,13 @@
 // named passes annotate the steps in order (the step list itself stays one
 // step per desc layer; every conv runs im2col):
 //
-//   specialize  SupportsGeometry: a conv whose gather table has no padded
-//               tap (pad == 0) selects the no-padding fast kernel variant;
-//               everything else keeps the generic padded-tap fallback.
 //   tables      predecode +/-2^(7+e) integer weights and bias codes, build
-//               the per-pixel gather tables.
+//               each conv's tap-offset row into the zero-padded sample.
 //   verify      re-derive the shape/radix chain step by step and check every
-//               lowered payload against it; throws std::runtime_error on
-//               any mismatch — a plan that verifies cannot index out of
-//               bounds or mix radices at run time.
+//               lowered payload against it (each conv's last window stays
+//               inside the padded sample); throws std::runtime_error on any
+//               mismatch — a plan that verifies cannot index out of bounds
+//               or mix radices at run time.
 //   analyze     numeric static analysis (src/analysis): prove the
 //               accumulator, int32 dot path, and radix chain safe.
 //
@@ -49,8 +47,8 @@ class PassPipeline {
     return passes_.size();
   }
 
-  /// The standard deploy pipeline for `options` (ablated passes are simply
-  /// not added; the verifier always is).
+  /// The standard deploy pipeline for `options` (`analyze` is added only
+  /// when enabled; the verifier always is).
   [[nodiscard]] static PassPipeline standard(const CompileOptions& options);
 
  private:
@@ -62,14 +60,13 @@ class PassPipeline {
 };
 
 /// Lowers `desc` 1:1 into an unoptimized CompiledPlan draft (geometry and
-/// radix chain fully derived; no tables or specialization yet). Throws
-/// std::invalid_argument on a desc the geometry walk rejects.
+/// radix chain fully derived; no tables yet). Throws std::invalid_argument
+/// on a desc the geometry walk rejects (including a zero stride or window).
 [[nodiscard]] CompiledPlan lower_qnet(const hw::QNetDesc& desc,
                                       std::size_t in_c, std::size_t in_h,
                                       std::size_t in_w);
 
 /// The individual passes, exposed for truncated pipelines in tests.
-void pass_specialize(CompiledPlan& plan);
 void pass_build_tables(const hw::QNetDesc& desc, CompiledPlan& plan);
 void pass_verify(const CompiledPlan& plan);
 

@@ -71,8 +71,7 @@ std::string CompiledPlan::describe() const {
     out << "  [" << i << "] " << s.label << "  src=L" << s.source_layer;
     if (s.kind == StepKind::kConv) {
       out << "  " << s.in_c << "x" << s.in_h << "x" << s.in_w << " -> "
-          << s.out_c << "x" << s.out_h << "x" << s.out_w
-          << (s.no_pad ? "  no-pad" : "  generic");
+          << s.out_c << "x" << s.out_h << "x" << s.out_w;
     } else if (s.kind == StepKind::kFullyConnected) {
       out << "  " << s.in_features << " -> " << s.out_features;
     }

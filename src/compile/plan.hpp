@@ -1,13 +1,15 @@
 // CompiledPlan: the immutable deploy-time artifact a QNet lowers into.
 //
 // The paper's accelerator wins because every structural decision — pow2/DFP
-// decode, gather layout, kernel shape — is fixed in silicon before the first
+// decode, window layout, kernel shape — is fixed in silicon before the first
 // sample arrives. The serving stack mirrors that: at deploy() time a
 // PassPipeline (compile/passes.hpp) lowers the QNetDesc into an ordered list
-// of PlanSteps, one per desc layer, with pre-resolved kernel variants,
-// predecoded +/-2^(7+e) integer weights, and prebuilt im2col gather tables
-// — so the per-batch layer loop re-makes none of those decisions. Plans are
-// shared immutably (shared_ptr<const CompiledPlan> out of
+// of PlanSteps, one per desc layer, with predecoded +/-2^(7+e) integer
+// weights and one patch-length tap-offset row per conv — so the per-batch
+// layer loop re-makes none of those decisions. Like the accelerator's input
+// buffers, a conv reads each sample through a zero-padded copy, so every
+// conv is a "valid" conv and no plan field grows with the output map.
+// Plans are shared immutably (shared_ptr<const CompiledPlan> out of
 // compile/plan_cache.hpp): N replicas and shared-PU tenants execute one
 // artifact, and an in-flight request keeps its plan alive across cache
 // eviction or hot redeploy.
@@ -37,12 +39,8 @@ enum class StepKind : std::uint8_t {
   kFlatten,
 };
 
-/// Deploy-time compilation knobs (DeployConfig.compile). Each pass can be
-/// ablated independently; `bench/ablation_compile` measures every row.
+/// Deploy-time compilation knobs (DeployConfig.compile).
 struct CompileOptions {
-  /// Geometry-specialization pass: select the no-padding fast kernel
-  /// variant when SupportsGeometry says every gather tap is in-bounds.
-  bool specialize = true;
   /// Numeric static analysis pass (src/analysis): prove the accumulator /
   /// int32 fast path / radix chain safe for the deployed geometry, and
   /// reject the plan (analysis::PlanRejectedError) otherwise. On by
@@ -72,25 +70,22 @@ struct PlanStep {
 
   hw::QPool pool{};  ///< the pool of a kPool step
 
-  // --- Specialization (conv steps) ---
-  /// SupportsGeometry result: true = every gather tap is in-bounds, the
-  /// padded-tap branch is compiled out of the inner loop.
-  bool no_pad = false;
-
   // --- Lowered payload (built by the table pass) ---
   /// Weights predecoded to plain +/-2^(7+e) integer multipliers, row-major
   /// [out_c or out_features][patch or in_features].
   std::vector<std::int32_t> weights;
   std::vector<std::int8_t> bias;  ///< bias codes, format <8, out_frac>
-  /// Prebuilt per-output-pixel patch gather table (conv steps): oh*ow rows
-  /// of in_c*k*k taps, relative to a sample's image base; SIZE_MAX = padded.
-  std::vector<std::size_t> gather;
+  /// Conv patch layout (conv steps): in_c*k*k offsets
+  /// (c*(in_h+2p) + ky)*(in_w+2p) + kx into one zero-padded sample. Output
+  /// pixel (oy, ox) reads its window at origin oy*s*(in_w+2p) + ox*s.
+  std::vector<std::uint32_t> taps;
 };
 
-/// What the passes did — one row per knob in the ablation bench.
+/// Plan size figures — the columns `bench/ablation_compile` reports.
 struct PlanStats {
   std::size_t steps = 0;
-  std::size_t specialized = 0;  ///< no-padding fast-variant conv steps
+  /// Lowered payload: weight, bias and tap-offset bytes over every step.
+  std::size_t payload_bytes = 0;
 };
 
 /// The immutable deploy-time artifact. Mutated only inside the pass
@@ -108,7 +103,7 @@ struct CompiledPlan {
   std::vector<std::string> passes_run;
   PlanStats stats;
 
-  /// One line per step: kind, label, geometry, variant — for logs/tests.
+  /// One line per step: kind, label, geometry — for logs/tests.
   [[nodiscard]] std::string describe() const;
 };
 

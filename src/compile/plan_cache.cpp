@@ -8,12 +8,10 @@ namespace {
 
 std::string cache_key(std::uint64_t content_hash, std::size_t in_c,
                       std::size_t in_h, std::size_t in_w,
-                      const std::string& device_key,
                       const CompileOptions& options) {
   std::ostringstream key;
   key << std::hex << content_hash << std::dec << "|" << in_c << "x" << in_h
-      << "x" << in_w << "|" << device_key << "|s" << options.specialize
-      << "a" << options.analyze;
+      << "x" << in_w << "|a" << options.analyze;
   return key.str();
 }
 
@@ -21,11 +19,9 @@ std::string cache_key(std::uint64_t content_hash, std::size_t in_c,
 
 std::shared_ptr<const CompiledPlan> PlanCache::get_or_compile(
     const hw::QNetDesc& desc, std::size_t in_c, std::size_t in_h,
-    std::size_t in_w, const std::string& device_key,
-    const CompileOptions& options) {
+    std::size_t in_w, const CompileOptions& options) {
   const std::uint64_t content = qnet_content_hash(desc);
-  const std::string key =
-      cache_key(content, in_c, in_h, in_w, device_key, options);
+  const std::string key = cache_key(content, in_c, in_h, in_w, options);
 
   util::MutexLock lock(mutex_);
   if (auto it = entries_.find(key); it != entries_.end()) {

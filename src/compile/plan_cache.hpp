@@ -1,8 +1,9 @@
 // PlanCache: deploy-time cache of CompiledPlans keyed by
-// (model content hash, input geometry, device class, compile options).
+// (model content hash, input geometry, compile options).
 //
 // N replicas of one deployment — and shared-PU tenants serving the same
-// model — compile once and share one immutable artifact instead of N
+// model, on any mix of device classes (nothing in a plan depends on the
+// device) — compile once and share one immutable artifact instead of N
 // engine-local predecodes. The registry owns one cache per server
 // (ModelRegistry fills DeployConfig.plan_cache when the caller leaves it
 // null), so hot redeploys of identical content also hit.
@@ -48,15 +49,11 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Returns the cached plan for (content_hash(desc), geometry,
-  /// `device_key`, `options`), compiling on miss. `device_key` names the
-  /// device *class* the plan is compiled for (the serving layer passes the
-  /// speed-normalized spec, so same-speed replicas share and heterogeneous
-  /// placements get per-class entries).
+  /// Returns the cached plan for (content_hash(desc), geometry, `options`),
+  /// compiling on miss.
   [[nodiscard]] std::shared_ptr<const CompiledPlan> get_or_compile(
       const hw::QNetDesc& desc, std::size_t in_c, std::size_t in_h,
-      std::size_t in_w, const std::string& device_key,
-      const CompileOptions& options) EXCLUDES(mutex_);
+      std::size_t in_w, const CompileOptions& options) EXCLUDES(mutex_);
 
   [[nodiscard]] PlanCacheStats stats() const EXCLUDES(mutex_);
 

@@ -1,5 +1,6 @@
 #include "compile/plan_executor.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -15,7 +16,7 @@ using hw::CodeTensor;
 using tensor::Shape;
 
 void run_conv_step(const PlanStep& s, const CodeTensor& input, CodeTensor& out,
-                   std::vector<std::int8_t>& patchbuf) {
+                   hw::ExecScratch& scratch) {
   if (input.shape.rank() != 4 || input.shape.c() != s.in_c ||
       input.shape.h() != s.in_h || input.shape.w() != s.in_w) {
     throw std::invalid_argument("run_plan: conv input shape mismatch");
@@ -24,27 +25,36 @@ void run_conv_step(const PlanStep& s, const CodeTensor& input, CodeTensor& out,
   const std::size_t pixels = s.out_h * s.out_w;
   const std::size_t patch = s.in_c * s.kernel * s.kernel;
   const std::size_t image = s.in_c * s.in_h * s.in_w;
+  const std::size_t ph = s.in_h + 2 * s.pad;
+  const std::size_t pw = s.in_w + 2 * s.pad;
 
   out.shape = Shape{batch, s.out_c, s.out_h, s.out_w};
   out.frac = s.out_frac;
   out.codes.resize(out.shape.size());
 
-  // im2col: materialize each (sample, pixel) patch once into a contiguous
-  // int8 buffer, then run a dense branch-free dot per output channel — the
-  // gather cost is amortized over out_c instead of paid per channel.
+  // A "valid" conv on a zero-bordered copy of each sample (code 0 is 0 at
+  // every radix, so the padding is exact): every window is read through the
+  // one tap-offset row into a contiguous im2col patch, so the gather cost is
+  // amortized over out_c dense branch-free dots instead of paid per channel.
+  std::vector<std::int8_t>& padded = scratch.padded;
+  std::vector<std::int8_t>& patchbuf = scratch.patch;
+  padded.assign(s.in_c * ph * pw, 0);
   patchbuf.resize(patch);
+  const std::uint32_t* taps = s.taps.data();
   const bool i32 = patch <= kI32SafePatch;
   for (std::size_t n = 0; n < batch; ++n) {
     const std::int8_t* codes = input.codes.data() + n * image;
-    for (std::size_t pixel = 0; pixel < pixels; ++pixel) {
-      const std::size_t* row = s.gather.data() + pixel * patch;
-      if (s.no_pad) {
-        for (std::size_t k = 0; k < patch; ++k) patchbuf[k] = codes[row[k]];
-      } else {
-        for (std::size_t k = 0; k < patch; ++k) {
-          patchbuf[k] = row[k] == SIZE_MAX ? std::int8_t{0} : codes[row[k]];
-        }
+    for (std::size_t c = 0; c < s.in_c; ++c) {
+      for (std::size_t y = 0; y < s.in_h; ++y) {
+        std::copy_n(codes + (c * s.in_h + y) * s.in_w, s.in_w,
+                    padded.data() + (c * ph + y + s.pad) * pw + s.pad);
       }
+    }
+    for (std::size_t pixel = 0; pixel < pixels; ++pixel) {
+      const std::size_t oy = pixel / s.out_w, ox = pixel % s.out_w;
+      const std::int8_t* window =
+          padded.data() + oy * s.stride * pw + ox * s.stride;
+      for (std::size_t k = 0; k < patch; ++k) patchbuf[k] = window[taps[k]];
       std::int8_t* dst = out.codes.data() + n * s.out_c * pixels + pixel;
       for (std::size_t oc = 0; oc < s.out_c; ++oc) {
         const std::int32_t* wrow = s.weights.data() + oc * patch;
@@ -113,7 +123,7 @@ void run_plan_codes(const CompiledPlan& plan, hw::ExecScratch& scratch,
         profiled ? clock::now() : clock::time_point{};
     switch (s.kind) {
       case StepKind::kConv:
-        run_conv_step(s, scratch.input, scratch.output, scratch.patch);
+        run_conv_step(s, scratch.input, scratch.output, scratch);
         std::swap(scratch.input, scratch.output);
         break;
       case StepKind::kFullyConnected:

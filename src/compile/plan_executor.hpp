@@ -2,8 +2,9 @@
 // to the reference AcceleratorExecutor::run() (and therefore to the
 // fake-quantized software model) by construction: every lossy stage calls
 // the shared hw/kernels.hpp implementations, and the integer dot products
-// are exact under any association, so the plan's prebuilt gather tables and
-// im2col patch buffers only reorder exact arithmetic.
+// are exact under any association, so reading each window of a zero-padded
+// sample through the plan's tap-offset row into an im2col patch buffer only
+// reorders exact arithmetic.
 //
 // Thread-safety: callers are concurrent as long as each brings its own
 // ExecScratch; the plan itself is immutable and shared.

@@ -39,13 +39,14 @@ struct CodeTensor {
 };
 
 /// Reusable scratch for compiled-plan execution (compile/plan_executor.hpp).
-/// One instance per thread: activation buffers and the im2col patch buffer
-/// are recycled across steps and across batches, so steady-state serving
-/// does no per-request allocation in the layer loop. Not thread-safe;
-/// workers own one each.
+/// One instance per thread: activation buffers, the zero-padded sample and
+/// the im2col patch buffer are recycled across steps and across batches, so
+/// steady-state serving does no per-request allocation in the layer loop.
+/// Not thread-safe; workers own one each.
 struct ExecScratch {
   CodeTensor input;                 ///< current activation (ping)
   CodeTensor output;                ///< next activation (pong)
+  std::vector<std::int8_t> padded;  ///< one conv input sample, zero border
   std::vector<std::int8_t> patch;   ///< im2col patch buffer
 };
 

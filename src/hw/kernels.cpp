@@ -46,39 +46,6 @@ ConvGeometry conv_geometry(std::size_t in_c, std::size_t kernel,
   return g;
 }
 
-void build_conv_gather(std::size_t in_c, std::size_t ih, std::size_t iw,
-                       std::size_t kernel, std::size_t stride, std::size_t pad,
-                       std::size_t oh, std::size_t ow,
-                       std::vector<std::size_t>& index) {
-  const std::size_t patch = in_c * kernel * kernel;
-  index.resize(oh * ow * patch);
-  for (std::size_t oy = 0; oy < oh; ++oy) {
-    for (std::size_t ox = 0; ox < ow; ++ox) {
-      std::size_t* row = index.data() + (oy * ow + ox) * patch;
-      std::size_t p = 0;
-      for (std::size_t c = 0; c < in_c; ++c) {
-        for (std::size_t ky = 0; ky < kernel; ++ky) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * stride + ky) -
-              static_cast<std::ptrdiff_t>(pad);
-          for (std::size_t kx = 0; kx < kernel; ++kx, ++p) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                static_cast<std::ptrdiff_t>(pad);
-            const bool inside =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(ih) && ix >= 0 &&
-                ix < static_cast<std::ptrdiff_t>(iw);
-            row[p] = inside
-                         ? (c * ih + static_cast<std::size_t>(iy)) * iw +
-                               static_cast<std::size_t>(ix)
-                         : SIZE_MAX;
-          }
-        }
-      }
-    }
-  }
-}
-
 void apply_relu(CodeTensor& input, int out_frac) {
   for (std::int8_t& code : input.codes) {
     const std::int32_t rectified = std::max<std::int32_t>(0, code);

@@ -12,8 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "hw/datapath.hpp"
 #include "hw/executor.hpp"
@@ -21,7 +19,7 @@
 
 namespace mfdfp::hw {
 
-/// Layer geometry shared by the reference and compiled conv kernels.
+/// Conv layer geometry of the reference executor (hw/executor.cpp).
 struct ConvGeometry {
   std::size_t batch = 0, ih = 0, iw = 0, oh = 0, ow = 0, patch = 0;
 };
@@ -34,15 +32,6 @@ struct ConvGeometry {
                                          std::size_t stride, std::size_t pad,
                                          const tensor::Shape& in_shape,
                                          const char* who);
-
-/// Fills `index` with the per-output-pixel patch gather table, oh*ow rows of
-/// `in_c*kernel*kernel` taps each, relative to a sample's image base (one
-/// table serves every sample of a batch and every output channel). SIZE_MAX
-/// marks a padded tap (reads as zero input).
-void build_conv_gather(std::size_t in_c, std::size_t ih, std::size_t iw,
-                       std::size_t kernel, std::size_t stride, std::size_t pad,
-                       std::size_t oh, std::size_t ow,
-                       std::vector<std::size_t>& index);
 
 /// In-place ReLU + refrac stage (rectify at the input radix, then
 /// convert_code into `out_frac`).

@@ -1,7 +1,6 @@
 #include "serve/device.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -29,19 +28,11 @@ SimulatedAcceleratorBackend::SimulatedAcceleratorBackend(
         "\" has speed_factor <= 0");
   }
 
-  // Device *class* key for plan sharing: the plan's content depends only on
-  // what the compiler can see of the device, so same-speed replicas (dev0,
-  // dev1, ...) share one artifact while heterogeneous placements get
-  // per-class entries.
-  std::ostringstream key;
-  key << "sf=" << device_.speed_factor;
-  const std::string device_key = key.str();
-
   plans_.reserve(members.size());
   for (const hw::QNetDesc& desc : members) {
     plans_.push_back(plan_cache != nullptr
                          ? plan_cache->get_or_compile(desc, in_c, in_h, in_w,
-                                                      device_key, compile)
+                                                      compile)
                          : compile::compile_qnet(desc, in_c, in_h, in_w,
                                                  compile));
     // Precompute this member's modeled per-inference cost. Ensemble members

@@ -235,7 +235,7 @@ class SimulatedAcceleratorBackend final : public ExecutionBackend {
   /// `compile` controls deploy-time compilation: every member is lowered
   /// into a CompiledPlan that execute() runs. A non-null `plan_cache`
   /// shares plans across backends: replicas and shared-PU tenants deploying
-  /// identical content on the same device class reuse one artifact. The
+  /// identical content at the same input geometry reuse one artifact. The
   /// backend pins its plans by shared_ptr, so cache eviction or a hot
   /// redeploy never invalidates a deployed backend (see
   /// compile/plan_cache.hpp).

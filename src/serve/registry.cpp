@@ -25,7 +25,7 @@ ModelHandle ModelRegistry::deploy(
   config.model_version = version;
   // Server-wide plan sharing: unless the caller brought their own cache,
   // every replica/tenant of this deployment — and any other deployment of
-  // identical content — compiles once per (content, device class).
+  // identical content — compiles once per (content, geometry).
   if (config.plan_cache == nullptr) config.plan_cache = plan_cache_;
   // Built outside the lock: on redeploy the old set keeps serving while
   // every replacement replica constructs (weight predecode, worker spawn).

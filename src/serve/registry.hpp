@@ -89,7 +89,7 @@ class ModelRegistry {
   /// The registry-wide compiled-plan cache (compile/plan_cache.hpp):
   /// deploy() hands it to every deployment whose config left plan_cache
   /// null, so replicas, shared-PU tenants, and hot redeploys of identical
-  /// content all share one compiled artifact per (content, device class).
+  /// content all share one compiled artifact per (content, geometry).
   [[nodiscard]] const std::shared_ptr<compile::PlanCache>& plan_cache()
       const noexcept {
     return plan_cache_;

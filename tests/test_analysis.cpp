@@ -174,6 +174,35 @@ TEST(Analysis, NarrowedInputTightensEveryBound) {
   EXPECT_EQ(fc.accumulator_bits, 16);  // vs 17 for the full input range
 }
 
+// conv 1->1, k=2, s=2, p=1 on a 1x3x3 input: a 2x2 output whose windows
+// start at -1 and 1 on each axis. On either axis tap 0 reads the border for
+// the first window and tap 1 is inside for both windows (1*2 + 1 < 3 + 1),
+// so only tap (ky=1, kx=1) is never padded. Every weight is +2^0 (128) and
+// inputs are in [1, 127]: the minimum dot is that tap alone (128 * 1), the
+// maximum all four (4 * 128 * 127). Treating every tap as paddable would
+// give lo = 0, treating none as paddable lo = 4 * 128 = 512.
+TEST(Analysis, PaddedTapSetIsDerivedFromTheConvGeometry) {
+  hw::QNetDesc desc;
+  desc.name = "padded-taps";
+  hw::QConv conv;
+  conv.in_c = 1;
+  conv.out_c = 1;
+  conv.kernel = 2;
+  conv.stride = 2;
+  conv.pad = 1;
+  conv.packed_weights = pack_nibbles(std::vector<Pow2Weight>(4, {false, 0}));
+  conv.bias_codes = {0};
+  desc.layers.emplace_back(conv);
+  const auto plan = compile::compile_qnet(desc, 1, 3, 3);
+
+  AnalysisOptions options;
+  options.input = {1, 127};
+  const AnalysisReport report = analyze_plan(*plan, options);
+  ASSERT_TRUE(report.ok()) << report.table();
+  ASSERT_EQ(report.steps.size(), 1u);
+  EXPECT_EQ(report.steps[0].dot, (Interval{128, 65024}));
+}
+
 TEST(Analysis, FailOnClipTurnsClipMassIntoViolation) {
   const std::vector<Pow2Weight> weights(8, Pow2Weight{false, 0});
   const hw::QNetDesc desc = flatten_fc_desc(4, 2, weights, {0, 0}, 0, 0, 0);

@@ -2,7 +2,7 @@
 // plan executor. The load-bearing contract is bit-identity — a compiled
 // plan's logits must equal the reference AcceleratorExecutor::run() exactly,
 // under every pass ablation and every edge geometry — plus the sharing
-// semantics: plans are immutable, cached per (content, device class), and
+// semantics: plans are immutable, cached per (content, geometry), and
 // stay valid for in-flight holders across eviction and hot redeploys. Runs
 // under ThreadSanitizer and ASan+UBSan in CI (see ci.yml).
 #include "compile/passes.hpp"
@@ -93,8 +93,7 @@ TEST(PassPipeline, StandardPipelineLowersOneStepPerLayer) {
   const hw::QNetDesc desc = make_zoo_qnet(1, "cifar");
   const auto plan = compile_qnet(desc, kInC, kInH, kInW);
 
-  const std::vector<std::string> expected{"specialize", "tables", "verify",
-                                          "analyze"};
+  const std::vector<std::string> expected{"tables", "verify", "analyze"};
   EXPECT_EQ(plan->passes_run, expected);
 
   // Every desc layer lowers to exactly one step, in source order — the
@@ -104,22 +103,32 @@ TEST(PassPipeline, StandardPipelineLowersOneStepPerLayer) {
     EXPECT_EQ(plan->steps[i].source_layer, i);
   }
 
-  // describe() names every step's source layer and conv variant.
+  // describe() names every step's source layer and label.
   const std::string description = plan->describe();
   EXPECT_NE(description.find("src=L0"), std::string::npos);
-  EXPECT_NE(description.find("generic"), std::string::npos);
+  EXPECT_NE(description.find("conv5x5s1p2"), std::string::npos);
+
+  // Every conv holds one patch-length tap row, whatever its output map;
+  // payload_bytes counts weights, bias and taps.
+  std::size_t payload = 0;
+  for (const PlanStep& step : plan->steps) {
+    if (step.kind == StepKind::kConv) {
+      EXPECT_EQ(step.taps.size(), step.in_c * step.kernel * step.kernel);
+    }
+    payload += step.weights.size() * sizeof(std::int32_t) + step.bias.size() +
+               step.taps.size() * sizeof(std::uint32_t);
+  }
+  EXPECT_EQ(plan->stats.payload_bytes, payload);
 }
 
 TEST(PassPipeline, AblatedPassesAreNotRun) {
   const hw::QNetDesc desc = make_zoo_qnet(2, "cifar");
   CompileOptions options;
-  options.specialize = false;
   options.analyze = false;
   const auto plan = compile_qnet(desc, kInC, kInH, kInW, options);
 
   const std::vector<std::string> expected{"tables", "verify"};
   EXPECT_EQ(plan->passes_run, expected);
-  EXPECT_EQ(plan->stats.specialized, 0u);
   EXPECT_EQ(plan->stats.steps, desc.layers.size());
 }
 
@@ -134,7 +143,6 @@ TEST(PassPipeline, ContentHashIgnoresTheModelName) {
 TEST(PassVerifier, RejectsCorruptedPlans) {
   const hw::QNetDesc desc = make_zoo_qnet(6, "cifar");
   CompiledPlan plan = lower_qnet(desc, kInC, kInH, kInW);
-  pass_specialize(plan);
   pass_build_tables(desc, plan);
   EXPECT_NO_THROW(pass_verify(plan));
 
@@ -148,9 +156,15 @@ TEST(PassVerifier, RejectsCorruptedPlans) {
     broken.steps.front().out_frac += 1;
     EXPECT_THROW(pass_verify(broken), std::runtime_error);
   }
-  {  // gather tap out of bounds
+  {  // truncated tap row
     CompiledPlan broken = plan;
-    broken.steps.front().gather.front() = kInC * kInH * kInW + 1;
+    broken.steps.front().taps.pop_back();
+    EXPECT_THROW(pass_verify(broken), std::runtime_error);
+  }
+  {  // the last tap of the last window ends the padded sample exactly: one
+     // past it reads out of bounds
+    CompiledPlan broken = plan;
+    broken.steps.front().taps.back() += 1;
     EXPECT_THROW(pass_verify(broken), std::runtime_error);
   }
   {  // geometry drift
@@ -158,6 +172,30 @@ TEST(PassVerifier, RejectsCorruptedPlans) {
     broken.steps.front().out_h += 1;
     EXPECT_THROW(pass_verify(broken), std::runtime_error);
   }
+}
+
+// A zero-kernel conv or zero-window pool has no output the reference run()
+// can produce (it throws): the compiler must refuse it at deploy time rather
+// than serve a plan that diverges from run() or throws mid-batch.
+TEST(PassPipeline, ZeroKernelConvAndZeroWindowPoolAreRejected) {
+  hw::QNetDesc conv_desc;
+  conv_desc.name = "conv0x0s1p0";
+  hw::QConv conv;
+  conv.in_c = 1;
+  conv.out_c = 1;
+  conv.kernel = 0;
+  conv.stride = 1;
+  conv.bias_codes = {0};
+  conv_desc.layers.emplace_back(conv);
+  EXPECT_THROW((void)compile_qnet(conv_desc, 1, 4, 4), std::invalid_argument);
+
+  hw::QNetDesc pool_desc;
+  pool_desc.name = "maxpool0s1";
+  hw::QPool pool;
+  pool.window = 0;
+  pool.stride = 1;
+  pool_desc.layers.emplace_back(pool);
+  EXPECT_THROW((void)compile_qnet(pool_desc, 1, 4, 4), std::invalid_argument);
 }
 
 // ----------------------------------------------------------- bit-identity
@@ -169,17 +207,10 @@ struct IdentityCase {
 
 class CompiledBitIdentity : public ::testing::TestWithParam<IdentityCase> {};
 
-TEST_P(CompiledBitIdentity, EveryAblationMatchesTheReferenceExecutor) {
+TEST_P(CompiledBitIdentity, PlanMatchesTheReferenceExecutor) {
   const auto [seed, architecture] = GetParam();
   const hw::QNetDesc desc = make_zoo_qnet(seed, architecture);
-  const Tensor images = make_images(5, seed + 100);
-
-  CompileOptions defaults;
-  expect_bit_identical(desc, images, defaults, "defaults");
-
-  CompileOptions no_spec;
-  no_spec.specialize = false;
-  expect_bit_identical(desc, images, no_spec, "specialization off");
+  expect_bit_identical(desc, make_images(5, seed + 100), {}, "defaults");
 }
 
 // The width-0.2 zoo nets have convs with few output channels: every conv
@@ -206,15 +237,11 @@ TEST(EdgeGeometry, OneByOneConvStrideOneAndTwo) {
         nn::FullyConnected::Config{6 * out_hw * out_hw, 4}, rng));
     const hw::QNetDesc desc = qnet_from_net(std::move(net), rng, "conv1x1");
 
-    const auto plan = compile_qnet(desc, kInC, kInH, kInW);
-    // pad == 0: SupportsGeometry selects the no-padding fast variant.
-    EXPECT_EQ(plan->steps.front().no_pad, true);
-    EXPECT_GE(plan->stats.specialized, 1u);
     expect_bit_identical(desc, make_images(4, 31), {}, "1x1 conv");
   }
 }
 
-TEST(EdgeGeometry, HeavyPaddingFallsBackToTheGenericKernel) {
+TEST(EdgeGeometry, HeavyPaddingMatchesTheReference) {
   util::Rng rng{33};
   nn::Network net;
   // pad 2 on a 3x3 kernel: output ring is mostly padded taps.
@@ -225,10 +252,6 @@ TEST(EdgeGeometry, HeavyPaddingFallsBackToTheGenericKernel) {
   net.add(std::make_unique<nn::FullyConnected>(
       nn::FullyConnected::Config{5 * (kInH + 2) * (kInW + 2), 4}, rng));
   const hw::QNetDesc desc = qnet_from_net(std::move(net), rng, "heavypad");
-
-  const auto plan = compile_qnet(desc, kInC, kInH, kInW);
-  EXPECT_EQ(plan->steps.front().no_pad, false);
-  EXPECT_EQ(plan->stats.specialized, 0u);
   expect_bit_identical(desc, make_images(4, 34), {}, "heavy padding");
 }
 
@@ -302,18 +325,19 @@ TEST(PlanCache, SharesByContentAndEvictedPlansKeepServing) {
   const hw::QNetDesc desc_b = make_zoo_qnet(51, "mlp", "b");
 
   PlanCache cache(1);  // LRU bound of one entry
-  const auto plan_a = cache.get_or_compile(desc_a, kInC, kInH, kInW, "sf=1",
-                                           CompileOptions{});
+  const auto plan_a =
+      cache.get_or_compile(desc_a, kInC, kInH, kInW, CompileOptions{});
   // Identical content under a different name: a hit, the same artifact.
-  const auto plan_a2 = cache.get_or_compile(desc_a2, kInC, kInH, kInW,
-                                            "sf=1", CompileOptions{});
+  const auto plan_a2 =
+      cache.get_or_compile(desc_a2, kInC, kInH, kInW, CompileOptions{});
   EXPECT_EQ(plan_a.get(), plan_a2.get());
-  // A different device class compiles its own entry (and evicts at bound 1).
-  const auto plan_fast = cache.get_or_compile(desc_a, kInC, kInH, kInW,
-                                              "sf=2", CompileOptions{});
-  EXPECT_NE(plan_a.get(), plan_fast.get());
-  const auto plan_b = cache.get_or_compile(desc_b, kInC, kInH, kInW, "sf=1",
-                                           CompileOptions{});
+  // A different input geometry compiles its own entry (and evicts at
+  // bound 1); 17x17 pools down to the same 2x2 map the fc expects.
+  const auto plan_17 = cache.get_or_compile(desc_a, kInC, kInH + 1, kInW + 1,
+                                            CompileOptions{});
+  EXPECT_NE(plan_a.get(), plan_17.get());
+  const auto plan_b =
+      cache.get_or_compile(desc_b, kInC, kInH, kInW, CompileOptions{});
 
   const PlanCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
