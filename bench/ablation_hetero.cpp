@@ -7,14 +7,14 @@
 //     device serves each request (provisioning changes *when* a batch
 //     finishes, never *what* it computes);
 //  2. throughput scaling — the same closed-loop kBatch workload runs against
-//     a single 1x replica and the two heterogeneous mixes with
-//     `paced_execution` on (each worker holds a batch until that *device's*
-//     cycle model says it would finish, so wall-clock throughput tracks the
-//     modeled provisioning); aggregate throughput must reach >= 0.85x the
-//     sum of device speeds ({1x, 2x}: >= 2.55x one 1x replica, which also
-//     covers the >= 2.5x acceptance bar; {1x, 1x, 4x}: >= 5.1x) — routing
-//     that ignored provisioning would leave the 4x device starved and fail
-//     this;
+//     a single 1x replica and the two heterogeneous mixes, each device a
+//     paced one-tenant SharedDevice (its dispatcher holds a batch until
+//     that *device's* cycle model says it would finish, so wall-clock
+//     throughput tracks the modeled provisioning); aggregate throughput
+//     must reach >= 0.85x the sum of device speeds ({1x, 2x}: >= 2.55x one
+//     1x replica, which also covers the >= 2.5x acceptance bar; {1x, 1x,
+//     4x}: >= 5.1x) — routing that ignored provisioning would leave the 4x
+//     device starved and fail this;
 //  3. routing ablation — under a standing kBatch backlog on a {1x, 4x}
 //     placement, bursts of kInteractive probes must see a strictly better
 //     p99 with the default normalized-work routing (RoutingPolicy::
@@ -37,6 +37,7 @@
 
 #include "bench_common.hpp"
 #include "serve/server.hpp"
+#include "serve/shared_device.hpp"
 #include "util/latency_histogram.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -66,15 +67,22 @@ hw::QNetDesc make_qnet(std::uint64_t seed) {
 /// so measured scaling reflects the modeled devices.
 constexpr double kTargetSampleUs = 400.0;
 
+/// One device per speed. With `paced` (the measured phases) each is its own
+/// paced one-tenant PU; without it a plain unpaced dedicated device
+/// (correctness only).
 std::vector<serve::DeviceSpec> make_placement(
-    const std::vector<double>& speeds) {
+    const std::vector<double>& speeds, bool paced) {
   std::vector<serve::DeviceSpec> placement;
   placement.reserve(speeds.size());
   for (std::size_t i = 0; i < speeds.size(); ++i) {
-    serve::DeviceSpec device;
-    device.name = "npu" + std::to_string(i) + "-" +
-                  util::fmt_fixed(speeds[i], 0) + "x";
-    device.speed_factor = speeds[i];
+    serve::DeviceSpec device{
+        .name = "npu" + std::to_string(i) + "-" +
+                util::fmt_fixed(speeds[i], 0) + "x",
+        .speed_factor = speeds[i]};
+    if (paced) {
+      device = serve::DeviceSpec::on(serve::SharedDevice::create(
+          std::move(device), {.coalesce_window_us = 0, .paced = true}));
+    }
     placement.push_back(std::move(device));
   }
   return placement;
@@ -90,14 +98,16 @@ std::string placement_label(const std::vector<double>& speeds) {
 }
 
 /// With `scale_batch_with_speed`, each device's max_batch grows with its
-/// speed_factor (a DeviceSpec per-device override), keeping the pacing
-/// quantum — batch samples x per-sample device time — constant across the
-/// mix: a 4x device would otherwise close 4x as many batches per second and
-/// pay the host-side per-batch overhead (formation, wakeup jitter) 4x as
-/// often, understating the modeled hardware's aggregate throughput.
+/// speed_factor (a per-entry DeviceSpec override, which also applies to a
+/// tenant on a shared PU), keeping the pacing quantum — batch samples x
+/// per-sample device time — constant across the mix: a 4x device would
+/// otherwise close 4x as many batches per second and pay the host-side
+/// per-batch overhead (formation, wakeup jitter) 4x as often,
+/// understating the modeled hardware's aggregate throughput.
 serve::DeployConfig paced_config(const std::vector<double>& speeds,
                                  const hw::AcceleratorConfig& accel,
-                                 bool scale_batch_with_speed = false) {
+                                 bool scale_batch_with_speed = false,
+                                 bool paced = true) {
   serve::DeployConfig config;
   config.in_c = 3;
   config.in_h = config.in_w = 16;
@@ -105,14 +115,13 @@ serve::DeployConfig paced_config(const std::vector<double>& speeds,
   config.max_batch = 8;
   config.max_wait_us = 200;
   config.queue_capacity = 8192;
-  config.placement = make_placement(speeds);
+  config.placement = make_placement(speeds, paced);
   if (scale_batch_with_speed) {
     for (std::size_t i = 0; i < speeds.size(); ++i) {
       config.placement[i].max_batch = static_cast<std::size_t>(
           static_cast<double>(config.max_batch) * speeds[i] + 0.5);
     }
   }
-  config.paced_execution = true;
   config.accel = accel;
   return config;
 }
@@ -217,7 +226,9 @@ int main(int argc, char** argv) {
   hw::AcceleratorConfig accel;
   {
     serve::ModelServer probe;
-    probe.deploy("probe", {qnet}, paced_config({1.0}, accel));
+    probe.deploy("probe", {qnet},
+                 paced_config({1.0}, accel, /*scale_batch_with_speed=*/false,
+                              /*paced=*/false));
     const double native_us = probe.engine("probe")->simulated_sample_us();
     probe.shutdown();
     accel.clock_hz *= native_us / kTargetSampleUs;
@@ -231,9 +242,11 @@ int main(int argc, char** argv) {
     const hw::AcceleratorExecutor reference(qnet);
     for (const std::vector<double>& speeds : mixes) {
       serve::ModelServer server;
-      serve::DeployConfig config = paced_config(speeds, accel);
-      config.paced_execution = false;  // correctness only; keep it fast
-      server.deploy("m", {qnet}, config);
+      // Correctness only; keep it fast.
+      server.deploy("m", {qnet},
+                    paced_config(speeds, accel,
+                                 /*scale_batch_with_speed=*/false,
+                                 /*paced=*/false));
 
       const std::size_t checks = bench::quick_mode() ? 16 : 48;
       std::vector<std::future<serve::Response>> futures;

@@ -5,12 +5,13 @@
 //     to per-sample AcceleratorExecutor::run(), whichever replica serves
 //     each request;
 //  2. throughput scaling — the same closed-loop kBatch workload runs against
-//     1, 2, and 4 replicas with `paced_execution` on (each worker holds a
-//     batch until the cycle model says the accelerator would finish it, so
-//     wall-clock throughput tracks the modeled hardware, not the host core
-//     count); completion must speed up >= 1.7x at 2 replicas and >= 3.0x at
-//     4 — near-linear, since N replicas are N simulated accelerator
-//     instances draining independently;
+//     1, 2, and 4 replicas, each on its own paced one-tenant SharedDevice
+//     (the PU's dispatcher holds each batch until the cycle model says the
+//     accelerator would finish it, so wall-clock throughput tracks the
+//     modeled hardware, not the host core count); completion must speed up
+//     >= 1.7x at 2 replicas and >= 3.0x at 4 — near-linear, since N
+//     replicas are N simulated accelerator instances draining
+//     independently;
 //  3. overload tail — under a standing kBatch backlog, bursts of
 //     kInteractive probes must see a strictly better p99 on 4 replicas than
 //     on a single engine: a burst spreads across replicas instead of
@@ -32,6 +33,7 @@
 
 #include "bench_common.hpp"
 #include "serve/server.hpp"
+#include "serve/shared_device.hpp"
 #include "util/latency_histogram.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -61,8 +63,12 @@ hw::QNetDesc make_qnet(std::uint64_t seed) {
 /// per sample), so measured scaling reflects the modeled accelerators.
 constexpr double kTargetSampleUs = 400.0;
 
+/// `num_replicas` replicas, one drain thread each. With `paced` (the
+/// measured phases) every replica runs on its own paced one-tenant PU;
+/// without it on a plain unpaced dedicated device (correctness only).
 serve::DeployConfig paced_config(std::size_t num_replicas,
-                                 const hw::AcceleratorConfig& accel) {
+                                 const hw::AcceleratorConfig& accel,
+                                 bool paced = true) {
   serve::DeployConfig config;
   config.in_c = 3;
   config.in_h = config.in_w = 16;
@@ -71,7 +77,14 @@ serve::DeployConfig paced_config(std::size_t num_replicas,
   config.max_wait_us = 200;
   config.queue_capacity = 8192;
   config.num_replicas = num_replicas;
-  config.paced_execution = true;
+  if (paced) {
+    for (std::size_t i = 0; i < num_replicas; ++i) {
+      config.placement.push_back(
+          serve::DeviceSpec::on(serve::SharedDevice::create(
+              {.name = "npu" + std::to_string(i)},
+              {.coalesce_window_us = 0, .paced = true})));
+    }
+  }
   config.accel = accel;
   return config;
 }
@@ -174,7 +187,7 @@ int main(int argc, char** argv) {
   double native_sample_us = 0.0;
   {
     serve::ModelServer probe;
-    probe.deploy("probe", {qnet}, paced_config(1, accel));
+    probe.deploy("probe", {qnet}, paced_config(1, accel, /*paced=*/false));
     native_sample_us = probe.engine("probe")->simulated_sample_us();
     probe.shutdown();
   }
@@ -186,9 +199,8 @@ int main(int argc, char** argv) {
   {
     const hw::AcceleratorExecutor reference(qnet);
     serve::ModelServer server;
-    serve::DeployConfig config = paced_config(4, accel);
-    config.paced_execution = false;  // correctness only; keep it fast
-    server.deploy("m", {qnet}, config);
+    // Correctness only; keep it fast.
+    server.deploy("m", {qnet}, paced_config(4, accel, /*paced=*/false));
     sample_us = server.engine("m")->simulated_sample_us();
 
     const std::size_t checks = bench::quick_mode() ? 16 : 48;

@@ -1,7 +1,8 @@
 // Trace-overhead ablation: the observability stack (request-lifecycle
 // tracing + per-layer profiling) must be effectively free.
 //
-// Three phases on one paced single-model deployment:
+// Three phases on one paced single-model deployment (one drain thread on
+// its own paced one-tenant SharedDevice):
 //  1. baseline — closed-loop interactive bursts with tracing disabled;
 //     records the e2e p99 (best of several alternated runs: paced bursts
 //     make the p99 deterministic, and the per-phase minimum filters host
@@ -36,6 +37,7 @@
 #include "hw/layer_profile.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
+#include "serve/shared_device.hpp"
 #include "util/latency_histogram.hpp"
 #include "util/table.hpp"
 
@@ -74,10 +76,12 @@ serve::DeployConfig deploy_config(const hw::AcceleratorConfig& accel) {
   serve::DeployConfig config;
   config.in_c = 3;
   config.in_h = config.in_w = 16;
+  config.workers = 1;
   config.max_batch = 8;
   config.max_wait_us = 500;
   config.queue_capacity = 8192;
-  config.paced_execution = true;  // workers forced to 1
+  config.placement = {serve::DeviceSpec::on(serve::SharedDevice::create(
+      {.name = "npu0"}, {.coalesce_window_us = 0, .paced = true}))};
   config.accel = accel;
   return config;
 }

@@ -2,17 +2,14 @@
 
 #include <stdexcept>
 
+#include "hw/kernels.hpp"
+
 namespace mfdfp::hw {
 namespace {
 
 [[nodiscard]] std::uint64_t ceil_div(std::uint64_t a,
                                      std::uint64_t b) noexcept {
   return (a + b - 1) / b;
-}
-
-[[nodiscard]] std::size_t conv_out_dim(std::size_t in, std::size_t k,
-                                       std::size_t stride, std::size_t pad) {
-  return (in + 2 * pad - k) / stride + 1;
 }
 
 }  // namespace
@@ -30,10 +27,10 @@ std::vector<LayerWork> workload_from_qnet(const QNetDesc& desc,
       if (conv->in_c != c) {
         throw std::invalid_argument("workload_from_qnet: channel mismatch");
       }
-      const std::size_t oh = conv_out_dim(h, conv->kernel, conv->stride,
-                                          conv->pad);
-      const std::size_t ow = conv_out_dim(w, conv->kernel, conv->stride,
-                                          conv->pad);
+      const std::size_t oh = window_extent(h, conv->kernel, conv->stride,
+                                           conv->pad, "workload_from_qnet");
+      const std::size_t ow = window_extent(w, conv->kernel, conv->stride,
+                                           conv->pad, "workload_from_qnet");
       lw.name += ":conv";
       lw.kind = LayerWork::Kind::kConv;
       lw.output_pixels = oh * ow;
@@ -51,10 +48,10 @@ std::vector<LayerWork> workload_from_qnet(const QNetDesc& desc,
       c = fc->out_features;
       h = w = 1;
     } else if (const auto* pool = std::get_if<QPool>(&layer)) {
-      const std::size_t oh = conv_out_dim(h, pool->window, pool->stride,
-                                          pool->pad);
-      const std::size_t ow = conv_out_dim(w, pool->window, pool->stride,
-                                          pool->pad);
+      const std::size_t oh = window_extent(h, pool->window, pool->stride,
+                                           pool->pad, "workload_from_qnet");
+      const std::size_t ow = window_extent(w, pool->window, pool->stride,
+                                           pool->pad, "workload_from_qnet");
       lw.name += pool->is_max ? ":maxpool" : ":avgpool";
       lw.kind = LayerWork::Kind::kPool;
       lw.output_pixels = oh * ow;

@@ -43,7 +43,9 @@ struct LayerWork {
 };
 
 /// Derives the workload list from a deployment image, given the input
-/// geometry (channels, height, width).
+/// geometry (channels, height, width). Throws std::invalid_argument on a
+/// channel mismatch or a conv/pool window with no valid output extent (see
+/// window_extent in hw/kernels.hpp).
 [[nodiscard]] std::vector<LayerWork> workload_from_qnet(
     const QNetDesc& desc, std::size_t in_c, std::size_t in_h,
     std::size_t in_w);

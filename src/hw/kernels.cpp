@@ -10,24 +10,19 @@ namespace mfdfp::hw {
 using quant::DfpFormat;
 using tensor::Shape;
 
-namespace {
-
-/// Rejects a zero stride or window and a window larger than the padded
-/// input — the geometries whose output extent would divide by zero or wrap
-/// size_t.
-void check_window(std::size_t window, std::size_t stride, std::size_t pad,
-                  std::size_t ih, std::size_t iw, const char* who) {
+std::size_t window_extent(std::size_t in, std::size_t window,
+                          std::size_t stride, std::size_t pad,
+                          const char* who) {
   if (stride == 0 || window == 0) {
     throw std::invalid_argument(std::string(who) +
                                 ": zero stride or window");
   }
-  if (ih + 2 * pad < window || iw + 2 * pad < window) {
+  if (in + 2 * pad < window) {
     throw std::invalid_argument(std::string(who) +
                                 ": window exceeds padded input");
   }
+  return (in + 2 * pad - window) / stride + 1;
 }
-
-}  // namespace
 
 ConvGeometry conv_geometry(std::size_t in_c, std::size_t kernel,
                            std::size_t stride, std::size_t pad,
@@ -39,9 +34,8 @@ ConvGeometry conv_geometry(std::size_t in_c, std::size_t kernel,
   g.batch = in_shape.n();
   g.ih = in_shape.h();
   g.iw = in_shape.w();
-  check_window(kernel, stride, pad, g.ih, g.iw, who);
-  g.oh = (g.ih + 2 * pad - kernel) / stride + 1;
-  g.ow = (g.iw + 2 * pad - kernel) / stride + 1;
+  g.oh = window_extent(g.ih, kernel, stride, pad, who);
+  g.ow = window_extent(g.iw, kernel, stride, pad, who);
   g.patch = in_c * kernel * kernel;
   return g;
 }
@@ -77,9 +71,10 @@ void pool_forward(const QPool& pool, const CodeTensor& input,
     throw std::invalid_argument("pool_forward: rank-4 required");
   }
   const std::size_t ih = s.h(), iw = s.w();
-  check_window(pool.window, pool.stride, pool.pad, ih, iw, "pool_forward");
-  const std::size_t oh = (ih + 2 * pool.pad - pool.window) / pool.stride + 1;
-  const std::size_t ow = (iw + 2 * pool.pad - pool.window) / pool.stride + 1;
+  const std::size_t oh =
+      window_extent(ih, pool.window, pool.stride, pool.pad, "pool_forward");
+  const std::size_t ow =
+      window_extent(iw, pool.window, pool.stride, pool.pad, "pool_forward");
 
   out.shape = Shape{s.n(), s.c(), oh, ow};
   out.frac = pool.out_frac;

@@ -24,6 +24,14 @@ struct ConvGeometry {
   std::size_t batch = 0, ih = 0, iw = 0, oh = 0, ow = 0, patch = 0;
 };
 
+/// Output extent (in + 2*pad - window) / stride + 1 of a window sliding
+/// over one padded axis. Throws std::invalid_argument (prefixed with `who`)
+/// on a zero stride or window or a window larger than the padded input —
+/// the geometries that would divide by zero or wrap size_t.
+[[nodiscard]] std::size_t window_extent(std::size_t in, std::size_t window,
+                                        std::size_t stride, std::size_t pad,
+                                        const char* who);
+
 /// Validates `in_shape` against the conv parameters and derives the output
 /// geometry. Throws std::invalid_argument (prefixed with `who`) on a rank or
 /// channel mismatch, a zero stride or kernel, or a kernel larger than the

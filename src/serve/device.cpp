@@ -81,15 +81,11 @@ BatchResult SimulatedAcceleratorBackend::execute(
   if (plans_.size() > 1) {
     result.logits.scale(1.0f / static_cast<float>(plans_.size()));
   }
-  result.sim_accel_us = batch_us(batch_size);
-  result.sim_dma_bytes = batch_dma_bytes(batch_size);
-  return result;
-}
-
-double SimulatedAcceleratorBackend::batch_us(std::size_t batch_size) const {
   // Each processing unit streams its member's samples back to back;
   // sample_us_ already carries the device's speed_factor.
-  return static_cast<double>(batch_size) * sample_us_;
+  result.sim_accel_us = static_cast<double>(batch_size) * sample_us_;
+  result.sim_dma_bytes = batch_dma_bytes(batch_size);
+  return result;
 }
 
 double SimulatedAcceleratorBackend::batch_dma_bytes(

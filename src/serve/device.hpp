@@ -12,12 +12,14 @@
 // keeps the historical homogeneous behaviour.
 //
 // ExecutionBackend is the seam the InferenceEngine submits prepared batches
-// through. The engine owns admission, queueing, batching, pacing, and
-// stats; the backend owns *what executes the batch and what it costs*:
-// execute() returns the logits plus the device-scaled simulated latency and
-// DMA bytes of the batch, and the cost accessors (sample_us / batch_us /
-// batch_dma_bytes) feed admission control, paced execution, and
-// load-normalized routing. SimulatedAcceleratorBackend — the only
+// through. The engine owns admission, queueing, batching, and stats; the
+// backend owns *what executes the batch and what it costs*: execute()
+// returns the logits plus the device-scaled simulated latency and DMA bytes
+// of the batch, and the cost accessors (sample_us / batch_dma_bytes) feed
+// admission control and load-normalized routing. Pacing to the modeled
+// device lives in one place, the SharedDevice dispatcher
+// (serve/shared_device.hpp): a paced dedicated device is a one-tenant
+// SharedDevice placed with DeviceSpec::on(pu). SimulatedAcceleratorBackend — the only
 // production implementation — serves each member's deploy-time CompiledPlan
 // (bit-identical to the reference AcceleratorExecutor::run()) plus the
 // hw::CycleModel / hw::TrafficModel accounting; tests
@@ -32,7 +34,7 @@
 //     compile::run_plan_batch is. execute() may block (a shared
 //     device serializes tenants' passes), but must eventually return for
 //     every call — the engine's drain-on-stop guarantee depends on it.
-//   - The cost accessors (sample_us / batch_us / batch_dma_bytes) and
+//   - The cost accessors (sample_us / batch_dma_bytes) and
 //     cross_tenant_backlog_us() are called concurrently with execute() from
 //     submit paths (admission control) and from the ReplicaSet router; they
 //     must be safe without external locking.
@@ -96,8 +98,7 @@ struct DeviceSpec {
   double speed_factor = 1.0;
 
   /// Per-device overrides of the engine defaults; 0 = inherit the
-  /// DeployConfig value. `workers` is still forced to 1 under
-  /// paced_execution (one pacing thread per modeled accelerator).
+  /// DeployConfig value.
   std::size_t workers = 0;
   std::size_t max_batch = 0;
   std::size_t queue_capacity = 0;
@@ -165,26 +166,15 @@ class ExecutionBackend {
 
   /// Device-scaled modeled latency of one sample, microseconds. This is the
   /// unit of normalized routing and of the engine's admission-control delay
-  /// estimate.
+  /// estimate; a batch of n samples costs n x sample_us() (samples stream
+  /// back to back through one processing unit).
   [[nodiscard]] virtual double sample_us() const noexcept = 0;
-
-  /// Device-scaled modeled latency of a batch of `batch_size` samples.
-  [[nodiscard]] virtual double batch_us(std::size_t batch_size) const = 0;
 
   /// Modeled DMA bytes of a batch (weights once, activations per sample).
   [[nodiscard]] virtual double batch_dma_bytes(std::size_t batch_size) const = 0;
 
   /// Model members executing on this device (>= 1; > 1 = ensemble).
   [[nodiscard]] virtual std::size_t member_count() const noexcept = 0;
-
-  /// True when the backend itself paces execution to the device's modeled
-  /// rate — execute() only returns once the device would have finished the
-  /// batch, as SharedDeviceBackend does. The engine must then not add its
-  /// own paced_execution sleep on top (it would double-pace every batch).
-  /// Dedicated backends return false: the engine worker paces.
-  [[nodiscard]] virtual bool paces_execution() const noexcept {
-    return false;
-  }
 
   /// Modeled microseconds of work *other* engines have committed to this
   /// backend's device but not finished — the cross-tenant backlog of a
@@ -256,7 +246,6 @@ class SimulatedAcceleratorBackend final : public ExecutionBackend {
   [[nodiscard]] double sample_us() const noexcept override {
     return sample_us_;
   }
-  [[nodiscard]] double batch_us(std::size_t batch_size) const override;
   [[nodiscard]] double batch_dma_bytes(std::size_t batch_size) const override;
   [[nodiscard]] std::size_t member_count() const noexcept override {
     return plans_.size();

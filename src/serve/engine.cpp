@@ -1,9 +1,7 @@
 #include "serve/engine.hpp"
 
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -63,11 +61,6 @@ DeployConfig InferenceEngine::resolve_config(DeployConfig config) {
   if (config.queue_capacity == 0) reject("zero-capacity queue");
   if (config.max_wait_us < 0) reject("negative max_wait_us");
   if (config.default_deadline_us < 0) reject("negative default_deadline_us");
-
-  // One pacing thread per modeled accelerator: concurrent pacing workers
-  // would each sleep out the same cycle-model budget and overstate paced
-  // throughput by the worker count (see DeployConfig::paced_execution).
-  if (config.paced_execution) config.workers = 1;
   return config;
 }
 
@@ -285,37 +278,22 @@ void InferenceEngine::execute_batch(std::vector<Request>& batch,
   const Tensor& logits = result.logits;
   const double sim_us = result.sim_accel_us;
   const double sim_dma = result.sim_dma_bytes;
-  const std::int64_t executed_us = util::Stopwatch::now_us();
-  if (config_.paced_execution && !backend_->paces_execution()) {
-    // Hold the batch until this device would have finished it, so
-    // wall-clock behaviour (throughput, tails, replica scaling) tracks the
-    // device-scaled cycle model instead of the host CPU.
-    const std::int64_t target_us =
-        formed_us + static_cast<std::int64_t>(sim_us);
-    const std::int64_t now = util::Stopwatch::now_us();
-    if (target_us > now) {
-      std::this_thread::sleep_for(std::chrono::microseconds(target_us - now));
-    }
-  }
   const std::int64_t done_us = util::Stopwatch::now_us();
 
   obs::TraceRecorder& rec = obs::trace();
   if (rec.enabled()) {
     // Each rider's queue wait as its own span (categorized by lane), then
-    // the batch's device pass and any pacing hold on this worker's track.
+    // the batch's device pass on this worker's track (on a paced shared PU
+    // it includes the dispatcher's pacing hold).
     for (const Request& request : batch) {
       rec.record_span("queue_wait",
                       trace_lane_[static_cast<std::size_t>(request.priority)],
                       request.enqueue_us, formed_us - request.enqueue_us,
                       request.id, nullptr, 0, trace_model_);
     }
-    rec.record_span("device_pass", "serve", formed_us,
-                    executed_us - formed_us, batch.front().id, "samples",
+    rec.record_span("device_pass", "serve", formed_us, done_us - formed_us,
+                    batch.front().id, "samples",
                     static_cast<std::int64_t>(batch_size), trace_model_);
-    if (done_us > executed_us) {
-      rec.record_span("pace", "serve", executed_us, done_us - executed_us, 0,
-                      nullptr, 0, trace_model_);
-    }
   }
   const std::size_t classes = logits.shape().dim(1);
 

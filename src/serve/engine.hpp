@@ -103,22 +103,6 @@ struct DeployConfig {
   /// unlimited. Interactive traffic is never quota-limited.
   std::size_t batch_quota = 0;
 
-  /// When true, a worker holds each executed batch until the simulated
-  /// accelerator would have finished it (batch formation + device-scaled
-  /// cycle-model latency), so wall-clock throughput and tails reproduce the
-  /// modeled hardware's real-time behaviour instead of the host CPU's —
-  /// including provisioning: a speed_factor 2 device paces twice as fast.
-  /// Logits are unaffected. The engine forces `workers` to 1 in this mode —
-  /// the engine models exactly one accelerator, and N pacing threads would
-  /// drain N accelerators' worth of work; scale capacity with `placement` /
-  /// `num_replicas` instead. This is what lets bench/ablation_replicas and
-  /// bench/ablation_hetero measure scaling on any host core count.
-  /// Backends that pace centrally (a SharedDevice holds each pass until
-  /// its modeled completion; backend->paces_execution() is true) make the
-  /// engine skip its own sleep either way — leave this off for shared
-  /// placements and configure SharedDeviceConfig.paced instead.
-  bool paced_execution = false;
-
   /// Identity stamped into responses; the registry fills these on deploy
   /// and the ReplicaSet fills replica_index and device.
   std::string model_name;
@@ -254,12 +238,6 @@ class InferenceEngine {
     return backend_->sample_us();
   }
 
-  /// Modeled latency of one batch of `batch_size` samples on this engine's
-  /// device, microseconds (exposed for tests/benches).
-  [[nodiscard]] double simulated_batch_us(std::size_t batch_size) const {
-    return backend_->batch_us(batch_size);
-  }
-
   /// Modeled DMA bytes of one batch (weights once, activations per sample).
   [[nodiscard]] double simulated_batch_dma_bytes(
       std::size_t batch_size) const {
@@ -282,9 +260,9 @@ class InferenceEngine {
   }
 
  private:
-  /// Applies device overrides (workers/max_batch/queue_capacity, auto-name,
-  /// paced single-worker rule) onto the raw config. Shared by both ctors so
-  /// queue_/batcher_ see the resolved values.
+  /// Applies device overrides (workers/max_batch/queue_capacity, auto-name)
+  /// onto the raw config. Shared by both ctors so queue_/batcher_ see the
+  /// resolved values.
   [[nodiscard]] static DeployConfig resolve_config(DeployConfig config);
 
   /// Interns this deployment's trace names (model tag, per-lane categories,
@@ -295,8 +273,7 @@ class InferenceEngine {
   void worker_main(std::size_t worker_index);
   /// Stacks the batch, executes it through the backend (passing ExecHints —
   /// interactive when any rider is kInteractive, so preemptible shared PUs
-  /// can prioritize probe sub-batches), paces if the backend doesn't, and
-  /// completes every rider.
+  /// can prioritize probe sub-batches), and completes every rider.
   void execute_batch(std::vector<Request>& batch, hw::ExecScratch& scratch);
 
   DeployConfig config_;

@@ -2,12 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
+
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 #include "obs/trace.hpp"
 #include "serve/engine.hpp"
@@ -23,12 +28,15 @@ constexpr double kMinWindowSeconds = 1e-6;
 constexpr std::size_t kInteractiveLane =
     static_cast<std::size_t>(Priority::kInteractive);
 constexpr std::size_t kBatchLane = static_cast<std::size_t>(Priority::kBatch);
+
+/// Modeled DMA bandwidth for weight reloads when the PU switches models,
+/// GB/s: a model's switch penalty is its weight working set over it.
+constexpr double kReloadDmaGbps = 8.0;
 }  // namespace
 
 SharedDevice::SharedDevice(DeviceSpec spec, SharedDeviceConfig config)
     : spec_(std::move(spec)), config_(std::move(config)) {
   if (config_.max_pass_samples == 0) config_.max_pass_samples = 1;
-  if (config_.preempt_granularity_us < 0.0) config_.preempt_granularity_us = 0;
   dispatcher_ = std::thread([this] { dispatch_main(); });
 }
 
@@ -39,8 +47,18 @@ std::shared_ptr<SharedDevice> SharedDevice::create(DeviceSpec spec,
         "SharedDevice: spec.shared must be empty (a shared device cannot "
         "itself be placed on another shared device)");
   }
-  if (spec.speed_factor <= 0.0) {
-    throw std::invalid_argument("SharedDevice: speed_factor <= 0");
+  // Negated comparisons so NaN fails them too: a NaN speed or modeled
+  // time would poison every cost and the pacing cast to whole microseconds.
+  if (!(spec.speed_factor > 0.0)) {
+    throw std::invalid_argument("SharedDevice: speed_factor must be > 0");
+  }
+  for (const double us : {config.pass_overhead_us, config.model_switch_us,
+                          config.preempt_granularity_us,
+                          static_cast<double>(config.coalesce_window_us)}) {
+    if (!(std::isfinite(us) && us >= 0.0)) {
+      throw std::invalid_argument(
+          "SharedDevice: modeled times must be finite and >= 0");
+    }
   }
   if (spec.name.empty()) spec.name = "shared-pu";
   // No make_shared: the constructor is private, and only attach() needs
@@ -97,7 +115,7 @@ std::shared_ptr<const SharedDeviceBackend> SharedDevice::attach(
   } else {
     // Weight working set over the modeled DMA bandwidth. batch_dma_bytes(0)
     // is the weights-only term (activations scale with the sample count).
-    const double bytes_per_us = std::max(config_.dma_gbps, 1e-9) * 1e3;
+    const double bytes_per_us = kReloadDmaGbps * 1e3;
     tenant->switch_us = tenant->sim->batch_dma_bytes(0) / bytes_per_us;
   }
 
@@ -106,6 +124,7 @@ std::shared_ptr<const SharedDeviceBackend> SharedDevice::attach(
     util::MutexLock lock(mutex_);
     tenants_.push_back(std::move(tenant));
     active_.push_back(raw);
+    active_count_.store(active_.size(), std::memory_order_relaxed);
   }
   return std::make_shared<SharedDeviceBackend>(shared_from_this(), raw,
                                                std::move(resolved));
@@ -121,6 +140,13 @@ double SharedDevice::backlog_us() const {
 }
 
 double SharedDevice::backlog_excluding_us(const Tenant* excluded) const {
+  // Callers exclude their own active tenant, so one active tenant means no
+  // other backlog. Skipping the mutex keeps per-submit routing/admission
+  // checks from starving a one-tenant PU's dispatcher in a submit burst.
+  if (excluded != nullptr &&
+      active_count_.load(std::memory_order_relaxed) <= 1) {
+    return 0.0;
+  }
   util::MutexLock lock(mutex_);
   double total = 0.0;
   for (const Tenant* tenant : active_) {
@@ -151,6 +177,7 @@ void SharedDevice::release_tenant(Tenant* tenant) {
   tenant->sim.reset();
   active_.erase(std::remove(active_.begin(), active_.end(), tenant),
                 active_.end());
+  active_count_.store(active_.size(), std::memory_order_relaxed);
 }
 
 void SharedDevice::submit_and_wait(Job& job) {
@@ -162,8 +189,9 @@ void SharedDevice::submit_and_wait(Job& job) {
     throw std::logic_error("SharedDevice: submit after destruction began");
   }
   // Conservative backlog estimate: compute plus a potential weight reload.
-  job.est_cost_us = job.owner->sim->batch_us(job.samples) +
-                    job.owner->switch_us;
+  job.est_cost_us =
+      static_cast<double>(job.samples) * job.owner->sim->sample_us() +
+      job.owner->switch_us;
   job.owner->pending_us += job.est_cost_us;
   job.owner->lanes[job.interactive ? kInteractiveLane : kBatchLane]
       .push_back(&job);
@@ -432,12 +460,13 @@ void SharedDevice::execute_chunk(ActivePass& pass, Chunk& chunk,
                                  bool& thread_labeled) {
   obs::TraceRecorder& rec = obs::trace();
   const bool tracing = rec.enabled();
+  chunk.start_us = now_device_us();
+  // Label after the chunk's clock started: the track's first-use setup
+  // then overlaps the paced hold instead of delaying the chunk.
   if (tracing && !thread_labeled) {
     rec.set_thread_label(rec.intern("pu/" + spec_.name));
     thread_labeled = true;
   }
-
-  chunk.start_us = now_device_us();
   if (pass.chunks == 0) pass.start_us = chunk.start_us;
   if (tracing && chunk.switch_us > 0.0) {
     rec.record_instant("weight_reload", "pu", chunk.start_us, 0, "switch_us",
@@ -650,6 +679,11 @@ void SharedDevice::run_pass_chunked(ActivePass pass, hw::ExecScratch& scratch,
 }
 
 void SharedDevice::dispatch_main() {
+#ifdef __linux__
+  // Pacing holds are sleeps, and the default 50 us timer slack would let
+  // each one overshoot its chunk's modeled completion by that much.
+  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
   hw::ExecScratch scratch;
   bool thread_labeled = false;
   for (;;) {
@@ -763,10 +797,6 @@ BatchResult SharedDeviceBackend::execute(const tensor::Tensor& stacked,
 
 double SharedDeviceBackend::sample_us() const noexcept {
   return tenant_->sim->sample_us();
-}
-
-double SharedDeviceBackend::batch_us(std::size_t batch_size) const {
-  return tenant_->sim->batch_us(batch_size);
 }
 
 double SharedDeviceBackend::batch_dma_bytes(std::size_t batch_size) const {

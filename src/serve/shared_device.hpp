@@ -49,7 +49,8 @@
 //   - `pass_overhead_us` once (pipeline fill/drain + dispatch), plus
 //   - a weight-reload penalty each time the pass switches the PU to a model
 //     whose weights are not resident (the incoming model's weight working
-//     set over `dma_gbps`, or the fixed `model_switch_us` override), plus
+//     set over the modeled 8 GB/s reload DMA, or the fixed
+//     `model_switch_us` override), plus
 //   - each sub-batch's compute (its tenant's cycle-model latency on this
 //     device, exactly as a dedicated SimulatedAcceleratorBackend prices it).
 // A chunk's reload, and on the first chunk the pass overhead, are
@@ -67,10 +68,10 @@
 //
 // Pacing: with `paced = true` (default) the dispatch thread itself holds
 // each chunk until its modeled completion time before resolving the
-// tenants' execute() calls — the device is the single pacing authority,
-// so N tenant engines can never pace N devices' worth of work out of one
-// PU. Tenant engines must leave DeployConfig.paced_execution off; their
-// backend->paces_execution() tells them so.
+// tenants' execute() calls. This is the serving stack's only pacing
+// authority, so N tenant engines — or N workers of one engine — can never
+// pace N devices' worth of work out of one PU. A paced *dedicated* device
+// is a one-tenant SharedDevice with coalesce_window_us = 0.
 //
 // Thread-safety: attach() and every accessor may be called from any thread;
 // execute() blocks the calling engine worker until its sub-batch retires.
@@ -89,6 +90,7 @@
 // accounting rows stay readable in the device snapshot.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -153,19 +155,14 @@ struct SharedDeviceConfig {
 
   /// Hold each chunk until its modeled completion time before resolving
   /// the tenants' execute() calls, so wall-clock behaviour tracks the
-  /// device's cycle model (the shared-device analogue of
-  /// DeployConfig.paced_execution — central, one pacing thread per PU).
-  /// Pacing per chunk makes a suspension take effect at the modeled chunk
-  /// boundary, not after a whole modeled pass.
+  /// device's cycle model — one pacing thread per PU, whatever the number
+  /// of tenants or engine workers. Pacing per chunk makes a suspension take
+  /// effect at the modeled chunk boundary, not after a whole modeled pass.
   bool paced = true;
 
-  /// Modeled DMA bandwidth for weight reloads when the PU switches models,
-  /// GB/s. A model's switch penalty is its weight working set over this
-  /// bandwidth.
-  double dma_gbps = 8.0;
-
   /// Fixed per-model switch penalty override, microseconds; > 0 replaces
-  /// the dma_gbps-derived reload time (benches pin it for determinism).
+  /// the reload time derived from the weight working set over the modeled
+  /// 8 GB/s reload DMA (benches pin it for determinism).
   double model_switch_us = 0.0;
 
   /// Fixed per-pass overhead (pipeline fill/drain + dispatch), us.
@@ -237,9 +234,12 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
  public:
   /// Creates one physical PU with the given identity/provisioning and
   /// starts its dispatch thread. `spec.shared` must be empty (a shared
-  /// device cannot itself be placed on another shared device) and
-  /// `spec.speed_factor` must be > 0; throws std::invalid_argument
-  /// otherwise. An empty name becomes "shared-pu".
+  /// device cannot itself be placed on another shared device),
+  /// `spec.speed_factor` must be > 0, and every modeled time in `config`
+  /// (pass_overhead_us, model_switch_us, preempt_granularity_us,
+  /// coalesce_window_us) must be finite and >= 0; throws
+  /// std::invalid_argument otherwise (NaN included). An empty name becomes
+  /// "shared-pu".
   [[nodiscard]] static std::shared_ptr<SharedDevice> create(
       DeviceSpec spec = {}, SharedDeviceConfig config = {});
 
@@ -517,6 +517,9 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   /// (their rows and Tenant* stability outlive them) but leave this list,
   /// so redeploy churn cannot grow the per-submit scan without bound.
   std::vector<Tenant*> active_ GUARDED_BY(mutex_);
+  /// active_.size(), written under mutex_, read without it by the
+  /// one-tenant shortcut of backlog_excluding_us.
+  std::atomic<std::size_t> active_count_{0};
   /// Round-robin cursor over active_.
   std::size_t next_tenant_ GUARDED_BY(mutex_) = 0;
   /// Tenant whose weights are resident in the PU's weight buffer; null
@@ -577,12 +580,8 @@ class SharedDeviceBackend final : public ExecutionBackend {
     return resolved_;
   }
   [[nodiscard]] double sample_us() const noexcept override;
-  [[nodiscard]] double batch_us(std::size_t batch_size) const override;
   [[nodiscard]] double batch_dma_bytes(std::size_t batch_size) const override;
   [[nodiscard]] std::size_t member_count() const noexcept override;
-  [[nodiscard]] bool paces_execution() const noexcept override {
-    return device_->config().paced;
-  }
   [[nodiscard]] double cross_tenant_backlog_us() const noexcept override;
   /// This tenant's weight-reload penalty on the shared PU, microseconds
   /// (priced once at attach; the blocking term the deploy-time capacity
@@ -597,11 +596,6 @@ class SharedDeviceBackend final : public ExecutionBackend {
   /// tenant's plans were released — i.e. never while the owning engine
   /// is alive).
   [[nodiscard]] std::vector<hw::LayerProfile> layer_profiles() const override;
-
-  [[nodiscard]] const std::shared_ptr<SharedDevice>& shared_device()
-      const noexcept {
-    return device_;
-  }
 
  private:
   friend class SharedDevice;  // bind_tenant_load resolves tenant_

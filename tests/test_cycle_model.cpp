@@ -107,6 +107,29 @@ TEST(CycleModel, WorkloadFromQnetMatchesManualCount) {
   EXPECT_EQ(work.back().kind, LayerWork::Kind::kFullyConnected);
 }
 
+TEST(CycleModel, WorkloadFromQnetRejectsWindowsWithNoOutputExtent) {
+  // A 5x5 conv on a 2x2 input used to wrap size_t into a bogus
+  // output_pixels instead of rejecting the layer; a zero stride divided by
+  // zero.
+  QNetDesc desc;
+  QConv conv;
+  conv.in_c = 1;
+  conv.out_c = 1;
+  conv.kernel = 5;
+  desc.layers.emplace_back(conv);
+  EXPECT_THROW((void)workload_from_qnet(desc, 1, 2, 2), std::invalid_argument);
+
+  conv.kernel = 1;
+  conv.stride = 0;
+  desc.layers = {conv};
+  EXPECT_THROW((void)workload_from_qnet(desc, 1, 2, 2), std::invalid_argument);
+
+  QPool pool;
+  pool.window = 3;
+  desc.layers = {pool};
+  EXPECT_THROW((void)workload_from_qnet(desc, 1, 2, 2), std::invalid_argument);
+}
+
 TEST(CycleModel, MoreSynapsesFewerCycles) {
   const std::vector<LayerWork> work{
       {"conv", LayerWork::Kind::kConv, 100, 32, 160}};

@@ -83,12 +83,9 @@ TEST(SimulatedBackend, SpeedFactorScalesLatencyNotDma) {
   ASSERT_GT(base.sample_us(), 0.0);
   // A 2x device finishes the same cycle count in half the modeled time.
   EXPECT_DOUBLE_EQ(fast.sample_us(), base.sample_us() / 2.0);
-  EXPECT_DOUBLE_EQ(fast.batch_us(8), base.batch_us(8) / 2.0);
   // DMA is not speed-scaled: provisioning buys compute, and the modeled
   // transfers are double-buffered behind it.
   EXPECT_DOUBLE_EQ(fast.batch_dma_bytes(8), base.batch_dma_bytes(8));
-  // Batch latency is sequential samples on one processing unit.
-  EXPECT_DOUBLE_EQ(base.batch_us(8), 8.0 * base.sample_us());
 }
 
 TEST(SimulatedBackend, ExecuteIsBitIdenticalAndPricesTheBatch) {
@@ -109,7 +106,8 @@ TEST(SimulatedBackend, ExecuteIsBitIdenticalAndPricesTheBatch) {
                                    reference.run(sample)),
               0.0f);
   }
-  EXPECT_DOUBLE_EQ(result.sim_accel_us, backend.batch_us(5));
+  // Batch latency is sequential samples on one processing unit.
+  EXPECT_DOUBLE_EQ(result.sim_accel_us, 5.0 * backend.sample_us());
   EXPECT_DOUBLE_EQ(result.sim_dma_bytes, backend.batch_dma_bytes(5));
 }
 
@@ -157,8 +155,6 @@ TEST(InferenceEngine, SpeedFactorScalesEveryCostAccessor) {
   InferenceEngine fast_engine({qnet}, fast);
   EXPECT_DOUBLE_EQ(fast_engine.simulated_sample_us(),
                    slow_engine.simulated_sample_us() / 4.0);
-  EXPECT_DOUBLE_EQ(fast_engine.simulated_batch_us(6),
-                   slow_engine.simulated_batch_us(6) / 4.0);
   EXPECT_DOUBLE_EQ(fast_engine.simulated_batch_dma_bytes(6),
                    slow_engine.simulated_batch_dma_bytes(6));
   slow_engine.stop();
@@ -194,7 +190,7 @@ class StubBackend final : public ExecutionBackend {
         result.logits.data()[i * classes_ + c] = static_cast<float>(c);
       }
     }
-    result.sim_accel_us = batch_us(batch_size);
+    result.sim_accel_us = static_cast<double>(batch_size) * sample_us_;
     result.sim_dma_bytes = batch_dma_bytes(batch_size);
     executions_.fetch_add(1, std::memory_order_relaxed);
     return result;
@@ -204,9 +200,6 @@ class StubBackend final : public ExecutionBackend {
   }
   [[nodiscard]] double sample_us() const noexcept override {
     return sample_us_;
-  }
-  [[nodiscard]] double batch_us(std::size_t batch_size) const override {
-    return static_cast<double>(batch_size) * sample_us_;
   }
   [[nodiscard]] double batch_dma_bytes(std::size_t batch_size) const override {
     return 100.0 * static_cast<double>(batch_size);

@@ -280,6 +280,43 @@ TEST(Preemption, PacedScheduleReplaysOnVirtualClock) {
   EXPECT_EQ(first.second, second.second);
 }
 
+TEST(Preemption, PacedPuKeepsOneTimelineAtAnyWorkerCount) {
+  // A paced PU is the only pacing authority: four engine workers feeding
+  // one paced one-tenant PU still drain exactly one device's worth of
+  // modeled time — every sample's compute plus a single reload — and the
+  // dispatcher sleeps it out on one clock instead of four.
+  const hw::QNetDesc qnet = make_preempt_qnet(935);
+  VirtualClock clock;
+  SharedDeviceConfig pu_config;
+  pu_config.paced = true;
+  pu_config.preempt_granularity_us = 1.0;
+  pu_config.model_switch_us = 25.0;
+  clock.bind(pu_config);
+  auto pu = SharedDevice::create({}, pu_config);
+
+  ModelServer server;
+  DeployConfig config = tenant_config(pu);
+  config.workers = 4;
+  server.deploy("a", {qnet}, config);
+  const double sample_us = server.engine("a")->simulated_sample_us();
+  util::Rng rng{936};
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 32; ++i) {
+    futures.push_back(server.submit("a", preempt_image(rng), batch_options()));
+  }
+  for (auto& future : futures) ASSERT_TRUE(ok(future.get().status));
+  server.shutdown();
+
+  const SharedDeviceSnapshot snapshot = pu->snapshot();
+  EXPECT_EQ(snapshot.model_switches, 1u) << "one tenant reloads once";
+  EXPECT_NEAR(snapshot.busy_us, 32.0 * sample_us + 25.0, 1e-6);
+  // Pacing sleeps truncate each chunk's cost to whole microseconds, so the
+  // clock may trail busy time by under 1 us per chunk — never by a
+  // worker-count multiple.
+  EXPECT_GE(static_cast<double>(clock.now()),
+            snapshot.busy_us - static_cast<double>(snapshot.chunks));
+}
+
 // ---- continuous batching: a probe joins the in-flight pass ------------------
 
 TEST(Preemption, ProbeJoinsInFlightPass) {

@@ -17,6 +17,7 @@
 
 #include "nn/zoo.hpp"
 #include "serve/server.hpp"
+#include "serve/shared_device.hpp"
 #include "util/stopwatch.hpp"
 
 namespace mfdfp::serve {
@@ -385,14 +386,16 @@ TEST(ModelServerRace, UndeployWaitsForConcurrentRedeployDrain) {
   const hw::QNetDesc qnet = make_test_qnet(377);
   ModelServer server;
 
-  // v1 paces execution at ~5 ms/sample, so draining its backlog inside the
-  // redeploy takes a wall-clock-observable ~150 ms.
+  // v1 runs on its own paced one-tenant PU at ~5 ms/sample, so draining
+  // its backlog inside the redeploy takes a wall-clock-observable ~150 ms
+  // (one device timeline, whatever the engine's worker count).
   DeployConfig v1 = replica_config(1);
-  v1.paced_execution = true;
   server.deploy("m", {qnet}, v1);
   const double native_us = server.engine("m")->simulated_sample_us();
   v1.accel.clock_hz *= native_us / 5000.0;
-  server.deploy("m", {qnet}, v1);  // redeploy with the slowed clock
+  v1.placement = {DeviceSpec::on(SharedDevice::create(
+      {.name = "npu-v1"}, {.coalesce_window_us = 0, .paced = true}))};
+  server.deploy("m", {qnet}, v1);  // redeploy, paced with the slowed clock
 
   util::Rng rng{378};
   std::vector<std::future<Response>> v1_futures;

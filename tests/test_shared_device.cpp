@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -58,9 +59,29 @@ Tensor random_image(util::Rng& rng, std::size_t hw_dim = 16) {
 // ---- creation / validation --------------------------------------------------
 
 TEST(SharedDevice, CreateValidatesAndAutoNames) {
-  DeviceSpec bad;
-  bad.speed_factor = 0.0;
-  EXPECT_THROW(SharedDevice::create(bad), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double speed : {0.0, -1.0, nan}) {
+    DeviceSpec bad;
+    bad.speed_factor = speed;
+    EXPECT_THROW(SharedDevice::create(bad), std::invalid_argument) << speed;
+  }
+  // Every modeled time must be finite and non-negative: a NaN pass
+  // overhead used to reach the pacing cast to whole microseconds (UB), and
+  // a negative granularity used to be clamped silently.
+  for (const double bad_us : {-1.0, nan, inf}) {
+    EXPECT_THROW(SharedDevice::create({}, {.pass_overhead_us = bad_us}),
+                 std::invalid_argument)
+        << "pass_overhead_us " << bad_us;
+    EXPECT_THROW(SharedDevice::create({}, {.model_switch_us = bad_us}),
+                 std::invalid_argument)
+        << "model_switch_us " << bad_us;
+    EXPECT_THROW(SharedDevice::create({}, {.preempt_granularity_us = bad_us}),
+                 std::invalid_argument)
+        << "preempt_granularity_us " << bad_us;
+  }
+  EXPECT_THROW(SharedDevice::create({}, {.coalesce_window_us = -1}),
+               std::invalid_argument);
 
   auto pu = SharedDevice::create();
   EXPECT_EQ(pu->spec().name, "shared-pu");
@@ -370,23 +391,6 @@ TEST(SharedDevice, MixedPlacementKeepsDedicatedRowsSeparate) {
   EXPECT_EQ(snapshot.devices[1].device, "npu-private");
   // {shared 1x, dedicated 2x} provisions 3 baseline devices' worth.
   EXPECT_DOUBLE_EQ(server.replica_set("m")->total_speed(), 3.0);
-  server.shutdown();
-}
-
-TEST(SharedDevice, BackendReportsCentralPacing) {
-  const hw::QNetDesc qnet = make_test_qnet(571);
-  auto paced_pu = SharedDevice::create({}, {.paced = true});
-  auto free_pu = SharedDevice::create({}, {.paced = false});
-
-  ModelServer server;
-  DeployConfig config = small_config();
-  config.placement = {DeviceSpec::on(paced_pu)};
-  server.deploy("paced", {qnet}, config);
-  config.placement = {DeviceSpec::on(free_pu)};
-  server.deploy("free", {qnet}, config);
-
-  EXPECT_TRUE(server.engine("paced")->backend().paces_execution());
-  EXPECT_FALSE(server.engine("free")->backend().paces_execution());
   server.shutdown();
 }
 
