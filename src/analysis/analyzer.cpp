@@ -305,7 +305,7 @@ AnalysisReport analyze_plan(const CompiledPlan& plan,
         std::vector<Interval> next(outputs);
         bool first = true;
         for (std::size_t oc = 0; oc < outputs; ++oc) {
-          const std::int32_t* wrow = s.weights.data() + oc * patch;
+          const std::int16_t* wrow = s.weights.data() + oc * patch;
           Interval dot{0, 0};
           for (std::size_t k = 0; k < patch; ++k) {
             const Interval& in = conv ? state[k / kk] : state[k];

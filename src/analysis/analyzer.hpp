@@ -3,7 +3,7 @@
 // An interval-domain abstract interpreter over the plan's steps: starting
 // from the 8-bit input code range, it propagates a per-channel (spatial) /
 // per-feature (flattened) [min, max] code interval through every pow2
-// weight dot, bias add, route_sum rescaling, ReLU, pool, and flatten —
+// weight dot, bias add, hw::SumRouter rescaling, ReLU, pool, and flatten —
 // mirroring the exact integer arithmetic of hw/kernels + hw/datapath, so
 // the derived bounds are sound for *every* possible input image:
 //
@@ -12,7 +12,7 @@
 //     bound and min(w·lo, w·hi) to the lower (taps that read the zero
 //     border for some output pixel — derived from the conv geometry —
 //     widen their contribution with 0);
-//   * route_sum is modeled shift-for-shift: radix alignment onto the
+//   * the routing is modeled shift-for-shift: radix alignment onto the
 //     common grid, bias add, round-half-away, 8-bit saturation — the
 //     interval before saturation yields the worst-case clip mass;
 //   * max pool is monotone (interval-preserving + convert_code); avg pool

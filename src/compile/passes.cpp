@@ -38,9 +38,10 @@ std::size_t out_extent(std::size_t in, std::size_t window, std::size_t stride,
 /// Decodes a nibble-packed pow2 weight stream into the plain +/-2^(7+e)
 /// integer multipliers the plan kernels use: synapse_product as a plain
 /// multiplier, x * (+/-2^(7+e)) in the same 2^-(m+7) units, so plan
-/// execution is bit-identical to the reference datapath.
+/// execution is bit-identical to the reference datapath. Every multiplier
+/// has |w| <= 2^7, so int16 holds it exactly.
 void decode_fast_weights(const std::vector<std::uint8_t>& packed,
-                         std::size_t count, std::vector<std::int32_t>& out) {
+                         std::size_t count, std::vector<std::int16_t>& out) {
   if (packed.size() < (count + 1) / 2) {
     throw std::invalid_argument("pass_build_tables: short weight stream");
   }
@@ -50,9 +51,8 @@ void decode_fast_weights(const std::vector<std::uint8_t>& packed,
     const std::uint8_t nibble =
         (k % 2 == 0) ? (byte & 0xF) : static_cast<std::uint8_t>(byte >> 4);
     const quant::Pow2Weight w = quant::decode_nibble(nibble);
-    const std::int32_t magnitude = std::int32_t{1}
-                                   << (hw::kProductFracBits + w.exponent);
-    out[k] = w.negative ? -magnitude : magnitude;
+    const int magnitude = 1 << (hw::kProductFracBits + w.exponent);
+    out[k] = static_cast<std::int16_t>(w.negative ? -magnitude : magnitude);
   }
 }
 
@@ -60,7 +60,7 @@ void refresh_stats(CompiledPlan& plan) {
   PlanStats st;
   st.steps = plan.steps.size();
   for (const PlanStep& s : plan.steps) {
-    st.payload_bytes += s.weights.size() * sizeof(std::int32_t) +
+    st.payload_bytes += s.weights.size() * sizeof(std::int16_t) +
                         s.bias.size() * sizeof(std::int8_t) +
                         s.taps.size() * sizeof(std::uint32_t);
   }

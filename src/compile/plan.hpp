@@ -4,7 +4,7 @@
 // decode, window layout, kernel shape — is fixed in silicon before the first
 // sample arrives. The serving stack mirrors that: at deploy() time a
 // PassPipeline (compile/passes.hpp) lowers the QNetDesc into an ordered list
-// of PlanSteps, one per desc layer, with predecoded +/-2^(7+e) integer
+// of PlanSteps, one per desc layer, with predecoded +/-2^(7+e) int16
 // weights and one patch-length tap-offset row per conv — so the per-batch
 // layer loop re-makes none of those decisions. Like the accelerator's input
 // buffers, a conv reads each sample through a zero-padded copy, so every
@@ -72,8 +72,10 @@ struct PlanStep {
 
   // --- Lowered payload (built by the table pass) ---
   /// Weights predecoded to plain +/-2^(7+e) integer multipliers, row-major
-  /// [out_c or out_features][patch or in_features].
-  std::vector<std::int32_t> weights;
+  /// [out_c or out_features][patch or in_features]. |w| <= 2^7, so int16
+  /// holds every one exactly and each code x weight product fits 2^14 —
+  /// the operand width of the executor's int16 multiply-add tile.
+  std::vector<std::int16_t> weights;
   std::vector<std::int8_t> bias;  ///< bias codes, format <8, out_frac>
   /// Conv patch layout (conv steps): in_c*k*k offsets
   /// (c*(in_h+2p) + ky)*(in_w+2p) + kx into one zero-padded sample. Output

@@ -15,6 +15,90 @@ namespace {
 using hw::CodeTensor;
 using tensor::Shape;
 
+/// Tile shape of the MAC kernel: kTileRows output pixels (conv) or batch
+/// rows (FC) by kTileCols output channels or features. 4x2 keeps the eight
+/// int32 accumulator vectors and the six operand vectors of one k step in
+/// the sixteen x86-64 vector registers.
+constexpr std::size_t kTileRows = 4;
+constexpr std::size_t kTileCols = 2;
+
+/// Exact dots of P rows of x against C weight rows, every row `len` int16
+/// long and contiguous, into acc[p * C + c]. Each weight load serves P
+/// rows and each accumulator is reduced once per tile. The k loop is a
+/// plain widening int16 multiply-add, which GCC's vectorizer turns into
+/// pmaddwd (baseline x86-64) at default Release flags; exact because
+/// |code * weight| <= 2^14 and len <= kI32SafePatch.
+template <std::size_t P, std::size_t C>
+void mac_tile(const std::int16_t* x, const std::int16_t* w, std::size_t len,
+              std::int32_t* acc) {
+  std::int32_t sums[P][C] = {};
+  for (std::size_t k = 0; k < len; ++k) {
+    for (std::size_t p = 0; p < P; ++p) {
+      for (std::size_t c = 0; c < C; ++c) {
+        sums[p][c] += std::int32_t{x[p * len + k]} * w[c * len + k];
+      }
+    }
+  }
+  for (std::size_t p = 0; p < P; ++p) {
+    for (std::size_t c = 0; c < C; ++c) acc[p * C + c] = sums[p][c];
+  }
+}
+
+using TileFn = void (*)(const std::int16_t*, const std::int16_t*,
+                        std::size_t, std::int32_t*);
+
+/// [rows - 1][cols - 1]: edge tiles run the same template, smaller.
+constexpr TileFn kTiles[kTileRows][kTileCols] = {
+    {mac_tile<1, 1>, mac_tile<1, 2>},
+    {mac_tile<2, 1>, mac_tile<2, 2>},
+    {mac_tile<3, 1>, mac_tile<3, 2>},
+    {mac_tile<4, 1>, mac_tile<4, 2>},
+};
+
+/// Dots `rows` input rows against the step's `cols` weight rows (each `len`
+/// long) and routes every sum with its column's bias. load(r0, n, dst)
+/// writes input rows r0..r0+n-1 as int16 into dst, one kTileRows block at
+/// a time; store(row, col, code) writes one routed output code. Rows
+/// longer than kI32SafePatch take a scalar int64 dot and the checked
+/// routing.
+template <typename Load, typename Store>
+void dot_and_route(const PlanStep& s, std::size_t rows, std::size_t cols,
+                   std::size_t len, std::vector<std::int16_t>& block,
+                   Load load, Store store) {
+  const hw::SumRouter route(s.in_frac, s.out_frac);
+  const std::int16_t* weights = s.weights.data();
+  const bool i32 = len <= kI32SafePatch;
+  block.resize(kTileRows * len);
+  std::int32_t acc[kTileRows * kTileCols];
+  for (std::size_t r0 = 0; r0 < rows; r0 += kTileRows) {
+    const std::size_t nr = std::min(kTileRows, rows - r0);
+    load(r0, nr, block.data());
+    if (!i32) {
+      for (std::size_t r = 0; r < nr; ++r) {
+        const std::int16_t* x = block.data() + r * len;
+        for (std::size_t c = 0; c < cols; ++c) {
+          const std::int16_t* w = weights + c * len;
+          std::int64_t sum = 0;
+          for (std::size_t k = 0; k < len; ++k) {
+            sum += static_cast<std::int64_t>(x[k]) * w[k];
+          }
+          store(r0 + r, c, route(sum, s.bias[c]));
+        }
+      }
+      continue;
+    }
+    for (std::size_t c0 = 0; c0 < cols; c0 += kTileCols) {
+      const std::size_t nc = std::min(kTileCols, cols - c0);
+      kTiles[nr - 1][nc - 1](block.data(), weights + c0 * len, len, acc);
+      for (std::size_t r = 0; r < nr; ++r) {
+        for (std::size_t c = 0; c < nc; ++c) {
+          store(r0 + r, c0 + c, route(acc[r * nc + c], s.bias[c0 + c]));
+        }
+      }
+    }
+  }
+}
+
 void run_conv_step(const PlanStep& s, const CodeTensor& input, CodeTensor& out,
                    hw::ExecScratch& scratch) {
   if (input.shape.rank() != 4 || input.shape.c() != s.in_c ||
@@ -33,15 +117,12 @@ void run_conv_step(const PlanStep& s, const CodeTensor& input, CodeTensor& out,
   out.codes.resize(out.shape.size());
 
   // A "valid" conv on a zero-bordered copy of each sample (code 0 is 0 at
-  // every radix, so the padding is exact): every window is read through the
-  // one tap-offset row into a contiguous im2col patch, so the gather cost is
-  // amortized over out_c dense branch-free dots instead of paid per channel.
+  // every radix, so the padding is exact): each block of output pixels
+  // reads its windows through the one tap-offset row into contiguous int16
+  // im2col patches, so the gather cost is amortized over out_c dense dots.
   std::vector<std::int8_t>& padded = scratch.padded;
-  std::vector<std::int8_t>& patchbuf = scratch.patch;
   padded.assign(s.in_c * ph * pw, 0);
-  patchbuf.resize(patch);
   const std::uint32_t* taps = s.taps.data();
-  const bool i32 = patch <= kI32SafePatch;
   for (std::size_t n = 0; n < batch; ++n) {
     const std::int8_t* codes = input.codes.data() + n * image;
     for (std::size_t c = 0; c < s.in_c; ++c) {
@@ -50,36 +131,26 @@ void run_conv_step(const PlanStep& s, const CodeTensor& input, CodeTensor& out,
                     padded.data() + (c * ph + y + s.pad) * pw + s.pad);
       }
     }
-    for (std::size_t pixel = 0; pixel < pixels; ++pixel) {
-      const std::size_t oy = pixel / s.out_w, ox = pixel % s.out_w;
-      const std::int8_t* window =
-          padded.data() + oy * s.stride * pw + ox * s.stride;
-      for (std::size_t k = 0; k < patch; ++k) patchbuf[k] = window[taps[k]];
-      std::int8_t* dst = out.codes.data() + n * s.out_c * pixels + pixel;
-      for (std::size_t oc = 0; oc < s.out_c; ++oc) {
-        const std::int32_t* wrow = s.weights.data() + oc * patch;
-        std::int64_t sum;
-        if (i32) {
-          std::int32_t acc = 0;
-          for (std::size_t k = 0; k < patch; ++k) {
-            acc += static_cast<std::int32_t>(patchbuf[k]) * wrow[k];
+    std::int8_t* dst = out.codes.data() + n * s.out_c * pixels;
+    dot_and_route(
+        s, pixels, s.out_c, patch, scratch.patch,
+        [&](std::size_t p0, std::size_t count, std::int16_t* rows) {
+          for (std::size_t i = 0; i < count; ++i) {
+            const std::size_t oy = (p0 + i) / s.out_w, ox = (p0 + i) % s.out_w;
+            const std::int8_t* window =
+                padded.data() + oy * s.stride * pw + ox * s.stride;
+            std::int16_t* row = rows + i * patch;
+            for (std::size_t k = 0; k < patch; ++k) row[k] = window[taps[k]];
           }
-          sum = acc;
-        } else {
-          std::int64_t acc = 0;
-          for (std::size_t k = 0; k < patch; ++k) {
-            acc += static_cast<std::int64_t>(patchbuf[k]) * wrow[k];
-          }
-          sum = acc;
-        }
-        dst[oc * pixels] = static_cast<std::int8_t>(
-            hw::route_sum(sum, s.in_frac, s.out_frac, s.bias[oc]));
-      }
-    }
+        },
+        [&](std::size_t pixel, std::size_t oc, std::int8_t code) {
+          dst[oc * pixels + pixel] = code;
+        });
   }
 }
 
-void run_fc_step(const PlanStep& s, const CodeTensor& input, CodeTensor& out) {
+void run_fc_step(const PlanStep& s, const CodeTensor& input, CodeTensor& out,
+                 hw::ExecScratch& scratch) {
   if (input.shape.rank() != 2 || input.shape.dim(1) != s.in_features) {
     throw std::invalid_argument("run_plan: fc input shape mismatch");
   }
@@ -87,29 +158,17 @@ void run_fc_step(const PlanStep& s, const CodeTensor& input, CodeTensor& out) {
   out.shape = Shape{batch, s.out_features};
   out.frac = s.out_frac;
   out.codes.resize(out.shape.size());
-  const bool i32 = s.in_features <= kI32SafePatch;
-  for (std::size_t n = 0; n < batch; ++n) {
-    const std::int8_t* row = input.codes.data() + n * s.in_features;
-    for (std::size_t o = 0; o < s.out_features; ++o) {
-      const std::int32_t* wrow = s.weights.data() + o * s.in_features;
-      std::int64_t sum;
-      if (i32) {
-        std::int32_t acc = 0;
-        for (std::size_t k = 0; k < s.in_features; ++k) {
-          acc += static_cast<std::int32_t>(row[k]) * wrow[k];
-        }
-        sum = acc;
-      } else {
-        std::int64_t acc = 0;
-        for (std::size_t k = 0; k < s.in_features; ++k) {
-          acc += static_cast<std::int64_t>(row[k]) * wrow[k];
-        }
-        sum = acc;
-      }
-      out.codes[n * s.out_features + o] = static_cast<std::int8_t>(
-          hw::route_sum(sum, s.in_frac, s.out_frac, s.bias[o]));
-    }
-  }
+  // The tile runs over (batch rows x out features); each int8 input row is
+  // widened to int16 once.
+  dot_and_route(
+      s, batch, s.out_features, s.in_features, scratch.patch,
+      [&](std::size_t r0, std::size_t count, std::int16_t* rows) {
+        std::copy_n(input.codes.data() + r0 * s.in_features,
+                    count * s.in_features, rows);
+      },
+      [&](std::size_t row, std::size_t o, std::int8_t code) {
+        out.codes[row * s.out_features + o] = code;
+      });
 }
 
 }  // namespace
@@ -127,7 +186,7 @@ void run_plan_codes(const CompiledPlan& plan, hw::ExecScratch& scratch,
         std::swap(scratch.input, scratch.output);
         break;
       case StepKind::kFullyConnected:
-        run_fc_step(s, scratch.input, scratch.output);
+        run_fc_step(s, scratch.input, scratch.output, scratch);
         std::swap(scratch.input, scratch.output);
         break;
       case StepKind::kPool:

@@ -6,6 +6,13 @@
 // sample through the plan's tap-offset row into an im2col patch buffer only
 // reorders exact arithmetic.
 //
+// Conv and FC steps run one portable register-blocked tile: 4 output pixels
+// (conv) or batch rows (FC) x 2 output channels, int16 codes times int16
+// weights into int32 accumulators, written so the compiler's vectorizer
+// emits the widening int16 multiply-add. Each sum then goes through the
+// step's hw::SumRouter, whose realignment shifts are fixed when the step
+// starts.
+//
 // Thread-safety: callers are concurrent as long as each brings its own
 // ExecScratch; the plan itself is immutable and shared.
 #pragma once
@@ -22,10 +29,10 @@ namespace mfdfp::compile {
 
 /// Largest patch for which the dense dot fits an int32 accumulator:
 /// |code * weight| <= 128 * 2^7 = 2^14 per tap, so patch * 2^14 must stay
-/// below 2^31. Integer addition is exact either way — the narrower
-/// accumulator only exists to double the vectorization width. The
-/// analyzer (src/analysis) re-proves the int32 path from the actual
-/// per-channel bounds of each deployed plan.
+/// below 2^31, under any association of the sum. Patches up to this length
+/// run the int16 x int16 -> int32 tile; longer ones a scalar int64 dot and
+/// the checked routing. The analyzer (src/analysis) re-proves the int32
+/// path from the actual per-channel bounds of each deployed plan.
 inline constexpr std::size_t kI32SafePatch =
     static_cast<std::size_t>(2147483647) / 16384;
 

@@ -47,7 +47,7 @@ struct ExecScratch {
   CodeTensor input;                 ///< current activation (ping)
   CodeTensor output;                ///< next activation (pong)
   std::vector<std::int8_t> padded;  ///< one conv input sample, zero border
-  std::vector<std::int8_t> patch;   ///< im2col patch buffer
+  std::vector<std::int16_t> patch;  ///< int16 im2col / FC row block
 };
 
 class AcceleratorExecutor {

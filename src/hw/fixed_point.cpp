@@ -2,23 +2,13 @@
 
 namespace mfdfp::hw {
 
-std::int64_t shift_round(std::int64_t value, int shift) {
-  if (shift < 0) throw std::invalid_argument("shift_round: negative shift");
-  if (shift == 0) return value;
-  if (shift >= 63) return 0;
-  const std::int64_t half = std::int64_t{1} << (shift - 1);
-  if (value >= 0) {
-    return (value + half) >> shift;
-  }
-  // Round half away from zero for negatives: mirror the positive case.
-  return -((-value + half) >> shift);
-}
-
 std::int64_t shift_left_checked(std::int64_t value, int shift) {
   if (shift < 0) {
     throw std::invalid_argument("shift_left_checked: negative shift");
   }
-  if (shift >= 62 && value != 0) {
+  // Zero stays zero at any shift; shifting it by 64 or more would be UB.
+  if (value == 0) return 0;
+  if (shift >= 62) {
     throw std::overflow_error("shift_left_checked: carrier overflow");
   }
   const std::int64_t shifted = value << shift;

@@ -47,8 +47,18 @@ inline std::int64_t check_width(std::int64_t value, int bits,
 /// Arithmetic right shift with round-half-away-from-zero — the rounding the
 /// Accumulator & Routing block applies when realigning radix points. Matches
 /// quant::DfpFormat::encode so software and hardware models agree bit-exact.
-/// shift must be >= 0.
-[[nodiscard]] std::int64_t shift_round(std::int64_t value, int shift);
+/// shift must be >= 0. Inline: the per-output routing tail calls it.
+[[nodiscard]] inline std::int64_t shift_round(std::int64_t value, int shift) {
+  if (shift < 0) throw std::invalid_argument("shift_round: negative shift");
+  if (shift == 0) return value;
+  if (shift >= 63) return 0;
+  const std::int64_t half = std::int64_t{1} << (shift - 1);
+  if (value >= 0) {
+    return (value + half) >> shift;
+  }
+  // Round half away from zero for negatives: mirror the positive case.
+  return -((-value + half) >> shift);
+}
 
 /// Left shift with overflow check against int64 (model carrier, not a wire).
 [[nodiscard]] std::int64_t shift_left_checked(std::int64_t value, int shift);

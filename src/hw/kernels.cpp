@@ -129,11 +129,20 @@ void pool_forward(const QPool& pool, const CodeTensor& input,
   }
 }
 
-std::int32_t route_sum(std::int64_t sum, int in_frac, int out_frac,
-                       std::int32_t bias_code) {
-  AccumulatorRouting acc(in_frac, out_frac, bias_code);
+SumRouter::SumRouter(int in_frac, int out_frac)
+    : in_frac_(in_frac), out_frac_(out_frac) {
+  const int acc_frac = in_frac + kProductFracBits;
+  const int grid = std::max(acc_frac, out_frac);
+  la_ = grid - acc_frac;
+  lb_ = grid - out_frac;
+  unchecked_ = la_ <= 30 && lb_ <= 54;
+}
+
+std::int8_t SumRouter::checked(std::int64_t sum,
+                               std::int8_t bias_code) const {
+  AccumulatorRouting acc(in_frac_, out_frac_, bias_code);
   acc.accumulate(sum);
-  return acc.route();
+  return static_cast<std::int8_t>(acc.route());
 }
 
 }  // namespace mfdfp::hw

@@ -55,11 +55,56 @@ void apply_flatten(CodeTensor& input, int out_frac);
 /// or a window larger than the padded input.
 void pool_forward(const QPool& pool, const CodeTensor& input, CodeTensor& out);
 
-/// Routes an already-accumulated integer dot-product sum (units 2^-(m+7))
-/// through the Accumulator & Routing block: add bias, realign m -> n,
-/// round-half-away, saturate to 8 bits. The tail of every compiled conv and
-/// FC kernel.
-[[nodiscard]] std::int32_t route_sum(std::int64_t sum, int in_frac,
-                                     int out_frac, std::int32_t bias_code);
+/// The Accumulator & Routing tail of one conv or FC step: add the bias,
+/// realign the dot-product sum (units 2^-(m+7)) to the output radix n,
+/// round half away from zero, saturate to 8 bits. Built once per step, so
+/// the realignment shifts and the proof that they are safe are fixed
+/// before the first output, like the block's wiring in silicon.
+///
+/// AccumulatorRouting aligns the sum and the bias on the grid
+/// max(m+7, n): the sum shifts left by la = grid-(m+7) and the bias by
+/// lb = grid-n, then the total shifts right by lb. An int32 sum has
+/// |sum| <= 2^31 and an 8-bit bias |bias| <= 2^7, so when la <= 30 and
+/// lb <= 54 both aligned terms stay within 2^61 and their total within
+/// 2^62: the 48-bit accumulator check and the int64 carrier checks of
+/// AccumulatorRouting provably cannot fire, and plain shifts give the same
+/// code. Other (m, n) pairs, and int64 sums, route through the checked
+/// AccumulatorRouting itself — the checks move from each output to the
+/// step; none is removed.
+class SumRouter {
+ public:
+  SumRouter(int in_frac, int out_frac);
+
+  /// Routes an int32 dot-product sum with the output's bias code.
+  [[nodiscard]] std::int8_t operator()(std::int32_t sum,
+                                       std::int8_t bias_code) const {
+    if (!unchecked_) return checked(sum, bias_code);
+    const std::int64_t total =
+        (static_cast<std::int64_t>(sum) << la_) +
+        (static_cast<std::int64_t>(bias_code) << lb_);
+    return static_cast<std::int8_t>(
+        saturate(shift_round(total, lb_), kInputBits));
+  }
+
+  /// Routes an int64 sum (patches too long for the int32 dot) through the
+  /// checked AccumulatorRouting.
+  [[nodiscard]] std::int8_t operator()(std::int64_t sum,
+                                       std::int8_t bias_code) const {
+    return checked(sum, bias_code);
+  }
+
+  /// True when int32 sums route with plain shifts (see the class comment).
+  [[nodiscard]] bool unchecked() const noexcept { return unchecked_; }
+
+ private:
+  [[nodiscard]] std::int8_t checked(std::int64_t sum,
+                                    std::int8_t bias_code) const;
+
+  int in_frac_;
+  int out_frac_;
+  int la_;
+  int lb_;
+  bool unchecked_;
+};
 
 }  // namespace mfdfp::hw

@@ -72,7 +72,7 @@ hw::QNetDesc flatten_fc_desc(std::size_t in_features,
 /// A bare CompiledPlan with one fc step and arbitrary predecoded weights —
 /// for driving the analyzer into regions the nibble encoding cannot reach.
 CompiledPlan hand_fc_plan(std::size_t in_features, std::size_t out_features,
-                          std::int32_t weight_value, int in_frac,
+                          std::int16_t weight_value, int in_frac,
                           int out_frac) {
   CompiledPlan plan;
   plan.model = "hand-plan";
@@ -253,11 +253,11 @@ TEST(Analysis, Int32FastPathProvenAtTheExactBoundary) {
 }
 
 // Weights beyond what the nibble encoding can produce (a corrupted or
-// hand-patched table): the dot overflows int32 while the patch size still
-// selects the fast path — the analyzer must flag the wrap.
+// hand-patched table): INT16_MAX over 1024 taps gives a worst-case dot of
+// 1024 * 128 * 32767 > 2^31 while the patch size still selects the int32
+// fast path — the analyzer must flag the wrap.
 TEST(Analysis, Int32WrapIsAViolation) {
-  const CompiledPlan plan =
-      hand_fc_plan(4, 1, /*weight=*/std::int32_t{1} << 24, 0, 0);
+  const CompiledPlan plan = hand_fc_plan(1024, 1, /*weight=*/INT16_MAX, 0, 0);
   const AnalysisReport report = analyze_plan(plan);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.violations.front().find("int32 fast-dot"),

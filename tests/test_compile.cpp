@@ -28,6 +28,7 @@
 #include "nn/fully_connected.hpp"
 #include "nn/pooling.hpp"
 #include "nn/zoo.hpp"
+#include "quant/pow2.hpp"
 #include "serve/server.hpp"
 
 namespace mfdfp::compile {
@@ -115,7 +116,7 @@ TEST(PassPipeline, StandardPipelineLowersOneStepPerLayer) {
     if (step.kind == StepKind::kConv) {
       EXPECT_EQ(step.taps.size(), step.in_c * step.kernel * step.kernel);
     }
-    payload += step.weights.size() * sizeof(std::int32_t) + step.bias.size() +
+    payload += step.weights.size() * sizeof(std::int16_t) + step.bias.size() +
                step.taps.size() * sizeof(std::uint32_t);
   }
   EXPECT_EQ(plan->stats.payload_bytes, payload);
@@ -315,6 +316,113 @@ TEST(EdgeGeometry, PoolBeforeActivationKeepsTheStageOrder) {
   EXPECT_EQ(plan->steps[1].kind, StepKind::kPool);
   EXPECT_EQ(plan->steps[2].kind, StepKind::kRelu);
   expect_bit_identical(desc, make_images(4, 40), {}, "pool before relu");
+}
+
+// The MAC tile covers 4 output pixels (conv) or batch rows (FC) x 2 output
+// channels. These convs leave a remainder on every axis: an output pixel
+// count that is not a multiple of 4, an odd out_c, patch lengths (3, 27,
+// 75) that are not a multiple of any vector width, and the fc behind them
+// sees batches of 1, 3 and 6 rows against its 5 (odd) outputs.
+TEST(EdgeGeometry, TileRemaindersMatchTheReference) {
+  struct ConvCase {
+    std::size_t out_c, kernel, stride, pad;
+  };
+  std::uint64_t seed = 60;
+  for (const ConvCase c : {ConvCase{7, 1, 2, 1}, ConvCase{5, 5, 2, 1},
+                           ConvCase{5, 3, 2, 0}}) {
+    util::Rng rng{++seed};
+    const std::size_t out_hw = (kInH + 2 * c.pad - c.kernel) / c.stride + 1;
+    nn::Network net;
+    net.add(std::make_unique<nn::Conv2D>(
+        nn::Conv2D::Config{kInC, c.out_c, c.kernel, c.stride, c.pad}, rng));
+    net.add(std::make_unique<nn::ReLU>());
+    net.add(std::make_unique<nn::Flatten>());
+    net.add(std::make_unique<nn::FullyConnected>(
+        nn::FullyConnected::Config{c.out_c * out_hw * out_hw, 5}, rng));
+    const hw::QNetDesc desc = qnet_from_net(std::move(net), rng, "tiles");
+
+    const auto plan = compile_qnet(desc, kInC, kInH, kInW);
+    const PlanStep& conv = plan->steps.front();
+    ASSERT_EQ(conv.kind, StepKind::kConv);
+    EXPECT_NE(conv.out_h * conv.out_w % 4, 0u);
+    EXPECT_NE(conv.out_c % 2, 0u);
+    const std::string context =
+        "conv" + std::to_string(c.kernel) + "x" + std::to_string(c.kernel) +
+        " out_c " + std::to_string(c.out_c);
+    for (const std::size_t batch : {1, 3, 6}) {
+      expect_bit_identical(desc, make_images(batch, seed + batch), {},
+                           (context + " batch " + std::to_string(batch))
+                               .c_str());
+    }
+  }
+}
+
+/// flatten -> fc(in_features -> 3) over {in_features, 1, 1} inputs. Row 0
+/// holds every weight at -2^7; rows 1-2 hold seeded random pow2 weights.
+/// Codes enter at <8,7> (the full [-128, 127] range) and leave at <8,0>, so
+/// random sums spread over the output range instead of saturating.
+hw::QNetDesc wide_fc_desc(std::size_t in_features, std::uint64_t seed) {
+  util::Rng rng{seed};
+  hw::QNetDesc desc;
+  desc.name = "wide-fc";
+  desc.input_frac = 7;
+  hw::QFlatten flat;
+  flat.out_frac = 7;
+  desc.layers.emplace_back(flat);
+  hw::QFullyConnected fc;
+  fc.in_features = in_features;
+  fc.out_features = 3;
+  const std::size_t count = in_features * fc.out_features;
+  fc.packed_weights.assign((count + 1) / 2, 0);
+  const std::uint8_t minus_128 = quant::encode_nibble({true, 0});
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint8_t nibble =
+        k < in_features ? minus_128
+                        : static_cast<std::uint8_t>(rng.next_u64() & 0xF);
+    fc.packed_weights[k / 2] |=
+        static_cast<std::uint8_t>(k % 2 == 0 ? nibble : nibble << 4);
+  }
+  for (std::size_t o = 0; o < fc.out_features; ++o) {
+    fc.bias_codes.push_back(
+        static_cast<std::int8_t>(rng.uniform_int(-128, 127)));
+  }
+  fc.out_frac = 0;
+  desc.layers.emplace_back(fc);
+  return desc;
+}
+
+// One tap past kI32SafePatch the executor leaves the tile for the scalar
+// int64 dot and the checked routing; exactly at it the tile still runs.
+// Both must match run() bit for bit on a random sample and on an all -128
+// sample: against row 0's -2^7 weights that one sums to 2^31 past the
+// bound — an int32 wrap would route it to -128 instead of 127 — and to
+// 2^31 - 2^14, the largest exact int32 dot, at it.
+TEST(EdgeGeometry, FcAtAndPastTheInt32PatchBoundMatchesTheReference) {
+  for (const std::size_t in_features : {kI32SafePatch, kI32SafePatch + 1}) {
+    const hw::QNetDesc desc = wide_fc_desc(in_features, 70 + in_features);
+    util::Rng rng{71};
+    Tensor images{Shape{2, in_features, 1, 1}};
+    images.fill_uniform(rng, -1.0f, 1.0f);
+    for (std::size_t k = in_features; k < 2 * in_features; ++k) {
+      images[k] = -1.0f;  // code -128 at <8,7>
+    }
+
+    const auto plan = compile_qnet(desc, in_features, 1, 1);
+    hw::ExecScratch scratch;
+    const Tensor compiled = run_plan_batch(*plan, images, scratch);
+    const Tensor reference = hw::AcceleratorExecutor(desc).run(images);
+    ASSERT_EQ(compiled.shape(), reference.shape());
+    EXPECT_EQ(tensor::max_abs_diff(compiled, reference), 0.0f)
+        << "in_features " << in_features;
+    EXPECT_EQ(reference[3], 127.0f) << "in_features " << in_features;
+    // Not all saturated: the comparison sees real routed values.
+    std::size_t interior = 0;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      const float v = reference[i];
+      if (v > -128.0f && v < 127.0f) ++interior;
+    }
+    EXPECT_GT(interior, 0u) << "in_features " << in_features;
+  }
 }
 
 // ------------------------------------------------------------- plan cache

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
+#include "hw/kernels.hpp"
 #include "quant/dfp.hpp"
 #include "util/rng.hpp"
 
@@ -118,6 +126,116 @@ TEST(Routing, SaturatesToEightBits) {
   AccumulatorRouting neg(0, 7, 0);
   neg.accumulate(-(1 << 14));
   EXPECT_EQ(neg.route(), -128);
+}
+
+/// The checked Accumulator & Routing block, one output at a time — the
+/// reference SumRouter must match; nullopt when it throws overflow_error.
+std::optional<std::int32_t> checked_route(std::int64_t sum, int m, int n,
+                                          std::int32_t bias) {
+  try {
+    AccumulatorRouting acc(m, n, bias);
+    acc.accumulate(sum);
+    return acc.route();
+  } catch (const std::overflow_error&) {
+    return std::nullopt;
+  }
+}
+
+constexpr std::int32_t kI32Min = std::numeric_limits<std::int32_t>::min();
+constexpr std::int32_t kI32Max = std::numeric_limits<std::int32_t>::max();
+
+// Over every (m, n) in [-4, 24]^2 — all inside the hoisted shift bounds —
+// and every bias code, the per-step router gives the checked block's code
+// for sums at and around each rounding tie k * 2^lb + 2^(lb-1), the int32
+// extremes, small values and seeded random sums, on both its int32
+// (plain-shift) and int64 (checked) entries.
+TEST(SumRouter, MatchesCheckedRoutingOverEveryBiasAndTie) {
+  util::Rng rng{18};
+  std::size_t compared = 0;
+  for (int m = -4; m <= 24; ++m) {
+    for (int n = -4; n <= 24; ++n) {
+      const SumRouter route(m, n);
+      ASSERT_TRUE(route.unchecked()) << "m=" << m << " n=" << n;
+      const int lb = std::max(m + kProductFracBits, n) - n;
+      std::vector<std::int32_t> sums{0, 1, -1, kI32Min, kI32Max};
+      for (const std::int64_t k : {-129, -128, -127, -3, -2, -1, 0, 1, 2, 3,
+                                   127, 128, 129}) {
+        const std::int64_t tie =
+            k * (std::int64_t{1} << lb) +
+            (lb > 0 ? std::int64_t{1} << (lb - 1) : 0);
+        for (const std::int64_t d : {-1, 0, 1}) {
+          if (tie + d >= kI32Min && tie + d <= kI32Max) {
+            sums.push_back(static_cast<std::int32_t>(tie + d));
+          }
+        }
+      }
+      for (int r = 0; r < 6; ++r) {
+        sums.push_back(static_cast<std::int32_t>(rng.next_u64()));
+      }
+      for (std::int32_t bias = -128; bias <= 127; ++bias) {
+        const auto code = static_cast<std::int8_t>(bias);
+        for (const std::int32_t sum : sums) {
+          const std::optional<std::int32_t> expected =
+              checked_route(sum, m, n, bias);
+          ASSERT_TRUE(expected.has_value());
+          const std::int32_t fast = route(sum, code);
+          const std::int32_t wide = route(std::int64_t{sum}, code);
+          if (fast != *expected || wide != *expected) {
+            FAIL() << "m=" << m << " n=" << n << " bias=" << bias
+                   << " sum=" << sum << ": router " << fast << "/" << wide
+                   << " vs checked " << *expected;
+          }
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 29u * 29u * 256u * 40u);
+}
+
+// (m, n) pairs outside the hoisted bounds (la > 30 or lb > 54) route through
+// the checked block: the same code where it fits, and the same
+// std::overflow_error where the int64 carrier would overflow. The pairs
+// exactly at the bounds take the plain shifts and still agree.
+TEST(SumRouter, PairsOutsideTheHoistedBoundsStayChecked) {
+  struct Pair {
+    int m, n;
+    bool unchecked;
+  };
+  bool saw_throw = false;
+  for (const Pair pair : {Pair{0, 38, false}, Pair{0, 60, false},
+                          Pair{-4, 40, false}, Pair{48, 0, false},
+                          Pair{56, 0, false}, Pair{60, -4, false},
+                          Pair{0, 37, true}, Pair{47, 0, true}}) {
+    const auto [m, n, unchecked] = pair;
+    const SumRouter route(m, n);
+    EXPECT_EQ(route.unchecked(), unchecked) << "m=" << m << " n=" << n;
+    for (const std::int32_t sum : {0, 1, -1, 12345, kI32Min, kI32Max}) {
+      for (const std::int32_t bias : {-128, -1, 0, 1, 127}) {
+        const auto code = static_cast<std::int8_t>(bias);
+        const std::optional<std::int32_t> expected =
+            checked_route(sum, m, n, bias);
+        if (expected.has_value()) {
+          EXPECT_EQ(route(sum, code), *expected)
+              << "m=" << m << " n=" << n << " sum=" << sum;
+          EXPECT_EQ(route(std::int64_t{sum}, code), *expected);
+        } else {
+          saw_throw = true;
+          EXPECT_FALSE(unchecked);
+          EXPECT_THROW((void)route(sum, code), std::overflow_error)
+              << "m=" << m << " n=" << n << " sum=" << sum;
+          EXPECT_THROW((void)route(std::int64_t{sum}, code),
+                       std::overflow_error);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_throw);
+  // The two throwing shapes: a sum realigned by la = 53, a bias by lb = 60.
+  EXPECT_THROW((void)SumRouter(0, 60)(kI32Max, std::int8_t{0}),
+               std::overflow_error);
+  EXPECT_THROW((void)SumRouter(60, -4)(0, std::int8_t{1}),
+               std::overflow_error);
 }
 
 TEST(ConvertCode, MatchesDecodeEncodeRoundTrip) {

@@ -73,6 +73,7 @@ TEST(FixedPoint, ShiftLeftChecked) {
   EXPECT_EQ(shift_left_checked(5, 3), 40);
   EXPECT_EQ(shift_left_checked(-5, 2), -20);
   EXPECT_EQ(shift_left_checked(0, 63), 0);
+  EXPECT_EQ(shift_left_checked(0, 71), 0);  // past the carrier width
   EXPECT_THROW(shift_left_checked(1, 63), std::overflow_error);
   EXPECT_THROW(shift_left_checked(std::int64_t{1} << 40, 30),
                std::overflow_error);
