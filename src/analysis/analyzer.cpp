@@ -287,8 +287,8 @@ AnalysisReport analyze_plan(const CompiledPlan& plan,
             s.bias.size() != outputs) {
           throw std::invalid_argument(
               "analyze_plan: step " + std::to_string(i) +
-              ": weight/bias tables not built (run pass_build_tables "
-              "before analyze)");
+              ": weight/bias tables not built (lower the plan with "
+              "lower_qnet before analyze)");
         }
         if (conv ? state.size() != s.in_c : state.size() != patch) {
           throw std::invalid_argument(

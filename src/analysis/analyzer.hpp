@@ -29,11 +29,12 @@
 //   * (optionally) no layer can saturate — otherwise the report carries
 //     the worst-case clip mass per layer.
 //
-// Wired into PassPipeline::standard as the `analyze` pass
-// (CompileOptions::analyze, default on): an unsafe plan is rejected at
+// compile_qnet runs it (pass_analyze) on every plan after lowering and
+// verification, with no way to switch it off: an unsafe plan is rejected at
 // deploy() before it can serve a single request. The standalone `planlint`
-// tool (tools/planlint.cpp) prints the per-layer bound table for every
-// zoo model; docs/static-analysis.md explains how to read it.
+// tool (tools/planlint.cpp) analyzes lower_qnet's unanalyzed plans and
+// prints the per-layer bound table for every zoo model;
+// docs/static-analysis.md explains how to read it.
 #pragma once
 
 #include <cstdint>
@@ -121,15 +122,15 @@ struct AnalysisReport {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Abstract-interprets `plan` (tables must be built, i.e. post
-/// pass_build_tables). Never throws on unsafe plans — violations are
+/// Abstract-interprets `plan` (tables must be built, as lower_qnet builds
+/// them). Never throws on unsafe plans — violations are
 /// reported; throws std::invalid_argument only on structurally broken
 /// plans the verifier would reject anyway.
 [[nodiscard]] AnalysisReport analyze_plan(const compile::CompiledPlan& plan,
                                           const AnalysisOptions& options = {});
 
-/// Thrown by the `analyze` pass (and thus by deploy()) when a plan fails
-/// a proof obligation. Carries the full report for diagnostics.
+/// Thrown by pass_analyze (and thus by compile_qnet and deploy()) when a
+/// plan fails a proof obligation. Carries the full report for diagnostics.
 class PlanRejectedError : public std::runtime_error {
  public:
   explicit PlanRejectedError(AnalysisReport report);
@@ -142,8 +143,8 @@ class PlanRejectedError : public std::runtime_error {
   AnalysisReport report_;
 };
 
-/// The PassPipeline `analyze` pass body: analyze with default options and
-/// throw PlanRejectedError unless the plan is proven safe.
+/// The last stage of compile_qnet: analyze with default options and throw
+/// PlanRejectedError unless the plan is proven safe.
 void pass_analyze(const compile::CompiledPlan& plan);
 
 }  // namespace mfdfp::analysis

@@ -8,6 +8,7 @@
 
 #include "analysis/analyzer.hpp"
 #include "hw/datapath.hpp"
+#include "hw/kernels.hpp"
 #include "quant/pow2.hpp"
 
 namespace mfdfp::compile {
@@ -24,15 +25,32 @@ namespace {
                            ": " + what);
 }
 
-/// (ih + 2*pad - k) / stride + 1, guarded against wraparound.
-std::size_t out_extent(std::size_t in, std::size_t window, std::size_t stride,
-                       std::size_t pad, std::size_t layer, const char* what) {
-  if (stride == 0) lower_error(layer, std::string(what) + ": zero stride");
-  if (window == 0) lower_error(layer, std::string(what) + ": zero window");
-  if (in + 2 * pad < window) {
-    lower_error(layer, std::string(what) + ": window exceeds padded input");
+/// hw::window_extent with desc layer `layer` named in the error.
+std::size_t lowered_extent(std::size_t in, std::size_t window,
+                           std::size_t stride, std::size_t pad,
+                           std::size_t layer, const char* what) {
+  const std::string who =
+      "lower_qnet: L" + std::to_string(layer) + ": " + what;
+  return hw::window_extent(in, window, stride, pad, who.c_str());
+}
+
+/// hw::window_extent of plan step `step`: a geometry it rejects fails
+/// verification.
+std::size_t verified_extent(std::size_t in, std::size_t window,
+                            std::size_t stride, std::size_t pad,
+                            std::size_t step, const char* what) {
+  try {
+    return hw::window_extent(in, window, stride, pad, what);
+  } catch (const std::invalid_argument& e) {
+    verify_error(step, e.what());
   }
-  return (in + 2 * pad - window) / stride + 1;
+}
+
+/// Whether in_c * ph * pw codes of one padded sample are addressable by
+/// 32-bit tap offsets. hw::window_extent already bounds each padded axis to
+/// 32 bits, so ph * pw cannot wrap and is at least 1.
+bool fits_tap_offsets(std::size_t in_c, std::size_t ph, std::size_t pw) {
+  return ph * pw <= UINT32_MAX && in_c <= UINT32_MAX / (ph * pw);
 }
 
 /// Decodes a nibble-packed pow2 weight stream into the plain +/-2^(7+e)
@@ -40,31 +58,16 @@ std::size_t out_extent(std::size_t in, std::size_t window, std::size_t stride,
 /// multiplier, x * (+/-2^(7+e)) in the same 2^-(m+7) units, so plan
 /// execution is bit-identical to the reference datapath. Every multiplier
 /// has |w| <= 2^7, so int16 holds it exactly.
-void decode_fast_weights(const std::vector<std::uint8_t>& packed,
-                         std::size_t count, std::vector<std::int16_t>& out) {
-  if (packed.size() < (count + 1) / 2) {
-    throw std::invalid_argument("pass_build_tables: short weight stream");
-  }
-  out.resize(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::uint8_t byte = packed[k / 2];
-    const std::uint8_t nibble =
-        (k % 2 == 0) ? (byte & 0xF) : static_cast<std::uint8_t>(byte >> 4);
-    const quant::Pow2Weight w = quant::decode_nibble(nibble);
+std::vector<std::int16_t> decode_fast_weights(
+    const std::vector<std::uint8_t>& packed, std::size_t count) {
+  std::vector<std::int16_t> out;
+  out.reserve(count);
+  for (const quant::Pow2Weight& w : quant::unpack_pow2(packed, count)) {
     const int magnitude = 1 << (hw::kProductFracBits + w.exponent);
-    out[k] = static_cast<std::int16_t>(w.negative ? -magnitude : magnitude);
+    out.push_back(
+        static_cast<std::int16_t>(w.negative ? -magnitude : magnitude));
   }
-}
-
-void refresh_stats(CompiledPlan& plan) {
-  PlanStats st;
-  st.steps = plan.steps.size();
-  for (const PlanStep& s : plan.steps) {
-    st.payload_bytes += s.weights.size() * sizeof(std::int16_t) +
-                        s.bias.size() * sizeof(std::int8_t) +
-                        s.taps.size() * sizeof(std::uint32_t);
-  }
-  plan.stats = st;
+  return out;
 }
 
 }  // namespace
@@ -98,14 +101,33 @@ CompiledPlan lower_qnet(const hw::QNetDesc& desc, std::size_t in_c,
       s.kernel = conv->kernel;
       s.stride = conv->stride;
       s.pad = conv->pad;
-      s.out_h = out_extent(h, conv->kernel, conv->stride, conv->pad, i, "conv");
-      s.out_w = out_extent(w, conv->kernel, conv->stride, conv->pad, i, "conv");
+      s.out_h = lowered_extent(h, conv->kernel, conv->stride, conv->pad, i,
+                               "conv");
+      s.out_w = lowered_extent(w, conv->kernel, conv->stride, conv->pad, i,
+                               "conv");
       s.out_frac = conv->out_frac;
       {
         std::ostringstream label;
         label << "conv" << conv->kernel << "x" << conv->kernel << "s"
               << conv->stride << "p" << conv->pad;
         s.label = label.str();
+      }
+      const std::size_t ph = h + 2 * s.pad;
+      const std::size_t pw = w + 2 * s.pad;
+      if (!fits_tap_offsets(c, ph, pw)) {
+        lower_error(i, "padded sample exceeds 32-bit tap offsets");
+      }
+      const std::size_t patch = c * s.kernel * s.kernel;
+      s.weights = decode_fast_weights(conv->packed_weights, s.out_c * patch);
+      s.bias = conv->bias_codes;
+      s.taps.reserve(patch);
+      for (std::size_t ic = 0; ic < c; ++ic) {
+        for (std::size_t ky = 0; ky < s.kernel; ++ky) {
+          for (std::size_t kx = 0; kx < s.kernel; ++kx) {
+            s.taps.push_back(
+                static_cast<std::uint32_t>((ic * ph + ky) * pw + kx));
+          }
+        }
       }
       c = s.out_c;
       h = s.out_h;
@@ -120,6 +142,9 @@ CompiledPlan lower_qnet(const hw::QNetDesc& desc, std::size_t in_c,
       s.out_features = fc->out_features;
       s.out_frac = fc->out_frac;
       s.label = "fc" + std::to_string(fc->out_features);
+      s.weights = decode_fast_weights(fc->packed_weights,
+                                      s.out_features * s.in_features);
+      s.bias = fc->bias_codes;
       features = fc->out_features;
       frac = s.out_frac;
     } else if (const auto* pool = std::get_if<hw::QPool>(&layer)) {
@@ -129,8 +154,10 @@ CompiledPlan lower_qnet(const hw::QNetDesc& desc, std::size_t in_c,
       s.in_h = h;
       s.in_w = w;
       s.out_c = c;
-      s.out_h = out_extent(h, pool->window, pool->stride, pool->pad, i, "pool");
-      s.out_w = out_extent(w, pool->window, pool->stride, pool->pad, i, "pool");
+      s.out_h = lowered_extent(h, pool->window, pool->stride, pool->pad, i,
+                               "pool");
+      s.out_w = lowered_extent(w, pool->window, pool->stride, pool->pad, i,
+                               "pool");
       s.out_frac = pool->out_frac;
       s.pool = *pool;
       {
@@ -168,51 +195,16 @@ CompiledPlan lower_qnet(const hw::QNetDesc& desc, std::size_t in_c,
       features = s.out_features;
       frac = s.out_frac;
     }
+    plan.stats.payload_bytes += s.weights.size() * sizeof(std::int16_t) +
+                                s.bias.size() * sizeof(std::int8_t) +
+                                s.taps.size() * sizeof(std::uint32_t);
     plan.steps.push_back(std::move(s));
   }
 
   plan.out_features = spatial ? c * h * w : features;
-  refresh_stats(plan);
+  plan.stats.steps = plan.steps.size();
+  pass_verify(plan);
   return plan;
-}
-
-void pass_build_tables(const hw::QNetDesc& desc, CompiledPlan& plan) {
-  for (PlanStep& s : plan.steps) {
-    if (s.kind == StepKind::kConv) {
-      const auto* conv = std::get_if<hw::QConv>(&desc.layers[s.source_layer]);
-      if (conv == nullptr) {
-        throw std::runtime_error("pass_build_tables: conv step source is not a conv layer");
-      }
-      const std::size_t patch = s.in_c * s.kernel * s.kernel;
-      decode_fast_weights(conv->packed_weights, s.out_c * patch, s.weights);
-      s.bias = conv->bias_codes;
-      const std::size_t ph = s.in_h + 2 * s.pad;
-      const std::size_t pw = s.in_w + 2 * s.pad;
-      if (s.in_c * ph * pw > UINT32_MAX) {
-        throw std::invalid_argument(
-            "pass_build_tables: padded sample exceeds 32-bit tap offsets");
-      }
-      s.taps.clear();
-      s.taps.reserve(patch);
-      for (std::size_t c = 0; c < s.in_c; ++c) {
-        for (std::size_t ky = 0; ky < s.kernel; ++ky) {
-          for (std::size_t kx = 0; kx < s.kernel; ++kx) {
-            s.taps.push_back(
-                static_cast<std::uint32_t>((c * ph + ky) * pw + kx));
-          }
-        }
-      }
-    } else if (s.kind == StepKind::kFullyConnected) {
-      const auto* fc =
-          std::get_if<hw::QFullyConnected>(&desc.layers[s.source_layer]);
-      if (fc == nullptr) {
-        throw std::runtime_error("pass_build_tables: fc step source is not an fc layer");
-      }
-      decode_fast_weights(fc->packed_weights,
-                          s.out_features * s.in_features, s.weights);
-      s.bias = fc->bias_codes;
-    }
-  }
 }
 
 void pass_verify(const CompiledPlan& plan) {
@@ -229,14 +221,16 @@ void pass_verify(const CompiledPlan& plan) {
         if (!spatial || s.in_c != c || s.in_h != h || s.in_w != w) {
           verify_error(i, "conv input geometry mismatch");
         }
-        if (s.stride == 0 || s.kernel == 0 || h + 2 * s.pad < s.kernel ||
-            w + 2 * s.pad < s.kernel) {
-          verify_error(i, "conv window exceeds padded input");
-        }
-        const std::size_t oh = (h + 2 * s.pad - s.kernel) / s.stride + 1;
-        const std::size_t ow = (w + 2 * s.pad - s.kernel) / s.stride + 1;
+        const std::size_t oh =
+            verified_extent(h, s.kernel, s.stride, s.pad, i, "conv");
+        const std::size_t ow =
+            verified_extent(w, s.kernel, s.stride, s.pad, i, "conv");
         if (oh != s.out_h || ow != s.out_w) {
           verify_error(i, "conv output geometry mismatch");
+        }
+        const std::size_t ph = h + 2 * s.pad, pw = w + 2 * s.pad;
+        if (!fits_tap_offsets(c, ph, pw)) {
+          verify_error(i, "padded sample exceeds 32-bit tap offsets");
         }
         const std::size_t patch = s.in_c * s.kernel * s.kernel;
         if (s.weights.size() != s.out_c * patch) {
@@ -248,11 +242,10 @@ void pass_verify(const CompiledPlan& plan) {
         }
         // The last window's origin plus every offset stays inside the
         // padded sample, so no window of the step can read past it.
-        const std::size_t ph = h + 2 * s.pad, pw = w + 2 * s.pad;
         const std::size_t last =
             (oh - 1) * s.stride * pw + (ow - 1) * s.stride;
         for (std::uint32_t tap : s.taps) {
-          if (last + tap >= s.in_c * ph * pw) {
+          if (last + tap >= c * ph * pw) {
             verify_error(i, "conv tap offset outside the padded sample");
           }
         }
@@ -280,15 +273,10 @@ void pass_verify(const CompiledPlan& plan) {
         if (!spatial || s.in_c != c || s.in_h != h || s.in_w != w) {
           verify_error(i, "pool input geometry mismatch");
         }
-        if (s.pool.stride == 0 || s.pool.window == 0 ||
-            h + 2 * s.pool.pad < s.pool.window ||
-            w + 2 * s.pool.pad < s.pool.window) {
-          verify_error(i, "pool window exceeds padded input");
-        }
-        const std::size_t oh =
-            (h + 2 * s.pool.pad - s.pool.window) / s.pool.stride + 1;
-        const std::size_t ow =
-            (w + 2 * s.pool.pad - s.pool.window) / s.pool.stride + 1;
+        const std::size_t oh = verified_extent(h, s.pool.window, s.pool.stride,
+                                               s.pool.pad, i, "pool");
+        const std::size_t ow = verified_extent(w, s.pool.window, s.pool.stride,
+                                               s.pool.pad, i, "pool");
         if (oh != s.out_h || ow != s.out_w || s.out_c != c) {
           verify_error(i, "pool output geometry mismatch");
         }
@@ -322,48 +310,16 @@ void pass_verify(const CompiledPlan& plan) {
   }
 }
 
-void PassPipeline::add(std::string name, PassFn fn) {
-  passes_.push_back({std::move(name), std::move(fn)});
-}
-
-CompiledPlan PassPipeline::run(const hw::QNetDesc& desc,
-                               CompiledPlan draft) const {
-  for (const Pass& pass : passes_) {
-    pass.fn(desc, draft);
-    draft.passes_run.push_back(pass.name);
-  }
-  refresh_stats(draft);
-  return draft;
-}
-
-PassPipeline PassPipeline::standard(const CompileOptions& options) {
-  PassPipeline pipeline;
-  pipeline.add("tables", [](const hw::QNetDesc& d, CompiledPlan& p) {
-    pass_build_tables(d, p);
-  });
-  pipeline.add("verify",
-               [](const hw::QNetDesc&, CompiledPlan& p) { pass_verify(p); });
-  if (options.analyze) {
-    // After verify: the analyzer assumes structurally sound tables and
-    // proves the numeric obligations on top (see analysis/analyzer.hpp).
-    pipeline.add("analyze", [](const hw::QNetDesc&, CompiledPlan& p) {
-      analysis::pass_analyze(p);
-    });
-  }
-  return pipeline;
-}
-
 std::shared_ptr<const CompiledPlan> compile_qnet(const hw::QNetDesc& desc,
                                                  std::size_t in_c,
                                                  std::size_t in_h,
-                                                 std::size_t in_w,
-                                                 const CompileOptions& options) {
-  CompiledPlan draft = lower_qnet(desc, in_c, in_h, in_w);
-  draft.options = options;
-  draft.content_hash = qnet_content_hash(desc);
-  const PassPipeline pipeline = PassPipeline::standard(options);
-  return std::make_shared<const CompiledPlan>(
-      pipeline.run(desc, std::move(draft)));
+                                                 std::size_t in_w) {
+  CompiledPlan plan = lower_qnet(desc, in_c, in_h, in_w);
+  plan.content_hash = qnet_content_hash(desc);
+  // After verify: the analyzer assumes structurally sound tables and
+  // proves the numeric obligations on top (see analysis/analyzer.hpp).
+  analysis::pass_analyze(plan);
+  return std::make_shared<const CompiledPlan>(std::move(plan));
 }
 
 }  // namespace mfdfp::compile

@@ -2,8 +2,8 @@
 //
 // The paper's accelerator wins because every structural decision — pow2/DFP
 // decode, window layout, kernel shape — is fixed in silicon before the first
-// sample arrives. The serving stack mirrors that: at deploy() time a
-// PassPipeline (compile/passes.hpp) lowers the QNetDesc into an ordered list
+// sample arrives. The serving stack mirrors that: at deploy() time
+// compile_qnet (compile/passes.hpp) lowers the QNetDesc into an ordered list
 // of PlanSteps, one per desc layer, with predecoded +/-2^(7+e) int16
 // weights and one patch-length tap-offset row per conv — so the per-batch
 // layer loop re-makes none of those decisions. Like the accelerator's input
@@ -39,16 +39,6 @@ enum class StepKind : std::uint8_t {
   kFlatten,
 };
 
-/// Deploy-time compilation knobs (DeployConfig.compile).
-struct CompileOptions {
-  /// Numeric static analysis pass (src/analysis): prove the accumulator /
-  /// int32 fast path / radix chain safe for the deployed geometry, and
-  /// reject the plan (analysis::PlanRejectedError) otherwise. On by
-  /// default; off only for ablation and for tests that build plans the
-  /// analyzer would (correctly) refuse.
-  bool analyze = true;
-};
-
 /// One lowered, pre-resolved execution step.
 struct PlanStep {
   StepKind kind = StepKind::kConv;
@@ -70,7 +60,7 @@ struct PlanStep {
 
   hw::QPool pool{};  ///< the pool of a kPool step
 
-  // --- Lowered payload (built by the table pass) ---
+  // --- Lowered payload (built by lower_qnet) ---
   /// Weights predecoded to plain +/-2^(7+e) integer multipliers, row-major
   /// [out_c or out_features][patch or in_features]. |w| <= 2^7, so int16
   /// holds every one exactly and each code x weight product fits 2^14 —
@@ -90,19 +80,17 @@ struct PlanStats {
   std::size_t payload_bytes = 0;
 };
 
-/// The immutable deploy-time artifact. Mutated only inside the pass
-/// pipeline; everything downstream holds shared_ptr<const CompiledPlan>.
+/// The immutable deploy-time artifact. Built only by lower_qnet and
+/// compile_qnet; everything downstream holds shared_ptr<const CompiledPlan>.
 struct CompiledPlan {
   std::string model;
   int input_frac = 0;
   std::size_t in_c = 0, in_h = 0, in_w = 0;  ///< input geometry
   std::size_t out_features = 0;              ///< logits per sample
   std::vector<PlanStep> steps;
-  CompileOptions options;
   /// FNV-1a over the source desc's topology + weight/bias streams (name
   /// excluded: identical models share a plan).
   std::uint64_t content_hash = 0;
-  std::vector<std::string> passes_run;
   PlanStats stats;
 
   /// One line per step: kind, label, geometry — for logs/tests.

@@ -7,11 +7,10 @@ namespace mfdfp::compile {
 namespace {
 
 std::string cache_key(std::uint64_t content_hash, std::size_t in_c,
-                      std::size_t in_h, std::size_t in_w,
-                      const CompileOptions& options) {
+                      std::size_t in_h, std::size_t in_w) {
   std::ostringstream key;
   key << std::hex << content_hash << std::dec << "|" << in_c << "x" << in_h
-      << "x" << in_w << "|a" << options.analyze;
+      << "x" << in_w;
   return key.str();
 }
 
@@ -19,9 +18,9 @@ std::string cache_key(std::uint64_t content_hash, std::size_t in_c,
 
 std::shared_ptr<const CompiledPlan> PlanCache::get_or_compile(
     const hw::QNetDesc& desc, std::size_t in_c, std::size_t in_h,
-    std::size_t in_w, const CompileOptions& options) {
-  const std::uint64_t content = qnet_content_hash(desc);
-  const std::string key = cache_key(content, in_c, in_h, in_w, options);
+    std::size_t in_w) {
+  const std::string key =
+      cache_key(qnet_content_hash(desc), in_c, in_h, in_w);
 
   util::MutexLock lock(mutex_);
   if (auto it = entries_.find(key); it != entries_.end()) {
@@ -32,7 +31,7 @@ std::shared_ptr<const CompiledPlan> PlanCache::get_or_compile(
 
   ++stats_.misses;
   std::shared_ptr<const CompiledPlan> plan =
-      compile_qnet(desc, in_c, in_h, in_w, options);
+      compile_qnet(desc, in_c, in_h, in_w);
   entries_[key] = Entry{plan, ++clock_};
 
   while (max_entries_ != 0 && entries_.size() > max_entries_) {

@@ -1,5 +1,5 @@
 // PlanCache: deploy-time cache of CompiledPlans keyed by
-// (model content hash, input geometry, compile options).
+// (model content hash, input geometry).
 //
 // N replicas of one deployment — and shared-PU tenants serving the same
 // model, on any mix of device classes (nothing in a plan depends on the
@@ -13,7 +13,7 @@
 // eviction/clear() only drop the cache's own reference. A plan pinned by an
 // in-flight request of an old version keeps serving, bit-identically,
 // regardless of how many newer versions were deployed or evicted behind it
-// — plans are never mutated after the pipeline returns them.
+// — plans are never mutated after compile_qnet returns them.
 //
 // Thread-safety: all members are safe for concurrent callers (one mutex;
 // compilation runs under it — deploy-time work, contention is not a
@@ -49,11 +49,11 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Returns the cached plan for (content_hash(desc), geometry, `options`),
-  /// compiling on miss.
+  /// Returns the cached plan for (content_hash(desc), geometry), compiling
+  /// on miss.
   [[nodiscard]] std::shared_ptr<const CompiledPlan> get_or_compile(
       const hw::QNetDesc& desc, std::size_t in_c, std::size_t in_h,
-      std::size_t in_w, const CompileOptions& options) EXCLUDES(mutex_);
+      std::size_t in_w) EXCLUDES(mutex_);
 
   [[nodiscard]] PlanCacheStats stats() const EXCLUDES(mutex_);
 

@@ -12,8 +12,7 @@ namespace mfdfp::core {
 
 nn::EvalResult evaluate_qnets_compiled(
     std::span<const hw::QNetDesc> members, const tensor::Tensor& images,
-    std::span<const int> labels, std::size_t batch_size,
-    const compile::CompileOptions& options) {
+    std::span<const int> labels, std::size_t batch_size) {
   if (members.empty()) {
     throw std::invalid_argument("evaluate_qnets_compiled: no members");
   }
@@ -28,7 +27,7 @@ nn::EvalResult evaluate_qnets_compiled(
   std::vector<std::shared_ptr<const compile::CompiledPlan>> plans;
   plans.reserve(members.size());
   for (const hw::QNetDesc& member : members) {
-    plans.push_back(compile::compile_qnet(member, in_c, in_h, in_w, options));
+    plans.push_back(compile::compile_qnet(member, in_c, in_h, in_w));
   }
 
   hw::ExecScratch scratch;

@@ -42,27 +42,14 @@ AcceleratorExecutor::AcceleratorExecutor(QNetDesc desc)
     : desc_(std::move(desc)) {
   decoded_weights_.resize(desc_.layers.size());
   for (std::size_t i = 0; i < desc_.layers.size(); ++i) {
-    const std::vector<std::uint8_t>* packed = nullptr;
-    std::size_t count = 0;
     if (const auto* conv = std::get_if<QConv>(&desc_.layers[i])) {
-      packed = &conv->packed_weights;
-      count = conv->out_c * conv->in_c * conv->kernel * conv->kernel;
+      decoded_weights_[i] = quant::unpack_pow2(
+          conv->packed_weights,
+          conv->out_c * conv->in_c * conv->kernel * conv->kernel);
     } else if (const auto* fc =
                    std::get_if<QFullyConnected>(&desc_.layers[i])) {
-      packed = &fc->packed_weights;
-      count = fc->out_features * fc->in_features;
-    }
-    if (packed == nullptr) continue;
-    if (packed->size() < (count + 1) / 2) {
-      throw std::invalid_argument("AcceleratorExecutor: short weight stream");
-    }
-    auto& decoded = decoded_weights_[i];
-    decoded.resize(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::uint8_t byte = (*packed)[k / 2];
-      const std::uint8_t nibble =
-          (k % 2 == 0) ? (byte & 0xF) : static_cast<std::uint8_t>(byte >> 4);
-      decoded[k] = quant::decode_nibble(nibble);
+      decoded_weights_[i] = quant::unpack_pow2(
+          fc->packed_weights, fc->out_features * fc->in_features);
     }
   }
 }

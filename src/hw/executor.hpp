@@ -52,8 +52,9 @@ struct ExecScratch {
 
 class AcceleratorExecutor {
  public:
-  /// Predecodes weight nibbles for synapse access. Takes the deployment
-  /// image by value so callers can move large weight streams in.
+  /// Predecodes weight nibbles for synapse access (quant::unpack_pow2;
+  /// throws std::invalid_argument on a short weight stream). Takes the
+  /// deployment image by value so callers can move large weight streams in.
   explicit AcceleratorExecutor(QNetDesc desc);
 
   /// Full pipeline: encode images at the input radix, run every layer on the

@@ -17,6 +17,13 @@ std::size_t window_extent(std::size_t in, std::size_t window,
     throw std::invalid_argument(std::string(who) +
                                 ": zero stride or window");
   }
+  // in + 2*pad <= UINT32_MAX, checked without computing it: the sum can
+  // neither wrap size_t nor outgrow 32-bit tap offsets, and every window
+  // coordinate below it fits a signed ptrdiff_t.
+  if (in > UINT32_MAX || pad > (UINT32_MAX - in) / 2) {
+    throw std::invalid_argument(std::string(who) +
+                                ": padded input exceeds 32 bits");
+  }
   if (in + 2 * pad < window) {
     throw std::invalid_argument(std::string(who) +
                                 ": window exceeds padded input");

@@ -25,9 +25,11 @@ struct ConvGeometry {
 };
 
 /// Output extent (in + 2*pad - window) / stride + 1 of a window sliding
-/// over one padded axis. Throws std::invalid_argument (prefixed with `who`)
-/// on a zero stride or window or a window larger than the padded input —
-/// the geometries that would divide by zero or wrap size_t.
+/// over one padded axis — the one extent helper of the reference executor,
+/// the compiler and the cycle model. Throws std::invalid_argument (prefixed
+/// with `who`) on a zero stride or window, a padded axis in + 2*pad past
+/// UINT32_MAX, or a window larger than the padded input — the geometries
+/// that would divide by zero or wrap size_t.
 [[nodiscard]] std::size_t window_extent(std::size_t in, std::size_t window,
                                         std::size_t stride, std::size_t pad,
                                         const char* who);

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
 
@@ -19,6 +20,21 @@ enum class Tag : std::uint8_t {
   kRelu = 4,
   kFlatten = 5,
 };
+
+/// A declared weight count, the product of `factors`; throws instead of
+/// wrapping.
+std::size_t weight_count(const char* layer,
+                         std::initializer_list<std::size_t> factors) {
+  std::size_t count = 1;
+  for (const std::size_t factor : factors) {
+    if (factor != 0 && count > SIZE_MAX / factor) {
+      throw std::runtime_error(std::string("qnet: ") + layer +
+                               " weight count overflow");
+    }
+    count *= factor;
+  }
+  return count;
+}
 
 class Writer {
  public:
@@ -160,9 +176,9 @@ QNetDesc qnet_from_bytes(const std::string& bytes) {
         if (conv.kernel == 0 || conv.stride == 0) {
           throw std::runtime_error("qnet: conv with zero kernel or stride");
         }
-        const std::size_t weights = conv.out_c * conv.in_c * conv.kernel *
-                                    conv.kernel;
-        if (conv.packed_weights.size() != (weights + 1) / 2 ||
+        const std::size_t weights = weight_count(
+            "conv", {conv.out_c, conv.in_c, conv.kernel, conv.kernel});
+        if (conv.packed_weights.size() != weights / 2 + weights % 2 ||
             conv.bias_codes.size() != conv.out_c) {
           throw std::runtime_error("qnet: conv blob size mismatch");
         }
@@ -176,8 +192,9 @@ QNetDesc qnet_from_bytes(const std::string& bytes) {
         fc.out_frac = p.get<std::int32_t>();
         fc.packed_weights = p.blob<std::uint8_t>();
         fc.bias_codes = p.blob<std::int8_t>();
-        const std::size_t weights = fc.in_features * fc.out_features;
-        if (fc.packed_weights.size() != (weights + 1) / 2 ||
+        const std::size_t weights =
+            weight_count("fc", {fc.in_features, fc.out_features});
+        if (fc.packed_weights.size() != weights / 2 + weights % 2 ||
             fc.bias_codes.size() != fc.out_features) {
           throw std::runtime_error("qnet: fc blob size mismatch");
         }

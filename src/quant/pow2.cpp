@@ -64,19 +64,18 @@ std::vector<std::uint8_t> pack_pow2(const tensor::Tensor& w) {
   return packed;
 }
 
-std::vector<float> unpack_pow2(const std::vector<std::uint8_t>& packed,
-                               std::size_t count) {
-  if (packed.size() < (count + 1) / 2) {
+std::vector<Pow2Weight> unpack_pow2(const std::vector<std::uint8_t>& packed,
+                                    std::size_t count) {
+  if (packed.size() < count / 2 + count % 2) {
     throw std::invalid_argument("unpack_pow2: stream too short");
   }
-  std::vector<float> values(count);
+  std::vector<Pow2Weight> weights(count);
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint8_t byte = packed[i / 2];
-    const std::uint8_t nibble =
-        (i % 2 == 0) ? (byte & 0xF) : static_cast<std::uint8_t>(byte >> 4);
-    values[i] = decode_nibble(nibble).value();
+    weights[i] = decode_nibble(
+        (i % 2 == 0) ? (byte & 0xF) : static_cast<std::uint8_t>(byte >> 4));
   }
-  return values;
+  return weights;
 }
 
 void quantize_tensor_pow2(const tensor::Tensor& src, tensor::Tensor& dst,

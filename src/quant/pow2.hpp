@@ -54,8 +54,10 @@ enum class Rounding {
 /// in bytes backs the Table 3 memory accounting.
 [[nodiscard]] std::vector<std::uint8_t> pack_pow2(const tensor::Tensor& w);
 
-/// Unpacks `count` weights from a nibble stream into float values.
-[[nodiscard]] std::vector<float> unpack_pow2(
+/// Unpacks `count` weights from a nibble stream (low nibble first) — the
+/// one walker of a packed weight stream. Throws std::invalid_argument when
+/// the stream holds fewer than `count` nibbles.
+[[nodiscard]] std::vector<Pow2Weight> unpack_pow2(
     const std::vector<std::uint8_t>& packed, std::size_t count);
 
 /// Quantizes every element of `src` into `dst` (shapes must match).

@@ -15,7 +15,6 @@ namespace mfdfp::serve {
 SimulatedAcceleratorBackend::SimulatedAcceleratorBackend(
     std::vector<hw::QNetDesc> members, hw::AcceleratorConfig accel,
     DeviceSpec device, std::size_t in_c, std::size_t in_h, std::size_t in_w,
-    const compile::CompileOptions& compile,
     const std::shared_ptr<compile::PlanCache>& plan_cache)
     : device_(std::move(device)), accel_(accel) {
   if (members.empty()) {
@@ -31,10 +30,8 @@ SimulatedAcceleratorBackend::SimulatedAcceleratorBackend(
   plans_.reserve(members.size());
   for (const hw::QNetDesc& desc : members) {
     plans_.push_back(plan_cache != nullptr
-                         ? plan_cache->get_or_compile(desc, in_c, in_h, in_w,
-                                                      compile)
-                         : compile::compile_qnet(desc, in_c, in_h, in_w,
-                                                 compile));
+                         ? plan_cache->get_or_compile(desc, in_c, in_h, in_w)
+                         : compile::compile_qnet(desc, in_c, in_h, in_w));
     // Precompute this member's modeled per-inference cost. Ensemble members
     // run on parallel processing units, so batch latency is the max over
     // members while DMA is their sum.

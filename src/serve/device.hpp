@@ -222,8 +222,8 @@ class SimulatedAcceleratorBackend final : public ExecutionBackend {
   /// geometry. Throws std::invalid_argument on an empty member list or an
   /// invalid device (speed_factor <= 0).
   ///
-  /// `compile` controls deploy-time compilation: every member is lowered
-  /// into a CompiledPlan that execute() runs. A non-null `plan_cache`
+  /// Every member is compiled (compile_qnet: lowered, verified and proven
+  /// safe) into a CompiledPlan that execute() runs. A non-null `plan_cache`
   /// shares plans across backends: replicas and shared-PU tenants deploying
   /// identical content at the same input geometry reuse one artifact. The
   /// backend pins its plans by shared_ptr, so cache eviction or a hot
@@ -232,7 +232,6 @@ class SimulatedAcceleratorBackend final : public ExecutionBackend {
   SimulatedAcceleratorBackend(
       std::vector<hw::QNetDesc> members, hw::AcceleratorConfig accel,
       DeviceSpec device, std::size_t in_c, std::size_t in_h, std::size_t in_w,
-      const compile::CompileOptions& compile = {},
       const std::shared_ptr<compile::PlanCache>& plan_cache = nullptr);
 
   /// Hints are ignored: a dedicated device serves one caller's batch at a

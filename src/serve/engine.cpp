@@ -69,7 +69,7 @@ InferenceEngine::InferenceEngine(std::vector<hw::QNetDesc> members,
     : config_(resolve_config(std::move(config))),
       backend_(std::make_shared<SimulatedAcceleratorBackend>(
           std::move(members), config_.accel, config_.device, config_.in_c,
-          config_.in_h, config_.in_w, config_.compile, config_.plan_cache)),
+          config_.in_h, config_.in_w, config_.plan_cache)),
       queue_(config_.queue_capacity, config_.priority_scheduling),
       batcher_(queue_,
                BatcherConfig{config_.max_batch, config_.max_wait_us}) {

@@ -7,8 +7,9 @@
 // on, what runs the batch, and what it costs. The production backend is
 // SimulatedAcceleratorBackend — a single QNetDesc or an ensemble of members
 // (one simulated processing unit each, logits averaged as in paper Section
-// 4.3), each served by its deploy-time CompiledPlan (bit-identical to the
-// reference AcceleratorExecutor::run()) and costed on the paper's hardware
+// 4.3), each served by its deploy-time CompiledPlan (compile_qnet: lowered,
+// verified and proven safe; bit-identical to the reference
+// AcceleratorExecutor::run()) and costed on the paper's hardware
 // models: latency from hw::CycleModel scaled by the device's speed_factor
 // (ensemble = max over members, batch = sequential samples) and DMA bytes
 // from hw::TrafficModel (weights fetched once per batch — the traffic win of
@@ -45,7 +46,6 @@
 #include <vector>
 
 #include "analysis/capacity.hpp"
-#include "compile/plan.hpp"
 #include "hw/cost_model.hpp"
 #include "hw/executor.hpp"
 #include "serve/batcher.hpp"
@@ -119,11 +119,6 @@ struct DeployConfig {
   /// Baseline accelerator instance used for the simulated-latency/DMA
   /// accounting; `device.speed_factor` scales its effective clock.
   hw::AcceleratorConfig accel{};
-
-  /// Deploy-time compilation knobs (src/compile): every member is lowered
-  /// through the pass pipeline into a CompiledPlan the backend executes —
-  /// bit-identical to the reference AcceleratorExecutor::run().
-  compile::CompileOptions compile{};
 
   /// Declared traffic contract for this model (see
   /// analysis/capacity.hpp). Default (arrival_rps == 0) = no envelope:

@@ -101,7 +101,7 @@ std::shared_ptr<const SharedDeviceBackend> SharedDevice::attach(
   auto tenant = std::make_unique<Tenant>();
   tenant->sim = std::make_unique<SimulatedAcceleratorBackend>(
       std::move(members), config.accel, spec_, config.in_c, config.in_h,
-      config.in_w, config.compile, config.plan_cache);
+      config.in_w, config.plan_cache);
   tenant->in_c = config.in_c;
   tenant->in_h = config.in_h;
   tenant->in_w = config.in_w;

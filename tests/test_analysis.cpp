@@ -28,7 +28,6 @@ namespace mfdfp::analysis {
 namespace {
 
 using compile::CompiledPlan;
-using compile::CompileOptions;
 using compile::PlanStep;
 using compile::StepKind;
 using quant::Pow2Weight;
@@ -290,13 +289,11 @@ TEST(Analysis, CarrierOverflowRejectedByCompilePipeline) {
   EXPECT_THROW((void)compile::compile_qnet(overflowing_desc(), 4, 1, 1),
                PlanRejectedError);
 
-  // With the analyze pass ablated the plan compiles; analyzing it directly
-  // reports the violation instead of throwing.
-  CompileOptions options;
-  options.analyze = false;
-  const auto plan = compile::compile_qnet(overflowing_desc(), 4, 1, 1,
-                                          options);
-  const AnalysisReport report = analyze_plan(*plan);
+  // Lowering alone stops before the proof, so the plan still builds and
+  // verifies; analyzing it directly reports the violation instead of
+  // throwing.
+  const CompiledPlan plan = compile::lower_qnet(overflowing_desc(), 4, 1, 1);
+  const AnalysisReport report = analyze_plan(plan);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.table().find("int64 model-carrier overflow"),
             std::string::npos);

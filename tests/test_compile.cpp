@@ -1,7 +1,7 @@
-// The deploy-time compiler (src/compile): pass pipeline, plan cache, and
-// plan executor. The load-bearing contract is bit-identity — a compiled
-// plan's logits must equal the reference AcceleratorExecutor::run() exactly,
-// under every pass ablation and every edge geometry — plus the sharing
+// The deploy-time compiler (src/compile): lowering, verification, plan
+// cache, and plan executor. The load-bearing contract is bit-identity — a
+// compiled plan's logits must equal the reference AcceleratorExecutor::run()
+// exactly, under every edge geometry — plus the sharing
 // semantics: plans are immutable, cached per (content, geometry), and
 // stay valid for in-flight holders across eviction and hot redeploys. Runs
 // under ThreadSanitizer and ASan+UBSan in CI (see ci.yml).
@@ -21,7 +21,9 @@
 #include "core/hw_eval.hpp"
 #include "hw/cycle_model.hpp"
 #include "hw/executor.hpp"
+#include "hw/kernels.hpp"
 #include "hw/layer_profile.hpp"
+#include "hw/qnet_io.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
@@ -74,9 +76,8 @@ Tensor make_images(std::size_t count, std::uint64_t seed) {
 /// The contract every plan must meet: logits bit-identical to the reference
 /// executor on the same desc.
 void expect_bit_identical(const hw::QNetDesc& desc, const Tensor& images,
-                          const CompileOptions& options,
                           const char* context) {
-  const auto plan = compile_qnet(desc, kInC, kInH, kInW, options);
+  const auto plan = compile_qnet(desc, kInC, kInH, kInW);
   hw::ExecScratch scratch;
   const Tensor compiled = run_plan_batch(*plan, images, scratch);
 
@@ -88,14 +89,11 @@ void expect_bit_identical(const hw::QNetDesc& desc, const Tensor& images,
       << context << ": compiled plan diverged from run()";
 }
 
-// ---------------------------------------------------------------- passes
+// ----------------------------------------------------------- compilation
 
-TEST(PassPipeline, StandardPipelineLowersOneStepPerLayer) {
+TEST(CompileQnet, LowersOneStepPerLayer) {
   const hw::QNetDesc desc = make_zoo_qnet(1, "cifar");
   const auto plan = compile_qnet(desc, kInC, kInH, kInW);
-
-  const std::vector<std::string> expected{"tables", "verify", "analyze"};
-  EXPECT_EQ(plan->passes_run, expected);
 
   // Every desc layer lowers to exactly one step, in source order — the
   // profiler records each step's host time against that one layer.
@@ -122,18 +120,7 @@ TEST(PassPipeline, StandardPipelineLowersOneStepPerLayer) {
   EXPECT_EQ(plan->stats.payload_bytes, payload);
 }
 
-TEST(PassPipeline, AblatedPassesAreNotRun) {
-  const hw::QNetDesc desc = make_zoo_qnet(2, "cifar");
-  CompileOptions options;
-  options.analyze = false;
-  const auto plan = compile_qnet(desc, kInC, kInH, kInW, options);
-
-  const std::vector<std::string> expected{"tables", "verify"};
-  EXPECT_EQ(plan->passes_run, expected);
-  EXPECT_EQ(plan->stats.steps, desc.layers.size());
-}
-
-TEST(PassPipeline, ContentHashIgnoresTheModelName) {
+TEST(CompileQnet, ContentHashIgnoresTheModelName) {
   const hw::QNetDesc a = make_zoo_qnet(4, "cifar", "alpha");
   const hw::QNetDesc b = make_zoo_qnet(4, "cifar", "beta");
   const hw::QNetDesc c = make_zoo_qnet(5, "cifar", "alpha");
@@ -143,8 +130,7 @@ TEST(PassPipeline, ContentHashIgnoresTheModelName) {
 
 TEST(PassVerifier, RejectsCorruptedPlans) {
   const hw::QNetDesc desc = make_zoo_qnet(6, "cifar");
-  CompiledPlan plan = lower_qnet(desc, kInC, kInH, kInW);
-  pass_build_tables(desc, plan);
+  const CompiledPlan plan = lower_qnet(desc, kInC, kInH, kInW);
   EXPECT_NO_THROW(pass_verify(plan));
 
   {  // truncated weight table
@@ -178,7 +164,7 @@ TEST(PassVerifier, RejectsCorruptedPlans) {
 // A zero-kernel conv or zero-window pool has no output the reference run()
 // can produce (it throws): the compiler must refuse it at deploy time rather
 // than serve a plan that diverges from run() or throws mid-batch.
-TEST(PassPipeline, ZeroKernelConvAndZeroWindowPoolAreRejected) {
+TEST(CompileQnet, ZeroKernelConvAndZeroWindowPoolAreRejected) {
   hw::QNetDesc conv_desc;
   conv_desc.name = "conv0x0s1p0";
   hw::QConv conv;
@@ -199,6 +185,63 @@ TEST(PassPipeline, ZeroKernelConvAndZeroWindowPoolAreRejected) {
   EXPECT_THROW((void)compile_qnet(pool_desc, 1, 4, 4), std::invalid_argument);
 }
 
+// A pad of 2^63 wraps in + 2*pad back to a small extent, and a pad of 2^62
+// leaves a padded axis far past 32-bit tap offsets; either way a plan could
+// verify and still index out of bounds. hw::window_extent refuses any
+// padded axis past UINT32_MAX, so the compiler, the reference run() and
+// the cycle model all throw. Each image goes through the byte loader first,
+// like a deployment image read from disk.
+TEST(CompileQnet, PaddedAxesPastThirtyTwoBitsAreRejected) {
+  std::vector<hw::QNetDesc> images;
+  for (const std::size_t pad : {std::size_t{1} << 63, std::size_t{1} << 62}) {
+    hw::QConv conv;
+    conv.in_c = 1;
+    conv.out_c = 1;
+    conv.kernel = 1;
+    conv.stride = 1;
+    conv.pad = pad;
+    conv.packed_weights = {0};
+    conv.bias_codes = {0};
+    hw::QNetDesc desc;
+    desc.name = "conv1x1-huge-pad";
+    desc.layers.emplace_back(conv);
+    images.push_back(std::move(desc));
+  }
+  {
+    hw::QPool pool;
+    pool.window = 2;
+    pool.stride = 1;
+    pool.pad = std::size_t{1} << 63;
+    hw::QNetDesc desc;
+    desc.name = "maxpool2-huge-pad";
+    desc.layers.emplace_back(pool);
+    images.push_back(std::move(desc));
+  }
+
+  const Tensor input{Shape{1, 1, 4, 4}};
+  for (const hw::QNetDesc& image : images) {
+    const hw::QNetDesc desc = hw::qnet_from_bytes(hw::qnet_to_bytes(image));
+    EXPECT_THROW((void)compile_qnet(desc, 1, 4, 4), std::invalid_argument)
+        << desc.name;
+    EXPECT_THROW((void)hw::AcceleratorExecutor(desc).run(input),
+                 std::invalid_argument)
+        << desc.name;
+    EXPECT_THROW((void)hw::workload_from_qnet(desc, 1, 4, 4),
+                 std::invalid_argument)
+        << desc.name;
+  }
+
+  // The bound itself: a padded axis of exactly UINT32_MAX is accepted, one
+  // more is not.
+  const std::size_t in = 5, pad = (UINT32_MAX - in) / 2;
+  EXPECT_EQ(hw::window_extent(in, 1, 1, pad, "bound"), std::size_t{UINT32_MAX});
+  EXPECT_THROW((void)hw::window_extent(in, 1, 1, pad + 1, "bound"),
+               std::invalid_argument);
+  EXPECT_THROW((void)hw::window_extent(std::size_t{UINT32_MAX} + 1, 1, 1, 0,
+                                       "bound"),
+               std::invalid_argument);
+}
+
 // ----------------------------------------------------------- bit-identity
 
 struct IdentityCase {
@@ -211,7 +254,7 @@ class CompiledBitIdentity : public ::testing::TestWithParam<IdentityCase> {};
 TEST_P(CompiledBitIdentity, PlanMatchesTheReferenceExecutor) {
   const auto [seed, architecture] = GetParam();
   const hw::QNetDesc desc = make_zoo_qnet(seed, architecture);
-  expect_bit_identical(desc, make_images(5, seed + 100), {}, "defaults");
+  expect_bit_identical(desc, make_images(5, seed + 100), "defaults");
 }
 
 // The width-0.2 zoo nets have convs with few output channels: every conv
@@ -238,7 +281,7 @@ TEST(EdgeGeometry, OneByOneConvStrideOneAndTwo) {
         nn::FullyConnected::Config{6 * out_hw * out_hw, 4}, rng));
     const hw::QNetDesc desc = qnet_from_net(std::move(net), rng, "conv1x1");
 
-    expect_bit_identical(desc, make_images(4, 31), {}, "1x1 conv");
+    expect_bit_identical(desc, make_images(4, 31), "1x1 conv");
   }
 }
 
@@ -253,7 +296,7 @@ TEST(EdgeGeometry, HeavyPaddingMatchesTheReference) {
   net.add(std::make_unique<nn::FullyConnected>(
       nn::FullyConnected::Config{5 * (kInH + 2) * (kInW + 2), 4}, rng));
   const hw::QNetDesc desc = qnet_from_net(std::move(net), rng, "heavypad");
-  expect_bit_identical(desc, make_images(4, 34), {}, "heavy padding");
+  expect_bit_identical(desc, make_images(4, 34), "heavy padding");
 }
 
 TEST(EdgeGeometry, PoolWindowsThatDoNotTileEvenly) {
@@ -280,7 +323,7 @@ TEST(EdgeGeometry, PoolWindowsThatDoNotTileEvenly) {
     }
   }
   EXPECT_TRUE(saw_pool);
-  expect_bit_identical(desc, make_images(4, 36), {}, "uneven pool tiling");
+  expect_bit_identical(desc, make_images(4, 36), "uneven pool tiling");
 }
 
 TEST(EdgeGeometry, PaddedPoolWindows) {
@@ -294,7 +337,7 @@ TEST(EdgeGeometry, PaddedPoolWindows) {
   net.add(std::make_unique<nn::FullyConnected>(
       nn::FullyConnected::Config{5 * 9 * 9, 4}, rng));
   const hw::QNetDesc desc = qnet_from_net(std::move(net), rng, "paddedpool");
-  expect_bit_identical(desc, make_images(4, 38), {}, "padded pool");
+  expect_bit_identical(desc, make_images(4, 38), "padded pool");
 }
 
 TEST(EdgeGeometry, PoolBeforeActivationKeepsTheStageOrder) {
@@ -315,7 +358,7 @@ TEST(EdgeGeometry, PoolBeforeActivationKeepsTheStageOrder) {
   ASSERT_GE(plan->steps.size(), 3u);
   EXPECT_EQ(plan->steps[1].kind, StepKind::kPool);
   EXPECT_EQ(plan->steps[2].kind, StepKind::kRelu);
-  expect_bit_identical(desc, make_images(4, 40), {}, "pool before relu");
+  expect_bit_identical(desc, make_images(4, 40), "pool before relu");
 }
 
 // The MAC tile covers 4 output pixels (conv) or batch rows (FC) x 2 output
@@ -350,9 +393,9 @@ TEST(EdgeGeometry, TileRemaindersMatchTheReference) {
         "conv" + std::to_string(c.kernel) + "x" + std::to_string(c.kernel) +
         " out_c " + std::to_string(c.out_c);
     for (const std::size_t batch : {1, 3, 6}) {
-      expect_bit_identical(desc, make_images(batch, seed + batch), {},
-                           (context + " batch " + std::to_string(batch))
-                               .c_str());
+      expect_bit_identical(
+          desc, make_images(batch, seed + batch),
+          (context + " batch " + std::to_string(batch)).c_str());
     }
   }
 }
@@ -433,19 +476,15 @@ TEST(PlanCache, SharesByContentAndEvictedPlansKeepServing) {
   const hw::QNetDesc desc_b = make_zoo_qnet(51, "mlp", "b");
 
   PlanCache cache(1);  // LRU bound of one entry
-  const auto plan_a =
-      cache.get_or_compile(desc_a, kInC, kInH, kInW, CompileOptions{});
+  const auto plan_a = cache.get_or_compile(desc_a, kInC, kInH, kInW);
   // Identical content under a different name: a hit, the same artifact.
-  const auto plan_a2 =
-      cache.get_or_compile(desc_a2, kInC, kInH, kInW, CompileOptions{});
+  const auto plan_a2 = cache.get_or_compile(desc_a2, kInC, kInH, kInW);
   EXPECT_EQ(plan_a.get(), plan_a2.get());
   // A different input geometry compiles its own entry (and evicts at
   // bound 1); 17x17 pools down to the same 2x2 map the fc expects.
-  const auto plan_17 = cache.get_or_compile(desc_a, kInC, kInH + 1, kInW + 1,
-                                            CompileOptions{});
+  const auto plan_17 = cache.get_or_compile(desc_a, kInC, kInH + 1, kInW + 1);
   EXPECT_NE(plan_a.get(), plan_17.get());
-  const auto plan_b =
-      cache.get_or_compile(desc_b, kInC, kInH, kInW, CompileOptions{});
+  const auto plan_b = cache.get_or_compile(desc_b, kInC, kInH, kInW);
 
   const PlanCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);

@@ -77,8 +77,33 @@ TEST(Pack, RoundTripThroughNibbles) {
   EXPECT_EQ(packed.size(), 4u);  // ceil(7/2)
   const auto values = unpack_pow2(packed, 7);
   for (std::size_t i = 0; i < 7; ++i) {
-    EXPECT_FLOAT_EQ(values[i], pow2_value(weights[i])) << i;
+    EXPECT_FLOAT_EQ(values[i].value(), pow2_value(weights[i])) << i;
   }
+}
+
+// Every one of the 16 codes, plus one more so the count is odd and the last
+// byte holds a single low nibble: pack -> unpack returns the exact weights,
+// and the same stream one byte short throws.
+TEST(Pack, AllSixteenCodesRoundTripAtAnOddCount) {
+  std::vector<Pow2Weight> expected;
+  for (int code = 0; code < 16; ++code) {
+    expected.push_back(decode_nibble(static_cast<std::uint8_t>(code)));
+  }
+  expected.push_back(decode_nibble(0x9));
+  tensor::Tensor weights{tensor::Shape{expected.size()}};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    weights[i] = expected[i].value();
+  }
+
+  std::vector<std::uint8_t> packed = pack_pow2(weights);
+  ASSERT_EQ(packed.size(), 9u);  // ceil(17/2)
+  EXPECT_EQ(packed.back(), 0x9);  // the high nibble of the last byte is 0
+  EXPECT_EQ(unpack_pow2(packed, expected.size()), expected);
+
+  packed.pop_back();
+  EXPECT_THROW((void)unpack_pow2(packed, expected.size()),
+               std::invalid_argument);
+  EXPECT_EQ(unpack_pow2(packed, expected.size() - 1).size(), 16u);
 }
 
 TEST(Pack, ShortStreamThrows) {

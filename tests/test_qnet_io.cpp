@@ -126,5 +126,35 @@ TEST(QNetIo, RejectsZeroStrideKernelOrWindow) {
                std::runtime_error);
 }
 
+// A declared weight count that wraps size_t would wrap to a tiny (here,
+// zero) blob size: the loader must refuse the image, not load it with an
+// empty weight stream.
+TEST(QNetIo, RejectsWrappingWeightCounts) {
+  QNetDesc conv_image;
+  QConv conv;
+  conv.in_c = std::size_t{1} << 32;
+  conv.out_c = 1;
+  conv.kernel = std::size_t{1} << 16;  // 2^32 * 2^16 * 2^16 = 2^64 -> 0
+  conv.bias_codes.assign(1, 0);
+  conv_image.layers.emplace_back(std::move(conv));
+
+  QNetDesc fc_image;
+  QFullyConnected fc;
+  fc.in_features = std::size_t{1} << 63;
+  fc.out_features = 2;  // 2^64 -> 0
+  fc.bias_codes.assign(2, 0);
+  fc_image.layers.emplace_back(std::move(fc));
+
+  for (const QNetDesc& image : {conv_image, fc_image}) {
+    try {
+      (void)qnet_from_bytes(qnet_to_bytes(image));
+      ADD_FAILURE() << "image with a wrapping weight count loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("overflow"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mfdfp::hw

@@ -81,14 +81,12 @@ int main(int argc, char** argv) {
   for (const std::string& arch : archs) {
     for (const Geometry& g : geometries) {
       const mfdfp::hw::QNetDesc desc = build_qnet(arch, g, seed++);
-      // Compile with the analyze pass off: planlint wants the full report
-      // table even for a plan the deploy-time pass would reject.
-      mfdfp::compile::CompileOptions copts;
-      copts.analyze = false;
-      const auto plan =
-          mfdfp::compile::compile_qnet(desc, g.c, g.h, g.w, copts);
+      // Lower without the deploy-time proof: planlint wants the full report
+      // table even for a plan compile_qnet would reject.
+      const mfdfp::compile::CompiledPlan plan =
+          mfdfp::compile::lower_qnet(desc, g.c, g.h, g.w);
       const mfdfp::analysis::AnalysisReport report =
-          mfdfp::analysis::analyze_plan(*plan, options);
+          mfdfp::analysis::analyze_plan(plan, options);
 
       std::printf("== %s @ %zux%zux%zu ==\n", arch.c_str(), g.c, g.h, g.w);
       std::printf("%s", report.table().c_str());
