@@ -8,7 +8,7 @@
 
 #include "compile/plan_executor.hpp"
 #include "hw/fixed_point.hpp"
-#include "quant/dfp.hpp"
+#include "hw/kernels.hpp"
 #include "util/table.hpp"
 
 namespace mfdfp::analysis {
@@ -117,49 +117,28 @@ Interval route_interval(const Interval& dot, int in_frac, int out_frac,
           hw::shift_round(sum.hi, grid - out_frac)};
 }
 
-/// In-bounds tap-count range over every pool window of the geometry (a
-/// padded pool's edge windows cover fewer real taps).
-std::pair<std::size_t, std::size_t> pool_tap_counts(const hw::QPool& pool,
-                                                    std::size_t ih,
-                                                    std::size_t iw,
-                                                    std::size_t oh,
-                                                    std::size_t ow) {
-  std::size_t min_taps = pool.window * pool.window;
-  std::size_t max_taps = 0;
-  for (std::size_t oy = 0; oy < oh; ++oy) {
-    for (std::size_t ox = 0; ox < ow; ++ox) {
-      std::size_t taps = 0;
-      for (std::size_t ky = 0; ky < pool.window; ++ky) {
-        const std::ptrdiff_t iy =
-            static_cast<std::ptrdiff_t>(oy * pool.stride + ky) -
-            static_cast<std::ptrdiff_t>(pool.pad);
-        if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(ih)) continue;
-        for (std::size_t kx = 0; kx < pool.window; ++kx) {
-          const std::ptrdiff_t ix =
-              static_cast<std::ptrdiff_t>(ox * pool.stride + kx) -
-              static_cast<std::ptrdiff_t>(pool.pad);
-          if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(iw)) continue;
-          ++taps;
-        }
-      }
-      min_taps = std::min(min_taps, taps);
-      max_taps = std::max(max_taps, taps);
-    }
-  }
-  return {min_taps, max_taps};
-}
-
-/// The kernel's exact avg-pool expression at one tap-sum value — every op
-/// (exact double widening, ldexp, float rounding, multiply by a positive
-/// constant, encode's round-half-away) is monotone nondecreasing in `sum`,
-/// so evaluating it at the sum interval's endpoints bounds every window.
-std::int64_t avg_pool_code(std::int64_t sum, int in_frac,
-                           const quant::DfpFormat& out_format,
-                           float inv_area) {
-  const float value =
-      static_cast<float>(std::ldexp(static_cast<double>(sum), -in_frac)) *
-      inv_area;
-  return out_format.encode(value);
+/// In-bounds tap-count range over the `out` windows of one axis, in closed
+/// form over hw::clip_window. A window starting at t = o*stride - pad
+/// covers |[t, t + window) n [0, in)| taps: as t grows the count rises,
+/// stays at min(window, in), then falls. So the fewest taps sit at the
+/// first or last window, and the most at the first window with
+/// t >= min(0, in - window) or the one before it.
+std::pair<std::size_t, std::size_t> axis_tap_counts(const hw::QPool& pool,
+                                                    std::size_t in,
+                                                    std::size_t out) {
+  if (out == 0) return {0, 0};
+  const auto taps = [&pool, in](std::size_t o) {
+    const hw::AxisSpan span =
+        hw::clip_window(o, in, pool.window, pool.stride, pool.pad);
+    return span.hi - span.lo;
+  };
+  const std::size_t overhang = pool.window > in ? pool.window - in : 0;
+  const std::size_t rise = pool.pad > overhang ? pool.pad - overhang : 0;
+  const std::size_t peak =
+      std::min(out - 1, rise / pool.stride + (rise % pool.stride != 0));
+  std::size_t most = taps(peak);
+  if (peak > 0) most = std::max(most, taps(peak - 1));
+  return {std::min(taps(0), taps(out - 1)), most};
 }
 
 /// pool_forward on a per-channel input interval. Identical geometry for
@@ -177,18 +156,26 @@ Interval pool_interval(const hw::QPool& pool, const Interval& in,
     return convert_interval(best, in_frac, pool.out_frac, clip, overflow);
   }
   // Average: the tap sum of n in-bounds taps each in [lo, hi] is minimized
-  // by n*lo (largest n when lo < 0) and maximized by n*hi.
-  const auto n_lo = static_cast<std::int64_t>(min_taps);
-  const auto n_hi = static_cast<std::int64_t>(max_taps);
+  // by n*lo (largest n when lo < 0) and maximized by n*hi. Counts past
+  // 2^56 (no addressable input has them) saturate so n * code stays in
+  // int64.
+  constexpr std::size_t kMaxTaps = std::size_t{1} << 56;
+  const auto n_lo = static_cast<std::int64_t>(std::min(min_taps, kMaxTaps));
+  const auto n_hi = static_cast<std::int64_t>(std::min(max_taps, kMaxTaps));
   const std::int64_t sum_lo = in.lo < 0 ? n_hi * in.lo : n_lo * in.lo;
   const std::int64_t sum_hi = in.hi > 0 ? n_hi * in.hi : n_lo * in.hi;
-  const quant::DfpFormat out_format{hw::kInputBits, pool.out_frac};
+  // hw::avg_pool_code is the kernel's own expression, and every op in it
+  // (exact double widening, scaling by a power of two, float rounding,
+  // multiply by a positive constant, encode's round-half-away) is monotone
+  // nondecreasing in the sum, so its values at the sum interval's endpoints
+  // bound every window. encode saturates internally; avg pool therefore
+  // never overflows, and its clip (if any) is folded into the codes.
+  const double in_scale = std::ldexp(1.0, -in_frac);
+  const double out_scale = std::ldexp(1.0, pool.out_frac);
   const float inv_area =
       1.0f / static_cast<float>(pool.window * pool.window);
-  // encode() saturates internally; avg pool therefore never overflows, and
-  // its clip (if any) is already folded into the returned codes.
-  return {avg_pool_code(sum_lo, in_frac, out_format, inv_area),
-          avg_pool_code(sum_hi, in_frac, out_format, inv_area)};
+  return {hw::avg_pool_code(sum_lo, in_scale, inv_area, out_scale),
+          hw::avg_pool_code(sum_hi, in_scale, inv_area, out_scale)};
 }
 
 /// Which conv taps read the zero border for at least one output pixel —
@@ -230,6 +217,18 @@ const char* kind_name(StepKind kind) {
 }
 
 }  // namespace
+
+std::pair<std::size_t, std::size_t> pool_tap_counts(const hw::QPool& pool,
+                                                    std::size_t ih,
+                                                    std::size_t iw,
+                                                    std::size_t oh,
+                                                    std::size_t ow) {
+  // A window's count is the product of its two axis counts, and the two
+  // axes vary independently.
+  const auto [min_y, max_y] = axis_tap_counts(pool, ih, oh);
+  const auto [min_x, max_x] = axis_tap_counts(pool, iw, ow);
+  return {min_y * min_x, max_y * max_x};
+}
 
 int bits_needed(const Interval& iv) noexcept {
   for (int bits = 1; bits < 64; ++bits) {

@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compile/plan.hpp"
@@ -121,6 +122,14 @@ struct AnalysisReport {
   /// One-line verdict for logs.
   [[nodiscard]] std::string summary() const;
 };
+
+/// {fewest, most} in-bounds taps over every window of `pool` on an
+/// ih x iw input with an oh x ow output: a padded pool's edge windows
+/// cover fewer real taps, a fully padded one none. Closed form over the
+/// kernel's per-axis hw::clip_window spans, O(1) in the geometry.
+[[nodiscard]] std::pair<std::size_t, std::size_t> pool_tap_counts(
+    const hw::QPool& pool, std::size_t ih, std::size_t iw, std::size_t oh,
+    std::size_t ow);
 
 /// Abstract-interprets `plan` (tables must be built, as lower_qnet builds
 /// them). Never throws on unsafe plans — violations are

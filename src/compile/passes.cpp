@@ -213,9 +213,12 @@ void pass_verify(const CompiledPlan& plan) {
   std::size_t features = 0;
   int frac = plan.input_frac;
 
+  hw::check_radix(plan.input_frac, "plan verifier: input");
   for (std::size_t i = 0; i < plan.steps.size(); ++i) {
     const PlanStep& s = plan.steps[i];
     if (s.in_frac != frac) verify_error(i, "radix chain break");
+    hw::check_radix(s.out_frac,
+                    ("plan verifier: step " + std::to_string(i)).c_str());
     switch (s.kind) {
       case StepKind::kConv: {
         if (!spatial || s.in_c != c || s.in_h != h || s.in_w != w) {

@@ -31,13 +31,15 @@ namespace mfdfp::compile {
 /// radix chain, weight/bias tables and tap rows built; content_hash left 0).
 /// Throws std::invalid_argument on a desc the geometry walk rejects
 /// (including a zero stride or window, a padded axis past 32 bits, or a
-/// short weight stream).
+/// short weight stream), and std::out_of_range (from pass_verify) on a
+/// radix outside hw::check_radix's bound.
 [[nodiscard]] CompiledPlan lower_qnet(const hw::QNetDesc& desc,
                                       std::size_t in_c, std::size_t in_h,
                                       std::size_t in_w);
 
 /// Re-derives the plan's geometry and radix chain and checks every payload
-/// against it; throws std::runtime_error on any mismatch.
+/// against it; throws std::runtime_error on any mismatch and
+/// std::out_of_range on a radix hw::check_radix rejects.
 void pass_verify(const CompiledPlan& plan);
 
 /// Full deploy-time compilation: lower_qnet, the content hash, then

@@ -7,6 +7,7 @@
 
 #include "hw/kernels.hpp"
 #include "hw/layer_profile.hpp"
+#include "quant/dfp.hpp"
 
 namespace mfdfp::compile {
 
@@ -21,6 +22,12 @@ using tensor::Shape;
 /// the sixteen x86-64 vector registers.
 constexpr std::size_t kTileRows = 4;
 constexpr std::size_t kTileCols = 2;
+
+/// Samples run_plan_batch takes through the steps at a time. The scratch
+/// activations then hold kSubBatch samples whatever the batch size (a
+/// cifar conv1 output is 32 KB per sample), and kTileRows of them keep the
+/// FC tile's batch rows full.
+constexpr std::size_t kSubBatch = kTileRows;
 
 /// Exact dots of P rows of x against C weight rows, every row `len` int16
 /// long and contiguous, into acc[p * C + c]. Each weight load serves P
@@ -171,6 +178,16 @@ void run_fc_step(const PlanStep& s, const CodeTensor& input, CodeTensor& out,
       });
 }
 
+/// `shape` with its leading (batch) dim set to `n`.
+Shape with_batch(const Shape& shape, std::size_t n) {
+  switch (shape.rank()) {
+    case 1: return Shape{n};
+    case 2: return Shape{n, shape.dim(1)};
+    case 3: return Shape{n, shape.dim(1), shape.dim(2)};
+    default: return Shape{n, shape.dim(1), shape.dim(2), shape.dim(3)};
+  }
+}
+
 }  // namespace
 
 void run_plan_codes(const CompiledPlan& plan, hw::ExecScratch& scratch,
@@ -215,10 +232,35 @@ tensor::Tensor run_plan_batch(const CompiledPlan& plan,
                               const tensor::Tensor& images,
                               hw::ExecScratch& scratch,
                               hw::LayerProfiler* profiler) {
-  CodeTensor::encode_into(images, plan.input_frac, scratch.input);
-  run_plan_codes(plan, scratch, profiler);
-  if (profiler != nullptr) profiler->record_pass(images.shape().n());
-  return scratch.input.decode();
+  const std::size_t batch = images.shape().n();
+  const std::size_t sample = images.size() / batch;
+  const quant::DfpFormat input_format{hw::kInputBits, plan.input_frac};
+  tensor::Tensor logits;
+  // Every sample's arithmetic is independent of the others, so running the
+  // steps kSubBatch samples at a time gives the codes of one pass over the
+  // whole batch.
+  for (std::size_t n0 = 0; n0 < batch; n0 += kSubBatch) {
+    const std::size_t count = std::min(kSubBatch, batch - n0);
+    CodeTensor& codes = scratch.input;
+    codes.shape = with_batch(images.shape(), count);
+    codes.frac = plan.input_frac;
+    codes.codes.resize(count * sample);
+    const float* values = images.data().data() + n0 * sample;
+    for (std::size_t i = 0; i < codes.codes.size(); ++i) {
+      codes.codes[i] = static_cast<std::int8_t>(input_format.encode(values[i]));
+    }
+    run_plan_codes(plan, scratch, profiler);
+
+    const CodeTensor& out = scratch.input;
+    if (n0 == 0) logits = tensor::Tensor{with_batch(out.shape, batch)};
+    const quant::DfpFormat out_format{hw::kInputBits, out.frac};
+    float* dst = logits.data().data() + n0 * (out.codes.size() / count);
+    for (std::size_t i = 0; i < out.codes.size(); ++i) {
+      dst[i] = out_format.decode(out.codes[i]);
+    }
+  }
+  if (profiler != nullptr) profiler->record_pass(batch);
+  return logits;
 }
 
 }  // namespace mfdfp::compile

@@ -43,9 +43,11 @@ void run_plan_codes(const CompiledPlan& plan, hw::ExecScratch& scratch,
                     hw::LayerProfiler* profiler = nullptr);
 
 /// Full batched pipeline: encode the stacked images ({B, C, H, W}) at the
-/// plan's input radix, execute every step, decode the logits. Bit-identical
-/// to AcceleratorExecutor::run() on the source desc (enforced by
-/// tests/test_compile.cpp and bench/ablation_compile).
+/// plan's input radix, execute every step, decode the logits. The steps run
+/// on four samples at a time, so scratch holds four samples' activations
+/// at any batch size. Bit-identical to AcceleratorExecutor::run() on the
+/// source desc (enforced by tests/test_compile.cpp and
+/// bench/ablation_compile).
 [[nodiscard]] tensor::Tensor run_plan_batch(const CompiledPlan& plan,
                                             const tensor::Tensor& images,
                                             hw::ExecScratch& scratch,

@@ -1,6 +1,7 @@
 #include "hw/datapath.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace mfdfp::hw {
 
@@ -70,7 +71,18 @@ std::int32_t AccumulatorRouting::route(bool apply_relu) const {
   return static_cast<std::int32_t>(saturate(rounded, kInputBits));
 }
 
+void check_radix(int frac, const char* who) {
+  if (frac < -kMaxRadix || frac > kMaxRadix) {
+    throw std::out_of_range(std::string(who) + ": radix " +
+                            std::to_string(frac) + " outside [-" +
+                            std::to_string(kMaxRadix) + ", " +
+                            std::to_string(kMaxRadix) + "]");
+  }
+}
+
 std::int32_t convert_code(std::int32_t code, int from_frac, int to_frac) {
+  check_radix(from_frac, "convert_code");
+  check_radix(to_frac, "convert_code");
   check_width(code, kInputBits, "convert input");
   std::int64_t value = code;
   if (to_frac >= from_frac) {

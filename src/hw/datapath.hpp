@@ -70,9 +70,19 @@ class AccumulatorRouting {
   std::int64_t acc_ = 0;
 };
 
+/// Largest radix magnitude |frac| a deployment image may declare. The
+/// converter emits radices in about [-121, 158]; the bound keeps every
+/// radix difference, the routing grid m + 7 and the scales 2^+-frac far
+/// from int overflow and inside the normal doubles.
+inline constexpr int kMaxRadix = 256;
+
+/// Throws std::out_of_range (prefixed with `who`) when |frac| > kMaxRadix.
+void check_radix(int frac, const char* who);
+
 /// Converts an 8-bit code between two DFP fractional lengths with
 /// round-half-away + saturation (used by pool/ReLU/flatten stages when the
-/// layer output format differs from its input format).
+/// layer output format differs from its input format). Both radices must
+/// pass check_radix.
 [[nodiscard]] std::int32_t convert_code(std::int32_t code, int from_frac,
                                         int to_frac);
 

@@ -40,6 +40,7 @@ CodeTensor CodeTensor::encode(const Tensor& values, int frac) {
 
 AcceleratorExecutor::AcceleratorExecutor(QNetDesc desc)
     : desc_(std::move(desc)) {
+  check_radices(desc_, "AcceleratorExecutor");
   decoded_weights_.resize(desc_.layers.size());
   for (std::size_t i = 0; i < desc_.layers.size(); ++i) {
     if (const auto* conv = std::get_if<QConv>(&desc_.layers[i])) {

@@ -53,8 +53,10 @@ struct ExecScratch {
 class AcceleratorExecutor {
  public:
   /// Predecodes weight nibbles for synapse access (quant::unpack_pow2;
-  /// throws std::invalid_argument on a short weight stream). Takes the
-  /// deployment image by value so callers can move large weight streams in.
+  /// throws std::invalid_argument on a short weight stream) after
+  /// check_radices (std::out_of_range on a radix past +-kMaxRadix). Takes
+  /// the deployment image by value so callers can move large weight
+  /// streams in.
   explicit AcceleratorExecutor(QNetDesc desc);
 
   /// Full pipeline: encode images at the input radix, run every layer on the

@@ -4,10 +4,10 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace mfdfp::hw {
 
-using quant::DfpFormat;
 using tensor::Shape;
 
 std::size_t window_extent(std::size_t in, std::size_t window,
@@ -47,12 +47,43 @@ ConvGeometry conv_geometry(std::size_t in_c, std::size_t kernel,
   return g;
 }
 
-void apply_relu(CodeTensor& input, int out_frac) {
-  for (std::int8_t& code : input.codes) {
-    const std::int32_t rectified = std::max<std::int32_t>(0, code);
-    code = static_cast<std::int8_t>(
-        convert_code(rectified, input.frac, out_frac));
+CodeTable::CodeTable(int from_frac, int to_frac, bool rectify)
+    : from_frac_(from_frac), to_frac_(to_frac), rectify_(rectify) {
+  // A rectified negative code converts max(0, c) = 0, whose entry (index
+  // 0) is filled first.
+  for (int i = 0; i < 256; ++i) {
+    const auto code = static_cast<std::int8_t>(i);
+    if (rectify && code < 0) {
+      entries_[static_cast<std::size_t>(i)] = entries_[0];
+      continue;
+    }
+    try {
+      entries_[static_cast<std::size_t>(i)] =
+          static_cast<std::int16_t>(convert(code));
+    } catch (const std::overflow_error&) {
+      entries_[static_cast<std::size_t>(i)] = kThrows;
+      total_ = false;
+    }
   }
+}
+
+std::int8_t CodeTable::convert(std::int8_t code) const {
+  const std::int32_t in = rectify_ ? std::max<std::int32_t>(0, code) : code;
+  return static_cast<std::int8_t>(convert_code(in, from_frac_, to_frac_));
+}
+
+void CodeTable::apply(std::span<std::int8_t> codes) const {
+  if (!total_) {
+    for (std::int8_t& code : codes) code = (*this)(code);
+    return;
+  }
+  for (std::int8_t& code : codes) {
+    code = static_cast<std::int8_t>(entries_[static_cast<std::uint8_t>(code)]);
+  }
+}
+
+void apply_relu(CodeTensor& input, int out_frac) {
+  CodeTable(input.frac, out_frac, /*rectify=*/true).apply(input.codes);
   input.frac = out_frac;
 }
 
@@ -63,13 +94,24 @@ void apply_flatten(CodeTensor& input, int out_frac) {
   }
   input.shape = Shape{input.shape.dim(0), features};
   if (out_frac != input.frac) {
-    for (std::int8_t& code : input.codes) {
-      code = static_cast<std::int8_t>(
-          convert_code(code, input.frac, out_frac));
-    }
+    CodeTable(input.frac, out_frac, /*rectify=*/false).apply(input.codes);
     input.frac = out_frac;
   }
 }
+
+namespace {
+
+/// The clipped window span of every output position on one axis.
+std::vector<AxisSpan> clipped_spans(std::size_t in, std::size_t out,
+                                    const QPool& pool) {
+  std::vector<AxisSpan> spans(out);
+  for (std::size_t o = 0; o < out; ++o) {
+    spans[o] = clip_window(o, in, pool.window, pool.stride, pool.pad);
+  }
+  return spans;
+}
+
+}  // namespace
 
 void pool_forward(const QPool& pool, const CodeTensor& input,
                   CodeTensor& out) {
@@ -82,55 +124,61 @@ void pool_forward(const QPool& pool, const CodeTensor& input,
       window_extent(ih, pool.window, pool.stride, pool.pad, "pool_forward");
   const std::size_t ow =
       window_extent(iw, pool.window, pool.stride, pool.pad, "pool_forward");
+  check_radix(input.frac, "pool_forward");
+  check_radix(pool.out_frac, "pool_forward");
 
   out.shape = Shape{s.n(), s.c(), oh, ow};
   out.frac = pool.out_frac;
   out.codes.resize(out.shape.size());
 
-  const DfpFormat out_format{kInputBits, pool.out_frac};
-  const float inv_area =
-      1.0f / static_cast<float>(pool.window * pool.window);
-  std::size_t out_i = 0;
-  for (std::size_t n = 0; n < s.n(); ++n) {
-    for (std::size_t c = 0; c < s.c(); ++c) {
-      const std::size_t plane = (n * s.c() + c) * ih * iw;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox, ++out_i) {
-          bool found = false;
-          std::int32_t best = 0;
-          std::int64_t sum = 0;
-          for (std::size_t ky = 0; ky < pool.window; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * pool.stride + ky) -
-                static_cast<std::ptrdiff_t>(pool.pad);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(ih)) continue;
-            for (std::size_t kx = 0; kx < pool.window; ++kx) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * pool.stride + kx) -
-                  static_cast<std::ptrdiff_t>(pool.pad);
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(iw)) continue;
-              const std::int32_t code =
-                  input.codes[plane + static_cast<std::size_t>(iy) * iw +
-                              static_cast<std::size_t>(ix)];
-              if (!found || code > best) best = code;
-              found = true;
-              sum += code;
-            }
-          }
-          if (pool.is_max) {
-            out.codes[out_i] = static_cast<std::int8_t>(
-                convert_code(found ? best : 0, input.frac, pool.out_frac));
-          } else {
-            // Mirror the float model exactly: float mean of decoded taps
-            // (exact for window^2 * 127 < 2^24), then re-encode.
-            const float value =
-                static_cast<float>(std::ldexp(static_cast<double>(sum),
-                                              -input.frac)) *
-                inv_area;
-            out.codes[out_i] =
-                static_cast<std::int8_t>(out_format.encode(value));
+  const std::vector<AxisSpan> rows = clipped_spans(ih, oh, pool);
+  const std::vector<AxisSpan> cols = clipped_spans(iw, ow, pool);
+  const std::int8_t* plane = input.codes.data();
+  std::int8_t* dst = out.codes.data();
+  if (pool.is_max) {
+    // Max over the in-bounds taps only (a pad is absent, not code 0):
+    // first down each column of the window's rows, then across.
+    const CodeTable table(input.frac, pool.out_frac, /*rectify=*/false);
+    std::vector<std::int8_t> column_max(iw);
+    for (std::size_t p = 0; p < s.n() * s.c(); ++p, plane += ih * iw) {
+      for (const AxisSpan& ry : rows) {
+        std::fill(column_max.begin(), column_max.end(), INT8_MIN);
+        for (std::size_t iy = ry.lo; iy < ry.hi; ++iy) {
+          const std::int8_t* row = plane + iy * iw;
+          for (std::size_t ix = 0; ix < iw; ++ix) {
+            column_max[ix] = std::max(column_max[ix], row[ix]);
           }
         }
+        for (const AxisSpan& rx : cols) {
+          std::int8_t best = 0;  // a fully padded window
+          if (ry.lo < ry.hi && rx.lo < rx.hi) {
+            best = *std::max_element(column_max.begin() + rx.lo,
+                                     column_max.begin() + rx.hi);
+          }
+          *dst++ = table(best);
+        }
+      }
+    }
+    return;
+  }
+  // Mirror the float model exactly: float mean of decoded taps (exact for
+  // window^2 * 127 < 2^24), then re-encode.
+  const double in_scale = std::ldexp(1.0, -input.frac);
+  const double out_scale = std::ldexp(1.0, pool.out_frac);
+  const float inv_area =
+      1.0f / static_cast<float>(pool.window * pool.window);
+  std::vector<std::int64_t> column_sum(iw);
+  for (std::size_t p = 0; p < s.n() * s.c(); ++p, plane += ih * iw) {
+    for (const AxisSpan& ry : rows) {
+      std::fill(column_sum.begin(), column_sum.end(), 0);
+      for (std::size_t iy = ry.lo; iy < ry.hi; ++iy) {
+        const std::int8_t* row = plane + iy * iw;
+        for (std::size_t ix = 0; ix < iw; ++ix) column_sum[ix] += row[ix];
+      }
+      for (const AxisSpan& rx : cols) {
+        std::int64_t sum = 0;
+        for (std::size_t ix = rx.lo; ix < rx.hi; ++ix) sum += column_sum[ix];
+        *dst++ = avg_pool_code(sum, in_scale, inv_area, out_scale);
       }
     }
   }
@@ -138,6 +186,8 @@ void pool_forward(const QPool& pool, const CodeTensor& input,
 
 SumRouter::SumRouter(int in_frac, int out_frac)
     : in_frac_(in_frac), out_frac_(out_frac) {
+  check_radix(in_frac, "SumRouter");
+  check_radix(out_frac, "SumRouter");
   const int acc_frac = in_frac + kProductFracBits;
   const int grid = std::max(acc_frac, out_frac);
   la_ = grid - acc_frac;

@@ -11,11 +11,15 @@
 // CompiledPlan matches run() by construction, not by re-implementation.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 
 #include "hw/datapath.hpp"
 #include "hw/executor.hpp"
 #include "hw/qnet.hpp"
+#include "quant/dfp.hpp"
 
 namespace mfdfp::hw {
 
@@ -43,18 +47,94 @@ struct ConvGeometry {
                                          const tensor::Shape& in_shape,
                                          const char* who);
 
+/// The half-open input range [lo, hi) one window covers on one axis,
+/// clipped to the input: the taps no pad covers. A fully padded window has
+/// lo == hi.
+struct AxisSpan {
+  std::size_t lo = 0, hi = 0;
+};
+
+/// The clipped span of output `o`'s window on an axis of `in` inputs.
+/// `o` must be below window_extent(in, window, stride, pad), which keeps
+/// o * stride + window within the 32-bit padded axis.
+[[nodiscard]] constexpr AxisSpan clip_window(std::size_t o, std::size_t in,
+                                             std::size_t window,
+                                             std::size_t stride,
+                                             std::size_t pad) noexcept {
+  const std::size_t start = o * stride;
+  const std::size_t end = start + window;
+  return {std::min(in, start > pad ? start - pad : 0),
+          std::min(in, end > pad ? end - pad : 0)};
+}
+
+/// The 256-entry table of one code conversion: the entry of code c is
+/// convert_code(rectify ? max(0, c) : c, from_frac, to_frac). It is filled
+/// by calling convert_code on every int8 code (a rectified negative code
+/// shares the entry of code 0), so it is exact by construction. A code whose conversion throws (a left shift that
+/// overflows the int64 carrier) holds a marker instead; converting that
+/// code re-runs convert_code, so a kernel throws at the same element a
+/// per-element convert_code loop would. Built per kernel call (~1 us), not
+/// stored in the plan.
+class CodeTable {
+ public:
+  /// Throws std::out_of_range (from convert_code) when a radix fails
+  /// check_radix.
+  CodeTable(int from_frac, int to_frac, bool rectify);
+
+  [[nodiscard]] std::int8_t operator()(std::int8_t code) const {
+    const std::int16_t entry = entries_[static_cast<std::uint8_t>(code)];
+    if (entry == kThrows) [[unlikely]] return convert(code);
+    return static_cast<std::int8_t>(entry);
+  }
+
+  /// Converts every code in place, in order.
+  void apply(std::span<std::int8_t> codes) const;
+
+ private:
+  static constexpr std::int16_t kThrows = INT16_MIN;
+
+  [[nodiscard]] std::int8_t convert(std::int8_t code) const;
+
+  int from_frac_;
+  int to_frac_;
+  bool rectify_;
+  bool total_ = true;  ///< no entry holds the marker
+  std::array<std::int16_t, 256> entries_{};  ///< indexed by uint8_t(code)
+};
+
+/// The avg-pool output code of one window with tap-code sum `sum`: the
+/// float mean of the decoded taps, float(sum * 2^-in_frac) * inv_area, then
+/// DfpFormat::encode at out_frac — with the scales in_scale = 2^-in_frac
+/// and out_scale = 2^out_frac hoisted out of the window loop. Identical to
+/// the ldexp/encode spelling while both scales are normal doubles, which
+/// check_radix guarantees. The one expression the kernel runs and the
+/// analyzer's interval proof evaluates.
+[[nodiscard]] inline std::int8_t avg_pool_code(std::int64_t sum,
+                                               double in_scale,
+                                               float inv_area,
+                                               double out_scale) noexcept {
+  const float value =
+      static_cast<float>(static_cast<double>(sum) * in_scale) * inv_area;
+  constexpr quant::DfpFormat kCode{kInputBits, 0};
+  return static_cast<std::int8_t>(
+      kCode.encode_scaled(static_cast<double>(value) * out_scale));
+}
+
 /// In-place ReLU + refrac stage (rectify at the input radix, then
-/// convert_code into `out_frac`).
+/// convert_code into `out_frac`), through one CodeTable.
 void apply_relu(CodeTensor& input, int out_frac);
 
-/// In-place flatten (+ refrac when the output format differs).
+/// In-place flatten (+ refrac through one CodeTable when the output format
+/// differs).
 void apply_flatten(CodeTensor& input, int out_frac);
 
-/// Pool layer forward (max: convert_code of the window max; avg: float mean
-/// of the decoded taps re-encoded — mirrors the float model exactly).
-/// `out`'s shape/frac are set and its codes resized reusing capacity.
-/// Throws std::invalid_argument on a rank mismatch, a zero stride or window,
-/// or a window larger than the padded input.
+/// Pool layer forward over the clipped windows (max: convert_code of the
+/// max over the in-bounds taps, code 0 for a fully padded window; avg:
+/// avg_pool_code of the in-bounds tap sum — mirrors the float model
+/// exactly). `out`'s shape/frac are set and its codes resized reusing
+/// capacity. Throws std::invalid_argument on a rank mismatch, a zero stride
+/// or window, or a window larger than the padded input, and
+/// std::out_of_range when a radix fails check_radix.
 void pool_forward(const QPool& pool, const CodeTensor& input, CodeTensor& out);
 
 /// The Accumulator & Routing tail of one conv or FC step: add the bias,

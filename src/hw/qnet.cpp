@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "hw/datapath.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
@@ -20,6 +21,14 @@ std::size_t QNetDesc::parameter_bytes() const {
     }
   }
   return total;
+}
+
+void check_radices(const QNetDesc& desc, const char* who) {
+  check_radix(desc.input_frac, who);
+  for (const QLayer& layer : desc.layers) {
+    check_radix(std::visit([](const auto& l) { return l.out_frac; }, layer),
+                who);
+  }
 }
 
 namespace {

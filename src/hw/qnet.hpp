@@ -59,6 +59,12 @@ struct QNetDesc {
   [[nodiscard]] std::size_t parameter_bytes() const;
 };
 
+/// check_radix (hw/datapath.hpp) on the image's input_frac and every
+/// layer's out_frac: throws std::out_of_range, prefixed with `who`, on the
+/// first radix outside [-kMaxRadix, kMaxRadix]. Every entry that loads or
+/// executes a QNetDesc calls it first.
+void check_radices(const QNetDesc& desc, const char* who);
+
 /// Extracts the deployment image from a quantized network. The network must
 /// have exactly spec.layer_output.size() layers; weighted layers are
 /// re-quantized deterministically from their float masters (identical to

@@ -225,6 +225,7 @@ QNetDesc qnet_from_bytes(const std::string& bytes) {
     }
   }
   if (!p.exhausted()) throw std::runtime_error("qnet: trailing bytes");
+  check_radices(desc, "qnet");
   return desc;
 }
 

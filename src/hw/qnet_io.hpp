@@ -18,7 +18,8 @@ namespace mfdfp::hw {
 /// Serializes to a byte string (exact round-trip with qnet_from_bytes).
 [[nodiscard]] std::string qnet_to_bytes(const QNetDesc& desc);
 
-/// Parses a byte string; throws std::runtime_error on malformed input.
+/// Parses a byte string; throws std::runtime_error on malformed input and
+/// std::out_of_range on a radix check_radices rejects.
 [[nodiscard]] QNetDesc qnet_from_bytes(const std::string& bytes);
 
 /// File convenience wrappers; throw std::runtime_error on I/O failure.

@@ -17,15 +17,7 @@ double DfpFormat::max_value() const noexcept {
 }
 
 std::int32_t DfpFormat::encode(float value) const noexcept {
-  const double scaled = static_cast<double>(value) / step();
-  // Round half away from zero; keeps symmetry around 0 like the RTL would
-  // with a sign-magnitude rounder.
-  const double rounded =
-      scaled >= 0.0 ? std::floor(scaled + 0.5) : std::ceil(scaled - 0.5);
-  const double clamped =
-      std::clamp(rounded, static_cast<double>(min_code()),
-                 static_cast<double>(max_code()));
-  return static_cast<std::int32_t>(clamped);
+  return encode_scaled(static_cast<double>(value) / step());
 }
 
 float DfpFormat::decode(std::int32_t code) const noexcept {

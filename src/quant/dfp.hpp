@@ -8,6 +8,8 @@
 // [-(2^(b-1)) * 2^-f, (2^(b-1)-1) * 2^-f].
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -35,8 +37,21 @@ struct DfpFormat {
   }
 
   /// Nearest representable code for `value` (round half away from zero,
-  /// saturating).
+  /// saturating): encode_scaled(value / step()).
   [[nodiscard]] std::int32_t encode(float value) const noexcept;
+
+  /// encode()'s rounding of a value already in code units: round half away
+  /// from zero, then saturate to [min_code(), max_code()].
+  [[nodiscard]] std::int32_t encode_scaled(double scaled) const noexcept {
+    // Round half away from zero; keeps symmetry around 0 like the RTL
+    // would with a sign-magnitude rounder.
+    const double rounded =
+        scaled >= 0.0 ? std::floor(scaled + 0.5) : std::ceil(scaled - 0.5);
+    const double clamped =
+        std::clamp(rounded, static_cast<double>(min_code()),
+                   static_cast<double>(max_code()));
+    return static_cast<std::int32_t>(clamped);
+  }
 
   /// Real value of a code (no range check).
   [[nodiscard]] float decode(std::int32_t code) const noexcept;

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -18,6 +20,7 @@
 #include "compile/passes.hpp"
 #include "compile/plan_executor.hpp"
 #include "hw/executor.hpp"
+#include "hw/kernels.hpp"
 #include "nn/zoo.hpp"
 #include "quant/pow2.hpp"
 #include "quant/quantizer.hpp"
@@ -200,6 +203,94 @@ TEST(Analysis, PaddedTapSetIsDerivedFromTheConvGeometry) {
   ASSERT_TRUE(report.ok()) << report.table();
   ASSERT_EQ(report.steps.size(), 1u);
   EXPECT_EQ(report.steps[0].dot, (Interval{128, 65024}));
+}
+
+/// Brute-force tap counts: bounds-test every tap of every window.
+std::pair<std::size_t, std::size_t> brute_tap_counts(const hw::QPool& pool,
+                                                     std::size_t ih,
+                                                     std::size_t iw,
+                                                     std::size_t oh,
+                                                     std::size_t ow) {
+  std::size_t min_taps = pool.window * pool.window;
+  std::size_t max_taps = 0;
+  for (std::size_t oy = 0; oy < oh; ++oy) {
+    for (std::size_t ox = 0; ox < ow; ++ox) {
+      std::size_t taps = 0;
+      for (std::size_t ky = 0; ky < pool.window; ++ky) {
+        const std::ptrdiff_t iy =
+            static_cast<std::ptrdiff_t>(oy * pool.stride + ky) -
+            static_cast<std::ptrdiff_t>(pool.pad);
+        if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(ih)) continue;
+        for (std::size_t kx = 0; kx < pool.window; ++kx) {
+          const std::ptrdiff_t ix =
+              static_cast<std::ptrdiff_t>(ox * pool.stride + kx) -
+              static_cast<std::ptrdiff_t>(pool.pad);
+          if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(iw)) continue;
+          ++taps;
+        }
+      }
+      min_taps = std::min(min_taps, taps);
+      max_taps = std::max(max_taps, taps);
+    }
+  }
+  return {min_taps, max_taps};
+}
+
+TEST(Analysis, PoolTapCountsClosedFormMatchesTheWalk) {
+  std::size_t geometries = 0;
+  for (std::size_t ih = 1; ih <= 7; ++ih) {
+    for (const std::size_t iw : {std::size_t{1}, std::size_t{2}, ih + 3}) {
+      for (std::size_t window = 1; window <= 6; ++window) {
+        for (std::size_t stride = 1; stride <= 4; ++stride) {
+          for (std::size_t pad = 0; pad <= window + 1; ++pad) {
+            if (ih + 2 * pad < window || iw + 2 * pad < window) continue;
+            hw::QPool pool;
+            pool.window = window;
+            pool.stride = stride;
+            pool.pad = pad;
+            const std::size_t oh =
+                hw::window_extent(ih, window, stride, pad, "test");
+            const std::size_t ow =
+                hw::window_extent(iw, window, stride, pad, "test");
+            ASSERT_EQ(pool_tap_counts(pool, ih, iw, oh, ow),
+                      brute_tap_counts(pool, ih, iw, oh, ow))
+                << ih << "x" << iw << " window=" << window
+                << " stride=" << stride << " pad=" << pad;
+            ++geometries;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(geometries, 1000u);
+}
+
+// A window of 2^12 padded by 2^12 - 1 on a 4x4 map: 4099 x 4099 windows of
+// 2^24 taps each, almost all of them padding (every window still reaches
+// one corner tap). Walking every tap would take the analyzer minutes; the
+// closed form answers at once, so compile accepts the plan (or would
+// reject it with a typed error) within the test timeout.
+TEST(Analysis, HugePaddedPoolWindowCompilesInClosedForm) {
+  for (const bool is_max : {true, false}) {
+    hw::QNetDesc desc;
+    desc.name = "huge-pool";
+    desc.input_frac = 7;
+    hw::QPool pool;
+    pool.is_max = is_max;
+    pool.window = std::size_t{1} << 12;
+    pool.stride = 1;
+    pool.pad = (std::size_t{1} << 12) - 1;
+    pool.out_frac = 7;
+    desc.layers.emplace_back(pool);
+
+    const auto plan = compile::compile_qnet(desc, 1, 4, 4);
+    ASSERT_EQ(plan->steps.size(), 1u);
+    const PlanStep& step = plan->steps[0];
+    EXPECT_EQ(step.out_h, 4099u);
+    EXPECT_EQ(step.out_w, 4099u);
+    EXPECT_EQ(pool_tap_counts(step.pool, 4, 4, step.out_h, step.out_w),
+              (std::pair<std::size_t, std::size_t>{1, 16}));
+  }
 }
 
 TEST(Analysis, FailOnClipTurnsClipMassIntoViolation) {

@@ -253,6 +253,122 @@ TEST(ConvertCode, MatchesDecodeEncodeRoundTrip) {
   }
 }
 
+TEST(CheckRadix, BoundsEveryRadixAtPlusMinus256) {
+  EXPECT_NO_THROW(check_radix(0, "t"));
+  EXPECT_NO_THROW(check_radix(kMaxRadix, "t"));
+  EXPECT_NO_THROW(check_radix(-kMaxRadix, "t"));
+  EXPECT_THROW(check_radix(kMaxRadix + 1, "t"), std::out_of_range);
+  EXPECT_THROW(check_radix(-kMaxRadix - 1, "t"), std::out_of_range);
+  // The radix difference of these would overflow int: rejected before any
+  // shift is computed.
+  constexpr int kMin = std::numeric_limits<int>::min();
+  constexpr int kMax = std::numeric_limits<int>::max();
+  EXPECT_THROW((void)convert_code(1, kMin, kMax), std::out_of_range);
+  EXPECT_THROW((void)CodeTable(kMin, 0, true), std::out_of_range);
+  EXPECT_THROW((void)SumRouter(kMax, 0), std::out_of_range);
+}
+
+/// convert_code of one (rectified) code, or nullopt where it throws
+/// std::overflow_error.
+std::optional<std::int8_t> converted(std::int8_t code, int from, int to,
+                                     bool rectify) {
+  const std::int32_t in = rectify ? std::max<std::int32_t>(0, code) : code;
+  try {
+    return static_cast<std::int8_t>(convert_code(in, from, to));
+  } catch (const std::overflow_error&) {
+    return std::nullopt;
+  }
+}
+
+void expect_table_matches(int from, int to, bool rectify) {
+  const CodeTable table(from, to, rectify);
+  for (int i = -128; i <= 127; ++i) {
+    const auto code = static_cast<std::int8_t>(i);
+    const std::optional<std::int8_t> want = converted(code, from, to, rectify);
+    if (want) {
+      EXPECT_EQ(table(code), *want) << "from=" << from << " to=" << to
+                                    << " rectify=" << rectify << " code=" << i;
+    } else {
+      EXPECT_THROW((void)table(code), std::overflow_error)
+          << "from=" << from << " to=" << to << " code=" << i;
+    }
+  }
+}
+
+TEST(CodeTable, MatchesConvertCodeOnEveryCode) {
+  for (const bool rectify : {false, true}) {
+    for (int from = -16; from <= 16; ++from) {
+      for (int to = -16; to <= 16; ++to) {
+        expect_table_matches(from, to, rectify);
+      }
+    }
+    // Left shifts of 56+ bits throw for some or all nonzero codes; a
+    // right shift past the carrier rounds everything to 0.
+    expect_table_matches(0, 57, rectify);
+    expect_table_matches(0, 60, rectify);
+    expect_table_matches(0, kMaxRadix, rectify);
+    expect_table_matches(kMaxRadix, -kMaxRadix, rectify);
+  }
+}
+
+TEST(CodeTable, ThrowsAtTheSameElementAsThePerElementLoop) {
+  // 0 -> 57: codes 1..63 saturate to 127, 64..127 overflow the carrier.
+  const std::vector<std::int8_t> codes{1, -3, 0, 70, 2, 100};
+  std::vector<std::int8_t> expected = codes;
+  std::size_t thrown_at = codes.size();
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    try {
+      expected[i] = static_cast<std::int8_t>(convert_code(expected[i], 0, 57));
+    } catch (const std::overflow_error&) {
+      thrown_at = i;
+      break;
+    }
+  }
+  ASSERT_EQ(thrown_at, 3u);
+
+  std::vector<std::int8_t> tabled = codes;
+  EXPECT_THROW(CodeTable(0, 57, false).apply(tabled), std::overflow_error);
+  EXPECT_EQ(tabled, expected);
+
+  // The kernels that use the table leave the same partial state.
+  CodeTensor flat;
+  flat.shape = tensor::Shape{1, codes.size()};
+  flat.codes = codes;
+  EXPECT_THROW(apply_flatten(flat, 57), std::overflow_error);
+  EXPECT_EQ(flat.codes, expected);
+
+  // Rectified, every negative code maps to 0 and cannot throw.
+  std::vector<std::int8_t> negatives{-1, -128, -64, 0};
+  CodeTable(0, 57, true).apply(negatives);
+  EXPECT_EQ(negatives, (std::vector<std::int8_t>{0, 0, 0, 0}));
+}
+
+TEST(AvgPoolCode, MatchesTheLdexpEncodeSpelling) {
+  // The hoisted-scale expression against the float model's spelling,
+  // ldexp then DfpFormat::encode, over sums, radices and areas including
+  // the radix bound and round-half ties.
+  for (const int in_frac : {-kMaxRadix, -9, -1, 0, 3, 7, 12, kMaxRadix}) {
+    for (const int out_frac : {-kMaxRadix, -4, 0, 2, 5, 9, kMaxRadix}) {
+      const DfpFormat out_format{8, out_frac};
+      const double in_scale = std::ldexp(1.0, -in_frac);
+      const double out_scale = std::ldexp(1.0, out_frac);
+      for (const std::size_t window : {1u, 2u, 3u, 5u}) {
+        const float inv_area = 1.0f / static_cast<float>(window * window);
+        for (std::int64_t sum = -128 * 25; sum <= 127 * 25; sum += 7) {
+          const float value =
+              static_cast<float>(std::ldexp(static_cast<double>(sum),
+                                            -in_frac)) *
+              inv_area;
+          ASSERT_EQ(avg_pool_code(sum, in_scale, inv_area, out_scale),
+                    static_cast<std::int8_t>(out_format.encode(value)))
+              << "sum=" << sum << " in=" << in_frac << " out=" << out_frac
+              << " window=" << window;
+        }
+      }
+    }
+  }
+}
+
 TEST(FloatNeuron, DotProduct) {
   const std::vector<float> inputs{1.0f, 2.0f, 3.0f};
   const std::vector<float> weights{0.5f, -1.0f, 2.0f};

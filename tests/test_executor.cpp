@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "hw/kernels.hpp"
 #include "nn/zoo.hpp"
+#include "util/rng.hpp"
 
 namespace mfdfp::hw {
 namespace {
@@ -167,6 +171,115 @@ TEST(Executor, RejectsDegenerateConvAndPoolGeometry) {
   wide_pool.window = 4;
   EXPECT_THROW((void)AcceleratorExecutor{single_layer(wide_pool)}.run(images),
                std::invalid_argument);
+}
+
+/// Per-tap pool oracle: every tap of every window is bounds-tested, the
+/// max pool converts the max (code 0 for a fully padded window) with
+/// convert_code, and the avg pool decodes the tap sum with ldexp and
+/// re-encodes it.
+CodeTensor oracle_pool(const QPool& pool, const CodeTensor& input) {
+  const Shape& s = input.shape;
+  const std::size_t ih = s.h(), iw = s.w();
+  const std::size_t oh = (ih + 2 * pool.pad - pool.window) / pool.stride + 1;
+  const std::size_t ow = (iw + 2 * pool.pad - pool.window) / pool.stride + 1;
+  CodeTensor out;
+  out.shape = Shape{s.n(), s.c(), oh, ow};
+  out.frac = pool.out_frac;
+  out.codes.resize(out.shape.size());
+  const quant::DfpFormat out_format{kInputBits, pool.out_frac};
+  const float inv_area =
+      1.0f / static_cast<float>(pool.window * pool.window);
+  std::size_t out_i = 0;
+  for (std::size_t n = 0; n < s.n(); ++n) {
+    for (std::size_t c = 0; c < s.c(); ++c) {
+      const std::size_t plane = (n * s.c() + c) * ih * iw;
+      for (std::size_t oy = 0; oy < oh; ++oy) {
+        for (std::size_t ox = 0; ox < ow; ++ox, ++out_i) {
+          bool found = false;
+          std::int32_t best = 0;
+          std::int64_t sum = 0;
+          for (std::size_t ky = 0; ky < pool.window; ++ky) {
+            const std::ptrdiff_t iy =
+                static_cast<std::ptrdiff_t>(oy * pool.stride + ky) -
+                static_cast<std::ptrdiff_t>(pool.pad);
+            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(ih)) continue;
+            for (std::size_t kx = 0; kx < pool.window; ++kx) {
+              const std::ptrdiff_t ix =
+                  static_cast<std::ptrdiff_t>(ox * pool.stride + kx) -
+                  static_cast<std::ptrdiff_t>(pool.pad);
+              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(iw)) continue;
+              const std::int32_t code =
+                  input.codes[plane + static_cast<std::size_t>(iy) * iw +
+                              static_cast<std::size_t>(ix)];
+              if (!found || code > best) best = code;
+              found = true;
+              sum += code;
+            }
+          }
+          if (pool.is_max) {
+            out.codes[out_i] = static_cast<std::int8_t>(
+                convert_code(found ? best : 0, input.frac, pool.out_frac));
+          } else {
+            const float value =
+                static_cast<float>(std::ldexp(static_cast<double>(sum),
+                                              -input.frac)) *
+                inv_area;
+            out.codes[out_i] =
+                static_cast<std::int8_t>(out_format.encode(value));
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(PoolForward, ClippedWindowsMatchThePerTapOracle) {
+  util::Rng rng{7};
+  // Two channels of 5x3 and one of 1x4: odd, non-square, and thinner than
+  // most windows, so edge, interior and fully padded windows all occur.
+  for (const Shape& shape : {Shape{1, 2, 5, 3}, Shape{2, 1, 1, 4}}) {
+    CodeTensor input;
+    input.shape = shape;
+    input.frac = 4;
+    input.codes.resize(shape.size());
+    for (std::size_t i = 0; i < input.codes.size(); ++i) {
+      // Both code extremes and a spread between them.
+      input.codes[i] = static_cast<std::int8_t>(
+          i % 5 == 0 ? (i % 2 == 0 ? -128 : 127) : rng.uniform_int(-128, 127));
+    }
+    std::size_t fully_padded = 0;
+    for (const bool is_max : {true, false}) {
+      for (std::size_t window = 1; window <= 5; ++window) {
+        for (std::size_t stride = 1; stride <= 3; ++stride) {
+          for (std::size_t pad = 0; pad <= window + 1; ++pad) {
+            if (shape.h() + 2 * pad < window || shape.w() + 2 * pad < window) {
+              continue;
+            }
+            for (int delta = -3; delta <= 3; ++delta) {
+              QPool pool;
+              pool.is_max = is_max;
+              pool.window = window;
+              pool.stride = stride;
+              pool.pad = pad;
+              pool.out_frac = input.frac + delta;
+              const CodeTensor want = oracle_pool(pool, input);
+              CodeTensor got;
+              pool_forward(pool, input, got);
+              ASSERT_EQ(got.shape, want.shape);
+              ASSERT_EQ(got.frac, want.frac);
+              ASSERT_EQ(got.codes, want.codes)
+                  << (is_max ? "max" : "avg") << " window=" << window
+                  << " stride=" << stride << " pad=" << pad
+                  << " delta=" << delta << " shape=" << shape.to_string();
+              if (pad >= window) ++fully_padded;
+            }
+          }
+        }
+      }
+    }
+    EXPECT_GT(fully_padded, 0u);
+  }
 }
 
 }  // namespace

@@ -4,7 +4,11 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <stdexcept>
 
+#include "compile/passes.hpp"
+#include "hw/datapath.hpp"
 #include "hw/executor.hpp"
 #include "nn/zoo.hpp"
 
@@ -154,6 +158,34 @@ TEST(QNetIo, RejectsWrappingWeightCounts) {
           << e.what();
     }
   }
+}
+
+// A crafted image whose radices sit at the int limits: converting between
+// them would overflow int (undefined behaviour) before any shift check.
+// The loader, the reference executor and the compiler each reject it with
+// the typed radix error; the bound itself still loads.
+TEST(QNetIo, RejectsRadicesOutsideTheBound) {
+  QNetDesc crafted;
+  crafted.input_frac = std::numeric_limits<std::int32_t>::min();
+  crafted.layers.emplace_back(QRelu{std::numeric_limits<std::int32_t>::max()});
+  const std::string bytes = qnet_to_bytes(crafted);
+  EXPECT_THROW((void)qnet_from_bytes(bytes), std::out_of_range);
+  EXPECT_THROW(AcceleratorExecutor{crafted}, std::out_of_range);
+  EXPECT_THROW((void)compile::compile_qnet(crafted, 1, 1, 1),
+               std::out_of_range);
+
+  QNetDesc relu_only;
+  relu_only.input_frac = 0;
+  relu_only.layers.emplace_back(QRelu{kMaxRadix + 1});
+  EXPECT_THROW((void)qnet_from_bytes(qnet_to_bytes(relu_only)),
+               std::out_of_range);
+
+  QNetDesc at_bound;
+  at_bound.input_frac = -kMaxRadix;
+  at_bound.layers.emplace_back(QRelu{kMaxRadix});
+  const QNetDesc loaded = qnet_from_bytes(qnet_to_bytes(at_bound));
+  EXPECT_EQ(loaded.input_frac, -kMaxRadix);
+  EXPECT_NO_THROW(AcceleratorExecutor{loaded});
 }
 
 }  // namespace
