@@ -182,20 +182,20 @@ Interval pool_interval(const hw::QPool& pool, const Interval& in,
 /// those contribute 0 instead of w*code for such pixels, so their interval
 /// is widened with 0. On one axis, tap k is padded for the first window iff
 /// k < pad and for the last iff (out-1)*stride + k >= in + pad; a tap is
-/// paddable iff it is on either axis.
+/// paddable iff it is on either axis. Taps are in the plan's channels-last
+/// weight order (ky, kx, c).
 std::vector<bool> maybe_padded_taps(const PlanStep& s) {
   const auto padded_on_axis = [&s](std::size_t k, std::size_t in,
                                    std::size_t out) {
     return k < s.pad || (out - 1) * s.stride + k >= in + s.pad;
   };
   std::vector<bool> maybe;
-  maybe.reserve(s.in_c * s.kernel * s.kernel);
-  for (std::size_t c = 0; c < s.in_c; ++c) {
-    for (std::size_t ky = 0; ky < s.kernel; ++ky) {
-      for (std::size_t kx = 0; kx < s.kernel; ++kx) {
-        maybe.push_back(padded_on_axis(ky, s.in_h, s.out_h) ||
-                        padded_on_axis(kx, s.in_w, s.out_w));
-      }
+  maybe.reserve(s.kernel * s.kernel * s.in_c);
+  for (std::size_t ky = 0; ky < s.kernel; ++ky) {
+    for (std::size_t kx = 0; kx < s.kernel; ++kx) {
+      const bool padded = padded_on_axis(ky, s.in_h, s.out_h) ||
+                          padded_on_axis(kx, s.in_w, s.out_w);
+      maybe.insert(maybe.end(), s.in_c, padded);
     }
   }
   return maybe;
@@ -296,7 +296,6 @@ AnalysisReport analyze_plan(const CompiledPlan& plan,
         }
         const std::vector<bool> maybe_pad =
             conv ? maybe_padded_taps(s) : std::vector<bool>(patch, false);
-        const std::size_t kk = conv ? s.kernel * s.kernel : 1;
 
         Interval dot_hull{0, 0};
         Interval routed_hull{0, 0};
@@ -307,7 +306,8 @@ AnalysisReport analyze_plan(const CompiledPlan& plan,
           const std::int16_t* wrow = s.weights.data() + oc * patch;
           Interval dot{0, 0};
           for (std::size_t k = 0; k < patch; ++k) {
-            const Interval& in = conv ? state[k / kk] : state[k];
+            // A conv row is channels-last: tap k reads channel k % in_c.
+            const Interval& in = conv ? state[k % s.in_c] : state[k];
             const std::int64_t a = static_cast<std::int64_t>(wrow[k]) * in.lo;
             const std::int64_t b = static_cast<std::int64_t>(wrow[k]) * in.hi;
             Interval contrib{std::min(a, b), std::max(a, b)};

@@ -46,13 +46,6 @@ std::size_t verified_extent(std::size_t in, std::size_t window,
   }
 }
 
-/// Whether in_c * ph * pw codes of one padded sample are addressable by
-/// 32-bit tap offsets. hw::window_extent already bounds each padded axis to
-/// 32 bits, so ph * pw cannot wrap and is at least 1.
-bool fits_tap_offsets(std::size_t in_c, std::size_t ph, std::size_t pw) {
-  return ph * pw <= UINT32_MAX && in_c <= UINT32_MAX / (ph * pw);
-}
-
 /// Decodes a nibble-packed pow2 weight stream into the plain +/-2^(7+e)
 /// integer multipliers the plan kernels use: synapse_product as a plain
 /// multiplier, x * (+/-2^(7+e)) in the same 2^-(m+7) units, so plan
@@ -68,6 +61,27 @@ std::vector<std::int16_t> decode_fast_weights(
         static_cast<std::int16_t>(w.negative ? -magnitude : magnitude));
   }
   return out;
+}
+
+/// Conv weights decoded in the desc's [oc][ic][ky][kx] order, permuted to
+/// the [oc][ky][kx][ic] order of a channels-last patch. Exact: a dot
+/// product is exact under any order of its terms.
+std::vector<std::int16_t> channels_last_weights(const hw::QConv& conv) {
+  const std::size_t c = conv.in_c, k = conv.kernel;
+  const std::vector<std::int16_t> chw =
+      decode_fast_weights(conv.packed_weights, conv.out_c * c * k * k);
+  std::vector<std::int16_t> hwc(chw.size());
+  std::size_t i = 0;
+  for (std::size_t oc = 0; oc < conv.out_c; ++oc) {
+    for (std::size_t ic = 0; ic < c; ++ic) {
+      for (std::size_t ky = 0; ky < k; ++ky) {
+        for (std::size_t kx = 0; kx < k; ++kx) {
+          hwc[((oc * k + ky) * k + kx) * c + ic] = chw[i++];
+        }
+      }
+    }
+  }
+  return hwc;
 }
 
 }  // namespace
@@ -114,20 +128,18 @@ CompiledPlan lower_qnet(const hw::QNetDesc& desc, std::size_t in_c,
       }
       const std::size_t ph = h + 2 * s.pad;
       const std::size_t pw = w + 2 * s.pad;
-      if (!fits_tap_offsets(c, ph, pw)) {
+      if (!hw::fits_u32_map(c, ph, pw)) {
         lower_error(i, "padded sample exceeds 32-bit tap offsets");
       }
-      const std::size_t patch = c * s.kernel * s.kernel;
-      s.weights = decode_fast_weights(conv->packed_weights, s.out_c * patch);
+      if (!hw::fits_u32_map(s.out_c, s.out_h, s.out_w)) {
+        lower_error(i, "conv output map exceeds 32 bits");
+      }
+      s.weights = channels_last_weights(*conv);
       s.bias = conv->bias_codes;
-      s.taps.reserve(patch);
-      for (std::size_t ic = 0; ic < c; ++ic) {
-        for (std::size_t ky = 0; ky < s.kernel; ++ky) {
-          for (std::size_t kx = 0; kx < s.kernel; ++kx) {
-            s.taps.push_back(
-                static_cast<std::uint32_t>((ic * ph + ky) * pw + kx));
-          }
-        }
+      // One run of kernel * in_c contiguous codes per kernel row ky.
+      s.taps.reserve(s.kernel);
+      for (std::size_t ky = 0; ky < s.kernel; ++ky) {
+        s.taps.push_back(static_cast<std::uint32_t>(ky * pw * c));
       }
       c = s.out_c;
       h = s.out_h;
@@ -158,6 +170,9 @@ CompiledPlan lower_qnet(const hw::QNetDesc& desc, std::size_t in_c,
                                "pool");
       s.out_w = lowered_extent(w, pool->window, pool->stride, pool->pad, i,
                                "pool");
+      if (!hw::fits_u32_map(c, s.out_h, s.out_w)) {
+        lower_error(i, "pool output map exceeds 32 bits");
+      }
       s.out_frac = pool->out_frac;
       s.pool = *pool;
       {
@@ -232,24 +247,29 @@ void pass_verify(const CompiledPlan& plan) {
           verify_error(i, "conv output geometry mismatch");
         }
         const std::size_t ph = h + 2 * s.pad, pw = w + 2 * s.pad;
-        if (!fits_tap_offsets(c, ph, pw)) {
+        if (!hw::fits_u32_map(c, ph, pw)) {
           verify_error(i, "padded sample exceeds 32-bit tap offsets");
         }
-        const std::size_t patch = s.in_c * s.kernel * s.kernel;
-        if (s.weights.size() != s.out_c * patch) {
+        if (!hw::fits_u32_map(s.out_c, oh, ow)) {
+          verify_error(i, "conv output map exceeds 32 bits");
+        }
+        const std::size_t run = s.kernel * c;
+        if (s.weights.size() != s.out_c * run * s.kernel) {
           verify_error(i, "conv weight table size mismatch");
         }
         if (s.bias.size() != s.out_c) verify_error(i, "conv bias size mismatch");
-        if (s.taps.size() != patch) {
-          verify_error(i, "conv tap row size mismatch");
+        if (s.taps.size() != s.kernel) {
+          verify_error(i, "conv run row size mismatch");
         }
-        // The last window's origin plus every offset stays inside the
-        // padded sample, so no window of the step can read past it.
+        // The last window's origin plus every run offset plus the run
+        // length stays inside the channels-last padded sample, so no run of
+        // any window can read past it. Each term is below 2^32, so the sum
+        // cannot wrap.
         const std::size_t last =
-            (oh - 1) * s.stride * pw + (ow - 1) * s.stride;
+            ((oh - 1) * s.stride * pw + (ow - 1) * s.stride) * c;
         for (std::uint32_t tap : s.taps) {
-          if (last + tap >= c * ph * pw) {
-            verify_error(i, "conv tap offset outside the padded sample");
+          if (last + tap + run > ph * pw * c) {
+            verify_error(i, "conv run outside the padded sample");
           }
         }
         c = s.out_c;
@@ -282,6 +302,9 @@ void pass_verify(const CompiledPlan& plan) {
                                                s.pool.pad, i, "pool");
         if (oh != s.out_h || ow != s.out_w || s.out_c != c) {
           verify_error(i, "pool output geometry mismatch");
+        }
+        if (!hw::fits_u32_map(c, oh, ow)) {
+          verify_error(i, "pool output map exceeds 32 bits");
         }
         if (s.pool.out_frac != s.out_frac) {
           verify_error(i, "pool radix mismatch");

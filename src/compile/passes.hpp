@@ -4,12 +4,13 @@
 //
 //   lower       walk the layer list once into 1:1 PlanSteps with fully
 //               derived geometry and radix chain; each conv and FC step
-//               gets its predecoded +/-2^(7+e) int16 weights and bias codes,
-//               and each conv its tap-offset row into the zero-padded
-//               sample.
+//               gets its predecoded +/-2^(7+e) int16 weights (conv rows
+//               channels-last) and bias codes, and each conv its run-offset
+//               row into the zero-padded, channels-last sample.
 //   verify      re-derive the shape/radix chain step by step and check every
-//               lowered payload against it (each conv's last window stays
-//               inside the padded sample); throws std::runtime_error on any
+//               lowered payload against it (each run of each conv's last
+//               window stays inside the padded sample, and every output map
+//               fits 32 bits); throws std::runtime_error on any
 //               mismatch — a plan that verifies cannot index out of bounds
 //               or mix radices at run time.
 //   analyze     numeric static analysis (src/analysis): prove the
@@ -28,10 +29,10 @@
 namespace mfdfp::compile {
 
 /// Lowers `desc` 1:1 into a verified but unanalyzed CompiledPlan (geometry,
-/// radix chain, weight/bias tables and tap rows built; content_hash left 0).
+/// radix chain, weight/bias tables and run rows built; content_hash left 0).
 /// Throws std::invalid_argument on a desc the geometry walk rejects
-/// (including a zero stride or window, a padded axis past 32 bits, or a
-/// short weight stream), and std::out_of_range (from pass_verify) on a
+/// (including a zero stride or window, a padded axis, padded sample or
+/// output map past 32 bits, or a short weight stream), and std::out_of_range (from pass_verify) on a
 /// radix outside hw::check_radix's bound.
 [[nodiscard]] CompiledPlan lower_qnet(const hw::QNetDesc& desc,
                                       std::size_t in_c, std::size_t in_h,

@@ -5,10 +5,12 @@
 // sample arrives. The serving stack mirrors that: at deploy() time
 // compile_qnet (compile/passes.hpp) lowers the QNetDesc into an ordered list
 // of PlanSteps, one per desc layer, with predecoded +/-2^(7+e) int16
-// weights and one patch-length tap-offset row per conv — so the per-batch
+// weights and one kernel-length run-offset row per conv — so the per-batch
 // layer loop re-makes none of those decisions. Like the accelerator's input
-// buffers, a conv reads each sample through a zero-padded copy, so every
-// conv is a "valid" conv and no plan field grows with the output map.
+// buffers, which feed the shift/adder array whole windows, a conv reads
+// each sample through one zero-padded, channels-last int16 copy: every conv
+// is a "valid" conv, a window is `kernel` contiguous runs, and no plan
+// field grows with the output map. Activations between steps stay NCHW.
 // Plans are shared immutably (shared_ptr<const CompiledPlan> out of
 // compile/plan_cache.hpp): N replicas and shared-PU tenants execute one
 // artifact, and an in-flight request keeps its plan alive across cache
@@ -62,21 +64,24 @@ struct PlanStep {
 
   // --- Lowered payload (built by lower_qnet) ---
   /// Weights predecoded to plain +/-2^(7+e) integer multipliers, row-major
-  /// [out_c or out_features][patch or in_features]. |w| <= 2^7, so int16
+  /// [out_c or out_features][patch or in_features]. A conv row is
+  /// channels-last, [ky][kx][in_c] — the order of its patch row, and exact
+  /// because a dot product is exact under any order. |w| <= 2^7, so int16
   /// holds every one exactly and each code x weight product fits 2^14 —
   /// the operand width of the executor's int16 multiply-add tile.
   std::vector<std::int16_t> weights;
   std::vector<std::int8_t> bias;  ///< bias codes, format <8, out_frac>
-  /// Conv patch layout (conv steps): in_c*k*k offsets
-  /// (c*(in_h+2p) + ky)*(in_w+2p) + kx into one zero-padded sample. Output
-  /// pixel (oy, ox) reads its window at origin oy*s*(in_w+2p) + ox*s.
+  /// Conv patch layout (conv steps): `kernel` run offsets ky*pw*in_c into
+  /// one zero-padded, channels-last sample of (in_h+2p) x pw x in_c codes,
+  /// pw = in_w+2p; each run is kernel*in_c contiguous codes. Output pixel
+  /// (oy, ox) reads its window at origin (oy*s*pw + ox*s)*in_c.
   std::vector<std::uint32_t> taps;
 };
 
 /// Plan size figures — the columns `bench/ablation_compile` reports.
 struct PlanStats {
   std::size_t steps = 0;
-  /// Lowered payload: weight, bias and tap-offset bytes over every step.
+  /// Lowered payload: weight, bias and run-offset bytes over every step.
   std::size_t payload_bytes = 0;
 };
 

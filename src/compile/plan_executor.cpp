@@ -114,7 +114,8 @@ void run_conv_step(const PlanStep& s, const CodeTensor& input, CodeTensor& out,
   }
   const std::size_t batch = input.shape.n();
   const std::size_t pixels = s.out_h * s.out_w;
-  const std::size_t patch = s.in_c * s.kernel * s.kernel;
+  const std::size_t run = s.kernel * s.in_c;
+  const std::size_t patch = run * s.kernel;
   const std::size_t image = s.in_c * s.in_h * s.in_w;
   const std::size_t ph = s.in_h + 2 * s.pad;
   const std::size_t pw = s.in_w + 2 * s.pad;
@@ -123,19 +124,23 @@ void run_conv_step(const PlanStep& s, const CodeTensor& input, CodeTensor& out,
   out.frac = s.out_frac;
   out.codes.resize(out.shape.size());
 
-  // A "valid" conv on a zero-bordered copy of each sample (code 0 is 0 at
-  // every radix, so the padding is exact): each block of output pixels
-  // reads its windows through the one tap-offset row into contiguous int16
-  // im2col patches, so the gather cost is amortized over out_c dense dots.
-  std::vector<std::int8_t>& padded = scratch.padded;
-  padded.assign(s.in_c * ph * pw, 0);
-  const std::uint32_t* taps = s.taps.data();
+  // A "valid" conv on a zero-bordered, channels-last int16 copy of each
+  // sample (code 0 is 0 at every radix, so the padding is exact): each
+  // input code is transposed and widened once, and a window's patch row is
+  // `kernel` contiguous runs of kernel * in_c values at the step's run
+  // offsets, copied into int16 im2col rows so the gather cost is amortized
+  // over out_c dense dots.
+  std::vector<std::int16_t>& padded = scratch.padded;
+  padded.assign(ph * pw * s.in_c, 0);
+  const std::uint32_t* runs = s.taps.data();
   for (std::size_t n = 0; n < batch; ++n) {
     const std::int8_t* codes = input.codes.data() + n * image;
     for (std::size_t c = 0; c < s.in_c; ++c) {
       for (std::size_t y = 0; y < s.in_h; ++y) {
-        std::copy_n(codes + (c * s.in_h + y) * s.in_w, s.in_w,
-                    padded.data() + (c * ph + y + s.pad) * pw + s.pad);
+        const std::int8_t* src = codes + (c * s.in_h + y) * s.in_w;
+        std::int16_t* dst =
+            padded.data() + ((y + s.pad) * pw + s.pad) * s.in_c + c;
+        for (std::size_t x = 0; x < s.in_w; ++x) dst[x * s.in_c] = src[x];
       }
     }
     std::int8_t* dst = out.codes.data() + n * s.out_c * pixels;
@@ -144,10 +149,12 @@ void run_conv_step(const PlanStep& s, const CodeTensor& input, CodeTensor& out,
         [&](std::size_t p0, std::size_t count, std::int16_t* rows) {
           for (std::size_t i = 0; i < count; ++i) {
             const std::size_t oy = (p0 + i) / s.out_w, ox = (p0 + i) % s.out_w;
-            const std::int8_t* window =
-                padded.data() + oy * s.stride * pw + ox * s.stride;
+            const std::int16_t* window =
+                padded.data() + (oy * s.stride * pw + ox * s.stride) * s.in_c;
             std::int16_t* row = rows + i * patch;
-            for (std::size_t k = 0; k < patch; ++k) row[k] = window[taps[k]];
+            for (std::size_t r = 0; r < s.kernel; ++r) {
+              std::copy_n(window + runs[r], run, row + r * run);
+            }
           }
         },
         [&](std::size_t pixel, std::size_t oc, std::int8_t code) {

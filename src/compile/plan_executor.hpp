@@ -2,9 +2,9 @@
 // to the reference AcceleratorExecutor::run() (and therefore to the
 // fake-quantized software model) by construction: every lossy stage calls
 // the shared hw/kernels.hpp implementations, and the integer dot products
-// are exact under any association, so reading each window of a zero-padded
-// sample through the plan's tap-offset row into an im2col patch buffer only
-// reorders exact arithmetic.
+// are exact under any association, so reading each window of a zero-padded,
+// channels-last sample as the plan's contiguous runs into an im2col patch
+// buffer only reorders exact arithmetic.
 //
 // Conv and FC steps run one portable register-blocked tile: 4 output pixels
 // (conv) or batch rows (FC) x 2 output channels, int16 codes times int16

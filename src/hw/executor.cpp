@@ -90,8 +90,9 @@ void AcceleratorExecutor::run_conv(const QConv& conv,
                                    std::span<const Pow2Weight> weights,
                                    const CodeTensor& input, CodeTensor& out,
                                    std::vector<std::size_t>& index) const {
-  const auto [batch, ih, iw, oh, ow, patch] = conv_geometry(
-      conv.in_c, conv.kernel, conv.stride, conv.pad, input.shape, "run_conv");
+  const auto [batch, ih, iw, oh, ow, patch] =
+      conv_geometry(conv.in_c, conv.out_c, conv.kernel, conv.stride, conv.pad,
+                    input.shape, "run_conv");
   const std::size_t k = conv.kernel;
 
   out.shape = Shape{batch, conv.out_c, oh, ow};

@@ -44,10 +44,11 @@ struct CodeTensor {
 /// steady-state serving does no per-request allocation in the layer loop.
 /// Not thread-safe; workers own one each.
 struct ExecScratch {
-  CodeTensor input;                 ///< current activation (ping)
-  CodeTensor output;                ///< next activation (pong)
-  std::vector<std::int8_t> padded;  ///< one conv input sample, zero border
-  std::vector<std::int16_t> patch;  ///< int16 im2col / FC row block
+  CodeTensor input;                  ///< current activation (ping)
+  CodeTensor output;                 ///< next activation (pong)
+  std::vector<std::int16_t> padded;  ///< one conv input sample, channels
+                                     ///< last, widened, zero border
+  std::vector<std::int16_t> patch;   ///< int16 im2col / FC row block
 };
 
 class AcceleratorExecutor {

@@ -52,12 +52,15 @@ inline std::int64_t check_width(std::int64_t value, int bits,
   if (shift < 0) throw std::invalid_argument("shift_round: negative shift");
   if (shift == 0) return value;
   if (shift >= 63) return 0;
-  const std::int64_t half = std::int64_t{1} << (shift - 1);
-  if (value >= 0) {
-    return (value + half) >> shift;
-  }
-  // Round half away from zero for negatives: mirror the positive case.
-  return -((-value + half) >> shift);
+  // Round the magnitude, then restore the sign, without a sign branch: m is
+  // all ones for a negative value, so (v ^ m) - m is |v| and (r ^ m) - m is
+  // -r. On uint64_t every step is defined, INT64_MIN (magnitude 2^63)
+  // included, and |v| + half < 2^64 for shift <= 62.
+  const auto m = static_cast<std::uint64_t>(value >> 63);
+  const std::uint64_t magnitude = (static_cast<std::uint64_t>(value) ^ m) - m;
+  const std::uint64_t half = std::uint64_t{1} << (shift - 1);
+  const std::uint64_t rounded = (magnitude + half) >> shift;
+  return static_cast<std::int64_t>((rounded ^ m) - m);
 }
 
 /// Left shift with overflow check against int64 (model carrier, not a wire).

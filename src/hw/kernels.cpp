@@ -31,9 +31,24 @@ std::size_t window_extent(std::size_t in, std::size_t window,
   return (in + 2 * pad - window) / stride + 1;
 }
 
-ConvGeometry conv_geometry(std::size_t in_c, std::size_t kernel,
-                           std::size_t stride, std::size_t pad,
-                           const Shape& in_shape, const char* who) {
+namespace {
+
+/// Throws std::invalid_argument (prefixed with `who`) unless a c x oh x ow
+/// output map fits_u32_map — before any buffer is sized for it.
+void check_output_map(std::size_t c, std::size_t oh, std::size_t ow,
+                      const char* who) {
+  if (!fits_u32_map(c, oh, ow)) {
+    throw std::invalid_argument(std::string(who) +
+                                ": output map exceeds 32 bits");
+  }
+}
+
+}  // namespace
+
+ConvGeometry conv_geometry(std::size_t in_c, std::size_t out_c,
+                           std::size_t kernel, std::size_t stride,
+                           std::size_t pad, const Shape& in_shape,
+                           const char* who) {
   if (in_shape.rank() != 4 || in_shape.c() != in_c) {
     throw std::invalid_argument(std::string(who) + ": bad input shape");
   }
@@ -43,6 +58,7 @@ ConvGeometry conv_geometry(std::size_t in_c, std::size_t kernel,
   g.iw = in_shape.w();
   g.oh = window_extent(g.ih, kernel, stride, pad, who);
   g.ow = window_extent(g.iw, kernel, stride, pad, who);
+  check_output_map(out_c, g.oh, g.ow, who);
   g.patch = in_c * kernel * kernel;
   return g;
 }
@@ -124,6 +140,7 @@ void pool_forward(const QPool& pool, const CodeTensor& input,
       window_extent(ih, pool.window, pool.stride, pool.pad, "pool_forward");
   const std::size_t ow =
       window_extent(iw, pool.window, pool.stride, pool.pad, "pool_forward");
+  check_output_map(s.c(), oh, ow, "pool_forward");
   check_radix(input.frac, "pool_forward");
   check_radix(pool.out_frac, "pool_forward");
 

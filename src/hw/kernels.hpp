@@ -38,11 +38,22 @@ struct ConvGeometry {
                                         std::size_t stride, std::size_t pad,
                                         const char* who);
 
+/// Whether a c x h x w map holds at most UINT32_MAX codes, so 32-bit
+/// offsets address all of it — checked without computing c * h * w. h and
+/// w must each lie in [1, UINT32_MAX], as every window_extent result and
+/// every padded axis it accepts do, so h * w cannot wrap or be 0. The one
+/// bound on a padded conv sample and on every layer's output map.
+[[nodiscard]] constexpr bool fits_u32_map(std::size_t c, std::size_t h,
+                                          std::size_t w) noexcept {
+  return h * w <= UINT32_MAX && c <= UINT32_MAX / (h * w);
+}
+
 /// Validates `in_shape` against the conv parameters and derives the output
 /// geometry. Throws std::invalid_argument (prefixed with `who`) on a rank or
-/// channel mismatch, a zero stride or kernel, or a kernel larger than the
-/// padded input.
-[[nodiscard]] ConvGeometry conv_geometry(std::size_t in_c, std::size_t kernel,
+/// channel mismatch, a zero stride or kernel, a kernel larger than the
+/// padded input, or an out_c x oh x ow output map that fails fits_u32_map.
+[[nodiscard]] ConvGeometry conv_geometry(std::size_t in_c, std::size_t out_c,
+                                         std::size_t kernel,
                                          std::size_t stride, std::size_t pad,
                                          const tensor::Shape& in_shape,
                                          const char* who);
@@ -133,8 +144,9 @@ void apply_flatten(CodeTensor& input, int out_frac);
 /// avg_pool_code of the in-bounds tap sum — mirrors the float model
 /// exactly). `out`'s shape/frac are set and its codes resized reusing
 /// capacity. Throws std::invalid_argument on a rank mismatch, a zero stride
-/// or window, or a window larger than the padded input, and
-/// std::out_of_range when a radix fails check_radix.
+/// or window, a window larger than the padded input, or an output map per
+/// sample that fails fits_u32_map, and std::out_of_range when a radix fails
+/// check_radix.
 void pool_forward(const QPool& pool, const CodeTensor& input, CodeTensor& out);
 
 /// The Accumulator & Routing tail of one conv or FC step: add the bias,

@@ -205,6 +205,44 @@ TEST(Analysis, PaddedTapSetIsDerivedFromTheConvGeometry) {
   EXPECT_EQ(report.steps[0].dot, (Interval{128, 65024}));
 }
 
+// conv 1->2 (1x1) then conv 2->1 (2x2) on a 1x2x2 input at radix 0, inputs
+// in [1, 127]. The first conv's channel 0 weight is +2^0 (128), so it
+// routes x >> 7 of 128x back to [1, 127]; channel 1's is +2^-7 (1), which
+// routes to round(x / 128) in [0, 1]. The second conv weighs input channel
+// 0 by 128 and channel 1 by 1 at all four taps, so its dot is
+// 4 * 128 * [1, 127] + 4 * 1 * [0, 1] = [512, 65028]. The plan stores that
+// row channels-last (128, 1, 128, 1, ...): reading tap k's interval from
+// any channel but k % in_c would pair the weights with the wrong bounds.
+TEST(Analysis, ConvTapsReadTheirOwnChannelsInterval) {
+  hw::QNetDesc desc;
+  desc.name = "per-channel";
+  hw::QConv split;
+  split.in_c = 1;
+  split.out_c = 2;
+  split.kernel = 1;
+  split.packed_weights = pack_nibbles({{false, 0}, {false, -7}});
+  split.bias_codes = {0, 0};
+  desc.layers.emplace_back(split);
+  hw::QConv merge;
+  merge.in_c = 2;
+  merge.out_c = 1;
+  merge.kernel = 2;
+  std::vector<Pow2Weight> weights(4, {false, 0});
+  weights.insert(weights.end(), 4, {false, -7});
+  merge.packed_weights = pack_nibbles(weights);
+  merge.bias_codes = {0};
+  desc.layers.emplace_back(merge);
+  const auto plan = compile::compile_qnet(desc, 1, 2, 2);
+
+  AnalysisOptions options;
+  options.input = {1, 127};
+  const AnalysisReport report = analyze_plan(*plan, options);
+  ASSERT_TRUE(report.ok()) << report.table();
+  ASSERT_EQ(report.steps.size(), 2u);
+  EXPECT_EQ(report.steps[0].out, (Interval{0, 127}));
+  EXPECT_EQ(report.steps[1].dot, (Interval{512, 65028}));
+}
+
 /// Brute-force tap counts: bounds-test every tap of every window.
 std::pair<std::size_t, std::size_t> brute_tap_counts(const hw::QPool& pool,
                                                      std::size_t ih,

@@ -42,8 +42,9 @@ using tensor::Tensor;
 constexpr std::size_t kInC = 3, kInH = 16, kInW = 16;
 
 hw::QNetDesc qnet_from_net(nn::Network net, util::Rng& rng,
-                           const std::string& name) {
-  Tensor calibration{Shape{6, kInC, kInH, kInW}};
+                           const std::string& name, std::size_t in_c = kInC,
+                           std::size_t in_h = kInH, std::size_t in_w = kInW) {
+  Tensor calibration{Shape{6, in_c, in_h, in_w}};
   calibration.fill_uniform(rng, -1.0f, 1.0f);
   const quant::QuantSpec spec = quant::quantize_network(net, calibration);
   return hw::extract_qnet(net, spec, name);
@@ -74,10 +75,11 @@ Tensor make_images(std::size_t count, std::uint64_t seed) {
 }
 
 /// The contract every plan must meet: logits bit-identical to the reference
-/// executor on the same desc.
+/// executor on the same desc, compiled for the images' geometry.
 void expect_bit_identical(const hw::QNetDesc& desc, const Tensor& images,
                           const char* context) {
-  const auto plan = compile_qnet(desc, kInC, kInH, kInW);
+  const Shape& in = images.shape();
+  const auto plan = compile_qnet(desc, in.c(), in.h(), in.w());
   hw::ExecScratch scratch;
   const Tensor compiled = run_plan_batch(*plan, images, scratch);
 
@@ -107,12 +109,13 @@ TEST(CompileQnet, LowersOneStepPerLayer) {
   EXPECT_NE(description.find("src=L0"), std::string::npos);
   EXPECT_NE(description.find("conv5x5s1p2"), std::string::npos);
 
-  // Every conv holds one patch-length tap row, whatever its output map;
-  // payload_bytes counts weights, bias and taps.
+  // Every conv holds one kernel-length run-offset row, whatever its input
+  // channels or output map; payload_bytes counts weights, bias and run
+  // offsets.
   std::size_t payload = 0;
   for (const PlanStep& step : plan->steps) {
     if (step.kind == StepKind::kConv) {
-      EXPECT_EQ(step.taps.size(), step.in_c * step.kernel * step.kernel);
+      EXPECT_EQ(step.taps.size(), step.kernel);
     }
     payload += step.weights.size() * sizeof(std::int16_t) + step.bias.size() +
                step.taps.size() * sizeof(std::uint32_t);
@@ -143,13 +146,13 @@ TEST(PassVerifier, RejectsCorruptedPlans) {
     broken.steps.front().out_frac += 1;
     EXPECT_THROW(pass_verify(broken), std::runtime_error);
   }
-  {  // truncated tap row
+  {  // truncated run row
     CompiledPlan broken = plan;
     broken.steps.front().taps.pop_back();
     EXPECT_THROW(pass_verify(broken), std::runtime_error);
   }
-  {  // the last tap of the last window ends the padded sample exactly: one
-     // past it reads out of bounds
+  {  // the last run of the last window ends the padded sample exactly: one
+     // code further reads out of bounds
     CompiledPlan broken = plan;
     broken.steps.front().taps.back() += 1;
     EXPECT_THROW(pass_verify(broken), std::runtime_error);
@@ -240,6 +243,71 @@ TEST(CompileQnet, PaddedAxesPastThirtyTwoBitsAreRejected) {
   EXPECT_THROW((void)hw::window_extent(std::size_t{UINT32_MAX} + 1, 1, 1, 0,
                                        "bound"),
                std::invalid_argument);
+}
+
+// A pool with window 2^20 and pad 2^20 - 1 passes window_extent on a 4x4
+// map, but its output map is (2^20 + 3)^2 ~ 2^40 codes per channel; a conv
+// can likewise keep its padded sample within 32 bits and still produce
+// out_c x oh x ow > 2^32 codes. Every layer's output map is bounded to
+// UINT32_MAX codes per sample, so the compiler, the verifier and the
+// reference run() all refuse these before sizing a buffer.
+TEST(CompileQnet, OutputMapsPastThirtyTwoBitsAreRejected) {
+  std::vector<hw::QNetDesc> images;
+  {
+    hw::QPool pool;
+    pool.window = std::size_t{1} << 20;
+    pool.stride = 1;
+    pool.pad = (std::size_t{1} << 20) - 1;
+    hw::QNetDesc desc;
+    desc.name = "maxpool2^20-huge-map";
+    desc.layers.emplace_back(pool);
+    images.push_back(std::move(desc));
+  }
+  {  // padded sample (2^16 - 1)^2 codes fits; 2 channels of it do not
+    hw::QConv conv;
+    conv.in_c = 1;
+    conv.out_c = 2;
+    conv.kernel = 1;
+    conv.stride = 1;
+    conv.pad = (std::size_t{1} << 15) - 1;
+    conv.packed_weights = {0};
+    conv.bias_codes = {0, 0};
+    hw::QNetDesc desc;
+    desc.name = "conv1x1-huge-map";
+    desc.layers.emplace_back(conv);
+    images.push_back(std::move(desc));
+  }
+  const std::size_t side[] = {4, 1};
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    const hw::QNetDesc desc = hw::qnet_from_bytes(hw::qnet_to_bytes(images[i]));
+    EXPECT_THROW((void)compile_qnet(desc, 1, side[i], side[i]),
+                 std::invalid_argument)
+        << desc.name;
+    const Tensor input{Shape{1, 1, side[i], side[i]}};
+    EXPECT_THROW((void)hw::AcceleratorExecutor(desc).run(input),
+                 std::invalid_argument)
+        << desc.name;
+  }
+
+  // The verifier bounds the map too: a lowered 4x4 pool plan rewritten to
+  // the huge window, with every geometry field consistent, is refused.
+  hw::QNetDesc small;
+  small.name = "maxpool2";
+  small.layers.emplace_back(hw::QPool{});
+  CompiledPlan plan = lower_qnet(small, 1, 4, 4);
+  PlanStep& step = plan.steps.front();
+  step.pool.window = std::size_t{1} << 20;
+  step.pool.stride = 1;
+  step.pool.pad = (std::size_t{1} << 20) - 1;
+  step.out_h = step.out_w = (std::size_t{1} << 20) + 3;
+  plan.out_features = step.out_h * step.out_w;
+  EXPECT_THROW(pass_verify(plan), std::runtime_error);
+
+  // The bound itself: a map of exactly UINT32_MAX codes fits, one more
+  // channel's worth does not.
+  EXPECT_TRUE(hw::fits_u32_map(1, 65535, 65537));
+  EXPECT_FALSE(hw::fits_u32_map(2, 65535, 65537));
+  EXPECT_FALSE(hw::fits_u32_map(1, 65536, 65536));
 }
 
 // ----------------------------------------------------------- bit-identity
@@ -400,6 +468,71 @@ TEST(EdgeGeometry, TileRemaindersMatchTheReference) {
   }
 }
 
+// A compiled conv reads each window as `kernel` contiguous runs of
+// kernel * in_c codes from a channels-last padded sample. These convs
+// sweep the run length from 1 to 80 (mostly not a multiple of 8), every
+// stride and pad class (none, half the kernel, a whole kernel of border)
+// on a non-square 9x7 map, with an odd out_c and batches of 1, 3 and 6.
+TEST(EdgeGeometry, ChannelsLastRunsMatchTheReference) {
+  constexpr std::size_t kH = 9, kW = 7, kOutC = 3;
+  std::uint64_t seed = 80;
+  for (const std::size_t in_c : {1, 2, 5, 16}) {
+    for (const std::size_t kernel : {1, 3, 5}) {
+      for (const std::size_t stride : {1, 2}) {
+        for (const std::size_t pad : {std::size_t{0}, kernel / 2, kernel}) {
+          util::Rng rng{++seed};
+          const std::size_t oh = (kH + 2 * pad - kernel) / stride + 1;
+          const std::size_t ow = (kW + 2 * pad - kernel) / stride + 1;
+          nn::Network net;
+          net.add(std::make_unique<nn::Conv2D>(
+              nn::Conv2D::Config{in_c, kOutC, kernel, stride, pad}, rng));
+          net.add(std::make_unique<nn::ReLU>());
+          net.add(std::make_unique<nn::Flatten>());
+          net.add(std::make_unique<nn::FullyConnected>(
+              nn::FullyConnected::Config{kOutC * oh * ow, 3}, rng));
+          const hw::QNetDesc desc =
+              qnet_from_net(std::move(net), rng, "runs", in_c, kH, kW);
+          const std::string context =
+              "in_c " + std::to_string(in_c) + " conv" +
+              std::to_string(kernel) + "s" + std::to_string(stride) + "p" +
+              std::to_string(pad);
+          for (const std::size_t batch : {1, 3, 6}) {
+            Tensor images{Shape{batch, in_c, kH, kW}};
+            images.fill_uniform(rng, -1.0f, 1.0f);
+            expect_bit_identical(
+                desc, images,
+                (context + " batch " + std::to_string(batch)).c_str());
+          }
+        }
+      }
+    }
+  }
+}
+
+/// `count` nibble-packed pow2 weights: the first `row` all -2^7, the rest
+/// seeded random.
+std::vector<std::uint8_t> wide_weights(std::size_t count, std::size_t row,
+                                       util::Rng& rng) {
+  std::vector<std::uint8_t> packed((count + 1) / 2, 0);
+  const std::uint8_t minus_128 = quant::encode_nibble({true, 0});
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint8_t nibble =
+        k < row ? minus_128 : static_cast<std::uint8_t>(rng.next_u64() & 0xF);
+    packed[k / 2] |=
+        static_cast<std::uint8_t>(k % 2 == 0 ? nibble : nibble << 4);
+  }
+  return packed;
+}
+
+/// Three seeded bias codes.
+std::vector<std::int8_t> wide_bias(util::Rng& rng) {
+  std::vector<std::int8_t> bias;
+  for (int o = 0; o < 3; ++o) {
+    bias.push_back(static_cast<std::int8_t>(rng.uniform_int(-128, 127)));
+  }
+  return bias;
+}
+
 /// flatten -> fc(in_features -> 3) over {in_features, 1, 1} inputs. Row 0
 /// holds every weight at -2^7; rows 1-2 hold seeded random pow2 weights.
 /// Codes enter at <8,7> (the full [-128, 127] range) and leave at <8,0>, so
@@ -415,20 +548,9 @@ hw::QNetDesc wide_fc_desc(std::size_t in_features, std::uint64_t seed) {
   hw::QFullyConnected fc;
   fc.in_features = in_features;
   fc.out_features = 3;
-  const std::size_t count = in_features * fc.out_features;
-  fc.packed_weights.assign((count + 1) / 2, 0);
-  const std::uint8_t minus_128 = quant::encode_nibble({true, 0});
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::uint8_t nibble =
-        k < in_features ? minus_128
-                        : static_cast<std::uint8_t>(rng.next_u64() & 0xF);
-    fc.packed_weights[k / 2] |=
-        static_cast<std::uint8_t>(k % 2 == 0 ? nibble : nibble << 4);
-  }
-  for (std::size_t o = 0; o < fc.out_features; ++o) {
-    fc.bias_codes.push_back(
-        static_cast<std::int8_t>(rng.uniform_int(-128, 127)));
-  }
+  fc.packed_weights =
+      wide_weights(in_features * fc.out_features, in_features, rng);
+  fc.bias_codes = wide_bias(rng);
   fc.out_frac = 0;
   desc.layers.emplace_back(fc);
   return desc;
@@ -465,6 +587,47 @@ TEST(EdgeGeometry, FcAtAndPastTheInt32PatchBoundMatchesTheReference) {
       if (v > -128.0f && v < 127.0f) ++interior;
     }
     EXPECT_GT(interior, 0u) << "in_features " << in_features;
+  }
+}
+
+// The same bound for a conv patch, read as channels-last runs:
+// kI32SafePatch = 2^17 - 1 taps as one run of a 1x1 conv, and 2^17 taps as
+// two runs of 2^16 of a 2x2 conv over 2^15 channels (two output pixels).
+// Output channel 0 holds every weight at -2^7 and sample 1 every code at
+// -128, so its first pixel sums to 2^31 - 2^14 at the bound and 2^31 past
+// it, where an int32 wrap would route to -128 instead of 127.
+TEST(EdgeGeometry, ConvAtAndPastTheInt32PatchBoundMatchesTheReference) {
+  struct WideConv {
+    std::size_t in_c, kernel, h, w;
+  };
+  for (const WideConv c : {WideConv{kI32SafePatch, 1, 1, 1},
+                           WideConv{(kI32SafePatch + 1) / 4, 2, 3, 2}}) {
+    const std::size_t patch = c.in_c * c.kernel * c.kernel;
+    util::Rng rng{90 + patch};
+    hw::QNetDesc desc;
+    desc.name = "wide-conv";
+    desc.input_frac = 7;
+    hw::QConv conv;
+    conv.in_c = c.in_c;
+    conv.out_c = 3;
+    conv.kernel = c.kernel;
+    conv.packed_weights = wide_weights(conv.out_c * patch, patch, rng);
+    conv.bias_codes = wide_bias(rng);
+    conv.out_frac = 0;
+    desc.layers.emplace_back(conv);
+
+    const std::size_t sample = c.in_c * c.h * c.w;
+    Tensor images{Shape{2, c.in_c, c.h, c.w}};
+    images.fill_uniform(rng, -1.0f, 1.0f);
+    for (std::size_t k = sample; k < 2 * sample; ++k) {
+      images[k] = -1.0f;  // code -128 at <8,7>
+    }
+    const std::string context = "patch " + std::to_string(patch);
+    expect_bit_identical(desc, images, context.c_str());
+
+    const Tensor reference = hw::AcceleratorExecutor(desc).run(images);
+    const std::size_t pixels = reference.size() / (2 * conv.out_c);
+    EXPECT_EQ(reference[conv.out_c * pixels], 127.0f) << context;
   }
 }
 

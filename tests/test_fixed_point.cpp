@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 namespace mfdfp::hw {
 namespace {
@@ -62,6 +64,45 @@ TEST(FixedPoint, ShiftRoundMatchesDoubleRounding) {
       EXPECT_EQ(shift_round(v, s), static_cast<std::int64_t>(expected))
           << "v=" << v << " s=" << s;
     }
+  }
+}
+
+/// The branchy form shift_round had before its sign-mask rewrite, kept as
+/// the oracle. It runs on __int128 so that -value and value + half stay
+/// defined at the int64 extremes.
+std::int64_t branchy_shift_round(std::int64_t value, int shift) {
+  if (shift == 0) return value;
+  if (shift >= 63) return 0;
+  const __int128 wide = value;
+  const __int128 half = __int128{1} << (shift - 1);
+  if (wide >= 0) return static_cast<std::int64_t>((wide + half) >> shift);
+  return static_cast<std::int64_t>(-((-wide + half) >> shift));
+}
+
+TEST(FixedPoint, ShiftRoundMatchesTheBranchyOracle) {
+  constexpr std::int64_t kMin = INT64_MIN, kMax = INT64_MAX;
+  for (int s = 0; s <= 63; ++s) {
+    std::vector<std::int64_t> values = {0, 1, -1, kMin, kMin + 1, kMax,
+                                        kMax - 1};
+    const std::int64_t half = s == 0 ? 0 : std::int64_t{1} << (s - 1);
+    // k * 2^s for |k| <= 3, then the rounding boundaries around each.
+    for (std::int64_t k = -3; k <= 3; ++k) {
+      if (s >= 62 && k != 0) continue;  // k * 2^s past int64
+      const std::int64_t base = k * (std::int64_t{1} << s);
+      for (const std::int64_t d : {std::int64_t{0}, half, half - 1, half + 1,
+                                   -half, -half + 1, -half - 1}) {
+        values.push_back(base + d);
+      }
+    }
+    for (const std::int64_t v : values) {
+      EXPECT_EQ(shift_round(v, s), branchy_shift_round(v, s))
+          << "v=" << v << " s=" << s;
+    }
+  }
+  // INT64_MIN has magnitude 2^63, which rounds to exactly 2^(63-s).
+  for (int s = 1; s <= 62; ++s) {
+    EXPECT_EQ(shift_round(INT64_MIN, s), -(std::int64_t{1} << (63 - s)))
+        << "s=" << s;
   }
 }
 
