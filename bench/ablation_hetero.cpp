@@ -48,20 +48,6 @@ using namespace mfdfp;
 using tensor::Shape;
 using tensor::Tensor;
 
-hw::QNetDesc make_qnet(std::uint64_t seed) {
-  util::Rng rng{seed};
-  nn::ZooConfig config;
-  config.in_channels = 3;
-  config.in_h = config.in_w = 16;
-  config.num_classes = 5;
-  config.width_multiplier = 0.2f;
-  nn::Network net = nn::make_mlp(config, 12, rng);
-  Tensor calibration{Shape{8, 3, 16, 16}};
-  calibration.fill_uniform(rng, -1.0f, 1.0f);
-  const quant::QuantSpec spec = quant::quantize_network(net, calibration);
-  return hw::extract_qnet(net, spec, "mlp");
-}
-
 /// Per-sample modeled cost on a 1x device, microseconds. Large enough that
 /// pacing sleeps dominate the host-side MLP compute (a few us per sample),
 /// so measured scaling reflects the modeled devices.
@@ -215,7 +201,7 @@ std::int64_t run_overload_tail(const hw::QNetDesc& qnet,
 int main(int argc, char** argv) {
   const char* json_path = argc > 1 ? argv[1] : "BENCH_hetero.json";
 
-  const hw::QNetDesc qnet = make_qnet(91);
+  const hw::QNetDesc qnet = bench::tiny_mlp_qnet(91);
   util::Rng rng{92};
   Tensor images{Shape{32, 3, 16, 16}};
   images.fill_uniform(rng, -1.0f, 1.0f);

@@ -39,19 +39,18 @@ using namespace mfdfp;
 using tensor::Shape;
 using tensor::Tensor;
 
-hw::QNetDesc make_qnet(std::uint64_t seed, bool conv_net) {
+hw::QNetDesc make_cnn_qnet(std::uint64_t seed) {
   util::Rng rng{seed};
   nn::ZooConfig config;
   config.in_channels = 3;
   config.in_h = config.in_w = 16;
   config.num_classes = 5;
   config.width_multiplier = 0.2f;
-  nn::Network net = conv_net ? nn::make_cifar10_net(config, rng)
-                             : nn::make_mlp(config, 12, rng);
+  nn::Network net = nn::make_cifar10_net(config, rng);
   Tensor calibration{Shape{8, 3, 16, 16}};
   calibration.fill_uniform(rng, -1.0f, 1.0f);
   const quant::QuantSpec spec = quant::quantize_network(net, calibration);
-  return hw::extract_qnet(net, spec, conv_net ? "cnn" : "mlp");
+  return hw::extract_qnet(net, spec, "cnn");
 }
 
 serve::DeployConfig overload_config(bool priority_scheduling) {
@@ -152,9 +151,9 @@ MixedTrafficResult run_mixed_traffic(const hw::QNetDesc& cnn,
 int main(int argc, char** argv) {
   const char* json_path = argc > 1 ? argv[1] : "BENCH_multimodel.json";
 
-  const hw::QNetDesc cnn = make_qnet(91, true);
-  const std::vector<hw::QNetDesc> ens{make_qnet(92, false),
-                                      make_qnet(93, false)};
+  const hw::QNetDesc cnn = make_cnn_qnet(91);
+  const std::vector<hw::QNetDesc> ens{bench::tiny_mlp_qnet(92),
+                                      bench::tiny_mlp_qnet(93)};
   util::Rng rng{94};
   Tensor images{Shape{32, 3, 16, 16}};
   images.fill_uniform(rng, -1.0f, 1.0f);

@@ -56,20 +56,6 @@ using namespace mfdfp;
 using tensor::Shape;
 using tensor::Tensor;
 
-hw::QNetDesc make_qnet(std::uint64_t seed) {
-  util::Rng rng{seed};
-  nn::ZooConfig config;
-  config.in_channels = 3;
-  config.in_h = config.in_w = 16;
-  config.num_classes = 5;
-  config.width_multiplier = 0.2f;
-  nn::Network net = nn::make_mlp(config, 12, rng);
-  Tensor calibration{Shape{8, 3, 16, 16}};
-  calibration.fill_uniform(rng, -1.0f, 1.0f);
-  const quant::QuantSpec spec = quant::quantize_network(net, calibration);
-  return hw::extract_qnet(net, spec, "mlp");
-}
-
 /// Per-sample modeled cost on the shared PU, microseconds. Large enough
 /// that pacing sleeps dominate the host-side MLP compute, so measured
 /// scaling reflects the modeled device, not the host scheduler.
@@ -347,8 +333,8 @@ PreemptTailResult run_preemptible_tail(const hw::QNetDesc& qnet_a,
 int main(int argc, char** argv) {
   const char* json_path = argc > 1 ? argv[1] : "BENCH_shared_pu.json";
 
-  const hw::QNetDesc qnet_a = make_qnet(95);
-  const hw::QNetDesc qnet_b = make_qnet(96);
+  const hw::QNetDesc qnet_a = bench::tiny_mlp_qnet(95);
+  const hw::QNetDesc qnet_b = bench::tiny_mlp_qnet(96);
   util::Rng rng{97};
   Tensor images{Shape{32, 3, 16, 16}};
   images.fill_uniform(rng, -1.0f, 1.0f);

@@ -47,20 +47,6 @@ using namespace mfdfp;
 using tensor::Shape;
 using tensor::Tensor;
 
-hw::QNetDesc make_qnet(std::uint64_t seed) {
-  util::Rng rng{seed};
-  nn::ZooConfig config;
-  config.in_channels = 3;
-  config.in_h = config.in_w = 16;
-  config.num_classes = 5;
-  config.width_multiplier = 0.2f;
-  nn::Network net = nn::make_mlp(config, 12, rng);
-  Tensor calibration{Shape{8, 3, 16, 16}};
-  calibration.fill_uniform(rng, -1.0f, 1.0f);
-  const quant::QuantSpec spec = quant::quantize_network(net, calibration);
-  return hw::extract_qnet(net, spec, "mlp");
-}
-
 /// Per-sample modeled cost, microseconds. Paced execution makes latencies
 /// track this deterministic budget, so the 5% overhead bound compares
 /// pacing-dominated tails — not host-scheduler noise — against tracing's
@@ -155,7 +141,7 @@ int main(int argc, char** argv) {
   const std::string trace_path = json_path + ".trace.json";
   const std::string metrics_path = json_path + ".metrics.txt";
 
-  const hw::QNetDesc qnet = make_qnet(61);
+  const hw::QNetDesc qnet = bench::tiny_mlp_qnet(61);
   util::Rng rng{62};
   Tensor images{Shape{32, 3, 16, 16}};
   images.fill_uniform(rng, -1.0f, 1.0f);

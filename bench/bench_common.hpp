@@ -7,6 +7,7 @@
 // records.
 #pragma once
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 
@@ -15,8 +16,10 @@
 #include "data/synthetic.hpp"
 #include "hw/cycle_model.hpp"
 #include "hw/executor.hpp"
+#include "hw/qnet.hpp"
 #include "nn/metrics.hpp"
 #include "nn/zoo.hpp"
+#include "quant/quantizer.hpp"
 #include "util/logging.hpp"
 
 namespace mfdfp::bench {
@@ -84,6 +87,23 @@ inline nn::Network make_net(const BenchmarkSpec& spec, util::Rng& rng) {
   const nn::ZooConfig config = zoo_config(spec);
   return spec.alexnet ? nn::make_alexnet_mini(config, rng)
                       : nn::make_cifar10_net(config, rng);
+}
+
+/// The tiny MLP the serving ablations deploy: 3x16x16 input, 5 classes,
+/// width 0.2, 12 hidden units, quantized on 8 uniform calibration samples
+/// drawn from the same seeded stream as its weights.
+inline hw::QNetDesc tiny_mlp_qnet(std::uint64_t seed) {
+  util::Rng rng{seed};
+  nn::ZooConfig config;
+  config.in_channels = 3;
+  config.in_h = config.in_w = 16;
+  config.num_classes = 5;
+  config.width_multiplier = 0.2f;
+  nn::Network net = nn::make_mlp(config, 12, rng);
+  tensor::Tensor calibration{tensor::Shape{8, 3, 16, 16}};
+  calibration.fill_uniform(rng, -1.0f, 1.0f);
+  const quant::QuantSpec spec = quant::quantize_network(net, calibration);
+  return hw::extract_qnet(net, spec, "mlp");
 }
 
 /// Trains one float network for the benchmark (seeded).

@@ -56,7 +56,7 @@
 // Single source of truth: every service/blocking term is assembled through
 // committed_delay_us(), the same linear cost formula
 // InferenceEngine::estimated_queue_delay_us() admission/routing prices
-// with (tests/test_capacity.cpp cross-checks engine, router, and analyzer
+// with (tests/test_capacity.cpp cross-checks engine, replica set, and analyzer
 // on identical inputs).
 //
 // Consumed by ModelServer::deploy() (DeployConfig.envelope; an infeasible
@@ -115,7 +115,7 @@ struct TrafficEnvelope {
 /// The one cost formula the serving stack prices queueing delay with:
 /// `outstanding` requests at `sample_us` modeled microseconds each, plus
 /// work already committed to the device by others. InferenceEngine
-/// admission, ReplicaSet/Router routing, and every service/blocking term
+/// admission, ReplicaSet routing, and every service/blocking term
 /// of the capacity analyzer all call this — drift between the admission
 /// path and the proofs is a compile-time impossibility, not a code-review
 /// hope.

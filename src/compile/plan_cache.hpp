@@ -4,9 +4,9 @@
 // N replicas of one deployment — and shared-PU tenants serving the same
 // model, on any mix of device classes (nothing in a plan depends on the
 // device) — compile once and share one immutable artifact instead of N
-// engine-local predecodes. The registry owns one cache per server
-// (ModelRegistry fills DeployConfig.plan_cache when the caller leaves it
-// null), so hot redeploys of identical content also hit.
+// engine-local predecodes. ModelServer owns one cache per server (its
+// deploy() fills DeployConfig.plan_cache when the caller leaves it null),
+// so hot redeploys of identical content also hit.
 //
 // Sharing semantics (the contract tests/test_compile.cpp's redeploy-storm
 // test enforces): the cache hands out shared_ptr<const CompiledPlan> and

@@ -8,7 +8,6 @@
 #include "compile/plan_cache.hpp"
 #include "compile/plan_executor.hpp"
 #include "hw/cycle_model.hpp"
-#include "hw/traffic_model.hpp"
 
 namespace mfdfp::serve {
 
@@ -32,22 +31,21 @@ SimulatedAcceleratorBackend::SimulatedAcceleratorBackend(
     plans_.push_back(plan_cache != nullptr
                          ? plan_cache->get_or_compile(desc, in_c, in_h, in_w)
                          : compile::compile_qnet(desc, in_c, in_h, in_w));
-    // Precompute this member's modeled per-inference cost. Ensemble members
-    // run on parallel processing units, so batch latency is the max over
-    // members while DMA is their sum.
-    const std::vector<hw::LayerWork> work =
-        hw::workload_from_qnet(desc, in_c, in_h, in_w);
-    const hw::CycleReport cycles = hw::count_cycles(work, accel_);
-    sample_us_ = std::max(
-        sample_us_, cycles.microseconds(accel_, device_.speed_factor));
-    const hw::TrafficReport traffic = hw::dma_traffic(work, accel_);
-    for (const hw::LayerTraffic& layer : traffic.layers) {
-      weight_dma_bytes_ += static_cast<double>(layer.weight_bytes);
-      act_dma_bytes_ +=
-          static_cast<double>(layer.input_bytes + layer.output_bytes);
-    }
     profilers_.push_back(std::make_unique<hw::LayerProfiler>(
         desc, in_c, in_h, in_w, accel_));
+    // This member's modeled per-inference cost, read from the profiler's
+    // static tables (the same cycle/traffic models, computed once).
+    // Ensemble members run on parallel processing units, so batch latency
+    // is the max over members while DMA is their sum.
+    const hw::LayerProfile profile = profilers_.back()->snapshot();
+    hw::CycleReport cycles;
+    cycles.total_cycles = profile.cycles_per_sample_total;
+    sample_us_ = std::max(sample_us_,
+                          cycles.microseconds(accel_, device_.speed_factor));
+    for (const hw::LayerProfileRow& row : profile.rows) {
+      weight_dma_bytes_ += static_cast<double>(row.weight_bytes);
+      act_dma_bytes_ += static_cast<double>(row.act_bytes_per_sample);
+    }
   }
 }
 

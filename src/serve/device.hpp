@@ -36,7 +36,7 @@
 //     every call — the engine's drain-on-stop guarantee depends on it.
 //   - The cost accessors (sample_us / batch_dma_bytes) and
 //     cross_tenant_backlog_us() are called concurrently with execute() from
-//     submit paths (admission control) and from the ReplicaSet router; they
+//     submit paths (admission control) and from ReplicaSet routing; they
 //     must be safe without external locking.
 //
 // Lifetime contract: engines hold the backend by shared_ptr<const ...>, so

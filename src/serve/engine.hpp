@@ -29,7 +29,7 @@
 // instead of occupying a queue slot until batch formation.
 //
 // Clients normally reach an engine through ModelServer (server.hpp), which
-// owns the name -> engine registry; the engine itself is name-agnostic
+// maps names to replica sets of engines; the engine itself is name-agnostic
 // beyond stamping responses with the model name/version/device it was
 // deployed as.
 //
@@ -99,11 +99,11 @@ struct DeployConfig {
   RoutingPolicy routing = RoutingPolicy::kNormalizedWork;
 
   /// QoS quota: max outstanding kBatch requests across the *whole* replica
-  /// set; excess kBatch submissions resolve kShedded at the router. 0 =
+  /// set; excess kBatch submissions resolve kShedded in the set. 0 =
   /// unlimited. Interactive traffic is never quota-limited.
   std::size_t batch_quota = 0;
 
-  /// Identity stamped into responses; the registry fills these on deploy
+  /// Identity stamped into responses; ModelServer::deploy fills these
   /// and the ReplicaSet fills replica_index and device.
   std::string model_name;
   std::uint32_t model_version = 0;

@@ -2,7 +2,7 @@
 // each placed on its own (possibly differently-provisioned) accelerator
 // device.
 //
-// The registry maps each deployed name to one ReplicaSet rather than one
+// ModelServer maps each deployed name to one ReplicaSet rather than one
 // engine. Every replica is a full InferenceEngine — its own queue, worker
 // pool, and accelerator device — built from the same members and
 // DeployConfig. Placement comes from DeployConfig.placement: one DeviceSpec
@@ -14,7 +14,7 @@
 // several deployments naming the same handle contend for, and co-batch on,
 // one device's cycles. An empty placement keeps the historical homogeneous
 // behaviour: num_replicas copies of config.device. A single-replica set
-// (the default) behaves exactly like the pre-replica registry.
+// (the default) behaves exactly like a single engine.
 //
 // Routing is load-aware per DeployConfig.routing. The default,
 // kNormalizedWork, sends each submission to the replica with the least

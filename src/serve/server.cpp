@@ -15,41 +15,68 @@ namespace mfdfp::serve {
 ModelHandle ModelServer::deploy(const std::string& name,
                                 std::vector<hw::QNetDesc> members,
                                 DeployConfig config) {
-  util::MutexLock lock(lifecycle_mutex_);
+  util::MutexLock lifecycle(lifecycle_mutex_);
   if (shutdown_.load(std::memory_order_acquire)) {
     throw std::logic_error("ModelServer: deploy after shutdown");
   }
-  // Facts of every *other* deployed model, snapshotted under the lifecycle
-  // lock (no deploy/undeploy can interleave): a candidate sharing a PU
-  // with them must be proven against their blocking and vice versa. A
-  // same-name entry is excluded — the candidate supersedes it, so proving
-  // the new placement against the version it replaces would be analyzing a
-  // world that never serves.
-  std::vector<analysis::ModelFacts> coresident;
-  for (const ModelHandle& handle : registry_.models()) {
-    if (handle.name == name) continue;
-    const std::shared_ptr<ReplicaSet> set = registry_.find(handle.name);
-    if (set) coresident.push_back(set->capacity_facts());
+  if (name.empty()) {
+    throw std::invalid_argument("ModelServer: empty model name");
   }
-  const auto validate = [&coresident, &name](const ReplicaSet& candidate) {
-    std::vector<analysis::ModelFacts> facts = coresident;
-    facts.push_back(candidate.capacity_facts());
-    const analysis::CapacityReport report = analysis::analyze_capacity(facts);
-    if (report.feasible()) return;
-    if (candidate.config().envelope.warn_only) {
-      util::log_warn("deploy(" + name + "): " + report.summary());
-      return;
+  // Reserved before the set is built, so a refused deploy burns its
+  // version and versions stay monotonic across rejections.
+  const std::uint32_t version = ++last_version_[name];
+
+  // Facts of every *other* deployed model (no deploy/undeploy can
+  // interleave under the lifecycle lock): a candidate sharing a PU with
+  // them must be proven against their blocking and vice versa. A same-name
+  // entry is excluded — the candidate supersedes it, so proving the new
+  // placement against the version it replaces would be analyzing a world
+  // that never serves.
+  std::vector<analysis::ModelFacts> facts;
+  for (const Deployment& deployment : deployed()) {
+    if (deployment.handle.name != name) {
+      facts.push_back(deployment.replicas->capacity_facts());
     }
-    throw DeployError(StatusCode::kInfeasibleSlo, report.summary());
-  };
+  }
+
+  config.model_name = name;
+  config.model_version = version;
+  // Server-wide plan sharing: unless the caller brought their own cache,
+  // every replica/tenant of this deployment — and any other deployment of
+  // identical content — compiles once per (content, geometry).
+  if (config.plan_cache == nullptr) config.plan_cache = plan_cache_;
+  // Built and validated outside entries_mutex_: on redeploy the old set
+  // keeps serving while every replacement replica constructs (plan
+  // compilation, worker spawn), and a refusal below unwinds the candidate
+  // (its workers drain, its shared-PU tenants release) as if this deploy
+  // never happened.
+  std::shared_ptr<ReplicaSet> replicas;
   try {
-    return registry_.deploy(name, std::move(members), std::move(config),
-                            validate);
+    replicas =
+        std::make_shared<ReplicaSet>(std::move(members), std::move(config));
   } catch (const analysis::PlanRejectedError& error) {
     // Surface analyzer rejections (thrown inside plan compilation, deep in
     // backend construction) as the typed deploy-time status.
     throw DeployError(StatusCode::kUnsafePlan, error.what());
   }
+  facts.push_back(replicas->capacity_facts());
+  const analysis::CapacityReport report = analysis::analyze_capacity(facts);
+  if (!report.feasible()) {
+    if (!replicas->config().envelope.warn_only) {
+      throw DeployError(StatusCode::kInfeasibleSlo, report.summary());
+    }
+    util::log_warn("deploy(" + name + "): " + report.summary());
+  }
+
+  std::shared_ptr<ReplicaSet> replaced;
+  {
+    util::MutexLock lock(entries_mutex_);
+    Entry& entry = entries_[name];
+    replaced = std::exchange(entry.replicas, std::move(replicas));
+    entry.version = version;
+  }
+  if (replaced) replaced->stop();  // drain the old version's in-flight work
+  return ModelHandle{name, version};
 }
 
 bool ModelServer::undeploy(const std::string& name) {
@@ -57,48 +84,98 @@ bool ModelServer::undeploy(const std::string& name) {
   // concurrent deploy or shutdown of the same name — it observes either the
   // world before the other operation or the world after it, never a
   // half-swapped entry.
-  util::MutexLock lock(lifecycle_mutex_);
-  return registry_.undeploy(name);
+  util::MutexLock lifecycle(lifecycle_mutex_);
+  std::shared_ptr<ReplicaSet> removed;
+  {
+    util::MutexLock lock(entries_mutex_);
+    auto node = entries_.extract(name);
+    if (node.empty()) return false;
+    removed = std::move(node.mapped().replicas);
+  }
+  removed->stop();  // drain: every queued request resolves before we return
+  return true;
 }
 
 std::future<Response> ModelServer::submit(const std::string& model,
                                           tensor::Tensor sample,
                                           SubmitOptions options) {
-  // Fast path only; the router re-detects shutdown on a registry miss (the
-  // flag is stored before the registry clears), so a submit racing
-  // shutdown() still resolves kShuttingDown deterministically.
+  // The shared_ptr pins the set (and so its engines) for the whole submit
+  // path: a concurrent undeploy/shutdown drains, it cannot free under us.
+  const std::shared_ptr<ReplicaSet> replicas = replica_set(model);
+  if (replicas) return replicas->submit(std::move(sample), options);
+  // entries_mutex_ orders this miss after a concurrent shutdown's clear,
+  // and shutdown() stores its flag before clearing — so if the flag reads
+  // false here, the model genuinely was not deployed.
   if (shutdown_.load(std::memory_order_acquire)) {
     return ready_failure(StatusCode::kShuttingDown, "server shut down",
                          options.priority);
   }
-  return router_.submit(model, std::move(sample), options);
+  not_found_.fetch_add(1, std::memory_order_relaxed);
+  return ready_failure(StatusCode::kModelNotFound,
+                       "no model deployed as \"" + model + "\"",
+                       options.priority);
 }
 
 void ModelServer::shutdown() {
-  util::MutexLock lock(lifecycle_mutex_);
+  util::MutexLock lifecycle(lifecycle_mutex_);
   // Flag first, clear second: a submit whose lookup misses because the
-  // clear won is ordered (registry mutex) after the clear, and therefore
+  // clear won is ordered (entries_mutex_) after the clear, and therefore
   // after this store — it reads the flag as true and reports kShuttingDown.
   shutdown_.store(true, std::memory_order_release);
-  registry_.clear();
+  std::unordered_map<std::string, Entry> removed;
+  {
+    util::MutexLock lock(entries_mutex_);
+    removed.swap(entries_);
+  }
+  for (auto& [name, entry] : removed) entry.replicas->stop();
+}
+
+std::vector<ModelServer::Deployment> ModelServer::deployed() const {
+  util::MutexLock lock(entries_mutex_);
+  std::vector<Deployment> deployments;
+  deployments.reserve(entries_.size());
+  for (const auto& [name, entry] : entries_) {
+    deployments.push_back(
+        Deployment{ModelHandle{name, entry.version}, entry.replicas});
+  }
+  return deployments;
+}
+
+std::vector<ModelHandle> ModelServer::models() const {
+  std::vector<ModelHandle> handles;
+  for (Deployment& deployment : deployed()) {
+    handles.push_back(std::move(deployment.handle));
+  }
+  return handles;
+}
+
+std::size_t ModelServer::model_count() const {
+  util::MutexLock lock(entries_mutex_);
+  return entries_.size();
+}
+
+std::shared_ptr<ReplicaSet> ModelServer::replica_set(
+    const std::string& model) const {
+  util::MutexLock lock(entries_mutex_);
+  auto it = entries_.find(model);
+  return it == entries_.end() ? nullptr : it->second.replicas;
 }
 
 analysis::CapacityReport ModelServer::capacity_report() const {
   std::vector<analysis::ModelFacts> facts;
-  for (const ModelHandle& handle : registry_.models()) {
-    const std::shared_ptr<ReplicaSet> set = registry_.find(handle.name);
-    if (set) facts.push_back(set->capacity_facts());
+  for (const Deployment& deployment : deployed()) {
+    facts.push_back(deployment.replicas->capacity_facts());
   }
   return analysis::analyze_capacity(facts);
 }
 
 StatsSnapshot ModelServer::stats(const std::string& model) const {
-  const std::shared_ptr<ReplicaSet> set = registry_.find(model);
+  const std::shared_ptr<ReplicaSet> set = replica_set(model);
   return set ? set->aggregated_snapshot() : StatsSnapshot{};
 }
 
 std::string ModelServer::stats_table(const std::string& model) const {
-  const std::shared_ptr<ReplicaSet> set = registry_.find(model);
+  const std::shared_ptr<ReplicaSet> set = replica_set(model);
   return set ? set->stats_table(model) : std::string{};
 }
 
@@ -183,11 +260,10 @@ std::string ModelServer::export_metrics() const {
   // One shared PU may sit behind several models; emit its series once.
   std::vector<const SharedDevice*> seen_pus;
 
-  for (const ModelHandle& handle : registry_.models()) {
-    const std::shared_ptr<ReplicaSet> set = registry_.find(handle.name);
-    if (!set) continue;  // undeployed between models() and find()
-    const StatsSnapshot s = set->aggregated_snapshot();
-    const MetricLabels model{{"model", handle.name}};
+  for (const Deployment& deployment : deployed()) {
+    const ReplicaSet& set = *deployment.replicas;
+    const StatsSnapshot s = set.aggregated_snapshot();
+    const MetricLabels model{{"model", deployment.handle.name}};
 
     completed.add(model, static_cast<double>(s.completed));
     timed_out.add(model, static_cast<double>(s.timed_out));
@@ -231,8 +307,8 @@ std::string ModelServer::export_metrics() const {
                            static_cast<double>(row.completed));
     }
 
-    for (std::size_t index = 0; index < set->replica_count(); ++index) {
-      const std::shared_ptr<SharedDevice>& pu = set->device(index).shared;
+    for (std::size_t index = 0; index < set.replica_count(); ++index) {
+      const std::shared_ptr<SharedDevice>& pu = set.device(index).shared;
       if (pu == nullptr ||
           std::find(seen_pus.begin(), seen_pus.end(), pu.get()) !=
               seen_pus.end()) {

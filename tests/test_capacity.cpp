@@ -500,7 +500,8 @@ TEST(Capacity, EngineRouterAndAnalyzerShareOneCostFormula) {
   EXPECT_DOUBLE_EQ(engine->estimated_queue_delay_us(), expected);
   EXPECT_DOUBLE_EQ(engine->outstanding_work_us(), expected)
       << "dedicated backend: no cross-tenant term";
-  EXPECT_DOUBLE_EQ(server.router().estimated_queue_delay_us("m"), expected);
+  EXPECT_DOUBLE_EQ(server.replica_set("m")->estimated_queue_delay_us(),
+                   expected);
 
   server.shutdown();
   for (auto& future : futures) (void)future.get();

@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <memory>
 #include <set>
 #include <vector>
 
+#include "hw/cycle_model.hpp"
+#include "hw/traffic_model.hpp"
 #include "nn/zoo.hpp"
 #include "serve/server.hpp"
 
@@ -24,14 +27,15 @@ namespace {
 using tensor::Shape;
 using tensor::Tensor;
 
-hw::QNetDesc make_test_qnet(std::uint64_t seed) {
+hw::QNetDesc make_test_qnet(std::uint64_t seed, bool conv_net = false) {
   util::Rng rng{seed};
   nn::ZooConfig config;
   config.in_channels = 3;
   config.in_h = config.in_w = 16;
   config.num_classes = 5;
   config.width_multiplier = 0.2f;
-  nn::Network net = nn::make_mlp(config, 12, rng);
+  nn::Network net = conv_net ? nn::make_cifar10_net(config, rng)
+                             : nn::make_mlp(config, 12, rng);
   Tensor calibration{Shape{6, 3, 16, 16}};
   calibration.fill_uniform(rng, -1.0f, 1.0f);
   const quant::QuantSpec spec = quant::quantize_network(net, calibration);
@@ -109,6 +113,43 @@ TEST(SimulatedBackend, ExecuteIsBitIdenticalAndPricesTheBatch) {
   // Batch latency is sequential samples on one processing unit.
   EXPECT_DOUBLE_EQ(result.sim_accel_us, 5.0 * backend.sample_us());
   EXPECT_DOUBLE_EQ(result.sim_dma_bytes, backend.batch_dma_bytes(5));
+}
+
+TEST(SimulatedAcceleratorBackend, PricesExactlyFromTheCycleAndTrafficModels) {
+  // Two members of different cost, so the max (latency: members run on
+  // parallel PUs) and the sum (DMA) are both distinguishable.
+  const std::vector<hw::QNetDesc> members{make_test_qnet(405),
+                                          make_test_qnet(406, true)};
+  const hw::AcceleratorConfig accel;
+  for (const double speed : {1.0, 2.5}) {
+    const SimulatedAcceleratorBackend backend(
+        members, accel, make_device("npu", speed), 3, 16, 16);
+
+    std::vector<double> member_us;
+    double weight_bytes = 0.0;
+    double act_bytes = 0.0;
+    for (const hw::QNetDesc& desc : members) {
+      const std::vector<hw::LayerWork> work =
+          hw::workload_from_qnet(desc, 3, 16, 16);
+      member_us.push_back(
+          hw::count_cycles(work, accel).microseconds(accel, speed));
+      const hw::TrafficReport traffic = hw::dma_traffic(work, accel);
+      for (const hw::LayerTraffic& layer : traffic.layers) {
+        weight_bytes += static_cast<double>(layer.weight_bytes);
+        act_bytes +=
+            static_cast<double>(layer.input_bytes + layer.output_bytes);
+      }
+    }
+    ASSERT_NE(member_us[0], member_us[1]);
+    EXPECT_EQ(backend.sample_us(),
+              *std::max_element(member_us.begin(), member_us.end()))
+        << "speed " << speed;
+    for (const std::size_t batch : {1u, 7u}) {
+      EXPECT_EQ(backend.batch_dma_bytes(batch),
+                weight_bytes + static_cast<double>(batch) * act_bytes)
+          << "speed " << speed << ", batch " << batch;
+    }
+  }
 }
 
 TEST(SimulatedBackend, RejectsInvalidDeviceAndEmptyMembers) {

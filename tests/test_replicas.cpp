@@ -356,25 +356,25 @@ TEST(ReplicaSet, ConcurrentSubmitsAcrossRedeployAndUndeployResolve) {
 
 // ---- PR-2 lifecycle race regressions ---------------------------------------
 
-TEST(ModelServerRace, RouterResolvesShuttingDownAfterRegistryCleared) {
-  // Deterministic core of the submit-vs-shutdown race: a submitter that
-  // passed ModelServer::submit's fast-path flag check just before
-  // shutdown() landed reaches the router only after the registry cleared.
-  // Pre-fix, the router reported kModelNotFound for the vanished model;
-  // with the shutdown flag bound into the router (and stored before the
-  // registry clears) the late lookup must resolve kShuttingDown.
+TEST(ModelServerRace, SubmitResolvesShuttingDownAfterEntriesCleared) {
+  // Deterministic core of the submit-vs-shutdown race: a submit whose
+  // lookup lands after shutdown() cleared the name map misses. Pre-fix,
+  // that miss reported kModelNotFound for the vanished model; with the
+  // shutdown flag stored before the map clears and checked on every miss
+  // (the only shutdown check on the submit path), the late lookup must
+  // resolve kShuttingDown.
   const hw::QNetDesc qnet = make_test_qnet(375);
   ModelServer server;
   server.deploy("m", {qnet}, replica_config(1));
   server.shutdown();
 
   util::Rng rng{376};
-  const Response late = server.router().submit("m", random_image(rng)).get();
+  const Response late = server.submit("m", random_image(rng)).get();
   EXPECT_EQ(late.status, StatusCode::kShuttingDown)
       << "got " << status_name(late.status)
       << " — a model that vanished because of shutdown must not be "
          "reported as never deployed";
-  EXPECT_EQ(server.router().not_found_count(), 0u);
+  EXPECT_EQ(server.not_found_count(), 0u);
 }
 
 TEST(ModelServerRace, UndeployWaitsForConcurrentRedeployDrain) {

@@ -1,4 +1,4 @@
-// ModelServer front-door properties: multi-model registry (deploy /
+// ModelServer front-door properties: multi-model deployment (deploy /
 // hot-redeploy / undeploy with drain), name-based routing with typed
 // kModelNotFound, admission control shedding kBatch traffic under overload,
 // response identity stamping, and the stats near-zero-window guard.
@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <future>
 #include <thread>
@@ -120,7 +121,7 @@ TEST(ModelServer, UnknownModelResolvesModelNotFound) {
   EXPECT_NE(response.detail.find("nope"), std::string::npos);
   EXPECT_EQ(response.priority, Priority::kBatch)
       << "pre-dispatch failures must stamp the submitter's class";
-  EXPECT_EQ(server.router().not_found_count(), 1u);
+  EXPECT_EQ(server.not_found_count(), 1u);
 }
 
 TEST(ModelServer, RedeployBumpsVersionAndDrainsOldEngine) {
@@ -161,6 +162,35 @@ TEST(ModelServer, RedeployBumpsVersionAndDrainsOldEngine) {
       server.deploy("m", {make_test_qnet(224, false)},
                     small_deploy_config());
   EXPECT_EQ(v3.version, 3u);
+}
+
+TEST(ModelServer,
+     ConcurrentSameNameDeploysGetDistinctVersionsAndTheNewestServes) {
+  // deploy() holds the lifecycle lock from version reservation to the
+  // swap, so same-name deploys publish in version order: each one replaces
+  // an older version, and the last to publish is the highest.
+  constexpr std::uint32_t kDeploys = 4;
+  const hw::QNetDesc qnet = make_test_qnet(225, false);
+  ModelServer server;
+  std::vector<std::uint32_t> versions(kDeploys, 0);
+  std::vector<std::thread> deployers;
+  for (std::uint32_t i = 0; i < kDeploys; ++i) {
+    deployers.emplace_back([&server, &qnet, &versions, i] {
+      versions[i] =
+          server.deploy("m", {qnet}, small_deploy_config()).version;
+    });
+  }
+  for (std::thread& deployer : deployers) deployer.join();
+
+  std::sort(versions.begin(), versions.end());
+  for (std::uint32_t i = 0; i < kDeploys; ++i) {
+    EXPECT_EQ(versions[i], i + 1);
+  }
+  EXPECT_EQ(server.model_count(), 1u);
+  util::Rng rng{226};
+  const Response response = server.submit("m", random_image(rng)).get();
+  ASSERT_TRUE(ok(response.status)) << response.detail;
+  EXPECT_EQ(response.model_version, kDeploys);
 }
 
 TEST(ModelServer, UndeployDrainsInFlightRequests) {
