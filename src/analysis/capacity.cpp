@@ -37,19 +37,22 @@ std::size_t pass_cap(const ReplicaFacts& pu) {
   return std::max<std::size_t>(pu.max_pass_samples, 1);
 }
 
-/// Samples one engine sub-batch of `t` can put into a single device pass.
+/// Samples per sub-batch of `t` that the utilization proof amortizes
+/// per-pass costs over (a shared PU co-batches at most a pass cap's worth).
 std::size_t sub_batch_samples(const ReplicaFacts& t) {
   const std::size_t batch = std::max<std::size_t>(t.max_batch, 1);
   return t.shared ? std::min(batch, pass_cap(t)) : batch;
 }
 
-/// Modeled cost of one sub-batch of `t` through its device, including the
-/// per-pass costs it can be charged (weight reload + pass overhead on a
-/// shared PU; a dedicated engine batch pays neither).
+/// Modeled cost of one whole sub-batch of `t` through its device (a shared
+/// PU never splits a sub-batch across passes, even past max_pass_samples),
+/// including the per-pass costs it can be charged (weight reload + pass
+/// overhead on a shared PU; a dedicated engine batch pays neither).
 double sub_batch_cost_us(const ReplicaFacts& t) {
   const double extra = t.shared ? t.switch_us + t.pass_overhead_us : 0.0;
-  return committed_delay_us(static_cast<double>(sub_batch_samples(t)),
-                            t.sample_us, extra);
+  return committed_delay_us(
+      static_cast<double>(std::max<std::size_t>(t.max_batch, 1)), t.sample_us,
+      extra);
 }
 
 /// Chunked passes on this device? (SharedDevice preemption: chunks only
@@ -63,16 +66,20 @@ bool preemptible(const DeviceGroup& d) {
 
 /// Worst case of one monolithic co-batched pass: a maximal pass of the
 /// slowest tenant's samples that pays every tenant's weight reload (the
-/// exact ablation_shared_pu tail shape).
+/// exact ablation_shared_pu tail shape). SharedDevice admits a pass's lead
+/// sub-batch whole, so a pass holds max(max_pass_samples, largest
+/// max_batch) samples.
 double pass_blocking_us(const DeviceGroup& d) {
   const ReplicaFacts& pu = *d.tenants.front().replica;
+  std::size_t samples = pass_cap(pu);
   double switch_sum = 0.0;
   double max_sample = 0.0;
   for (const TenantShare& t : d.tenants) {
+    samples = std::max(samples, t.replica->max_batch);
     switch_sum += t.replica->switch_us;
     max_sample = std::max(max_sample, t.replica->sample_us);
   }
-  return committed_delay_us(static_cast<double>(pass_cap(pu)), max_sample,
+  return committed_delay_us(static_cast<double>(samples), max_sample,
                             switch_sum + pu.pass_overhead_us);
 }
 

@@ -19,9 +19,11 @@
 //   kInteractiveLatency  per (model, device): worst-case end-to-end delay
 //                        of one interactive burst, built from
 //                        non-preemptible blocking — the largest possible
-//                        pass already on the device (max_pass_samples of
-//                        the slowest tenant plus every tenant's weight
-//                        reload plus pass overhead; exactly the tail shape
+//                        pass already on the device (max(max_pass_samples,
+//                        the largest max_batch) samples of the slowest
+//                        tenant, since a pass's lead sub-batch rides whole,
+//                        plus every tenant's weight reload plus pass
+//                        overhead; exactly the tail shape
 //                        bench/ablation_shared_pu measures), the coalesce
 //                        window, the engine's batch-formation wait, and
 //                        the burst's own sub-batches each riding a
@@ -29,7 +31,7 @@
 //                        On a preemptible PU (preempt_granularity_us > 0)
 //                        the non-preemptible unit is one *chunk*, probes
 //                        skip the coalesce window, and each burst ride is
-//                        one chunk plus the probe's own sub-batch — a
+//                        one chunk plus the probe's whole sub-batch — a
 //                        strictly tighter bound (never looser: every
 //                        chunked term is min()'d against its monolithic
 //                        counterpart).

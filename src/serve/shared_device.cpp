@@ -150,9 +150,9 @@ double SharedDevice::backlog_excluding_us(const Tenant* excluded) const {
   util::MutexLock lock(mutex_);
   double total = 0.0;
   for (const Tenant* tenant : active_) {
-    if (tenant == excluded) continue;
-    total += tenant->load_provider ? tenant->load_provider()
-                                   : tenant->pending_us;
+    if (tenant != excluded && tenant->load_provider) {
+      total += tenant->load_provider();
+    }
   }
   return total;
 }
@@ -173,7 +173,6 @@ void SharedDevice::release_tenant(Tenant* tenant) {
   tenant->lanes[kInteractiveLane].clear();
   tenant->lanes[kBatchLane].clear();
   tenant->load_provider = nullptr;
-  tenant->pending_us = 0.0;
   tenant->sim.reset();
   active_.erase(std::remove(active_.begin(), active_.end(), tenant),
                 active_.end());
@@ -188,91 +187,12 @@ void SharedDevice::submit_and_wait(Job& job) {
     // execute() — still holds the device. Fail loudly rather than hang.
     throw std::logic_error("SharedDevice: submit after destruction began");
   }
-  // Conservative backlog estimate: compute plus a potential weight reload.
-  job.est_cost_us =
-      static_cast<double>(job.samples) * job.owner->sim->sample_us() +
-      job.owner->switch_us;
-  job.owner->pending_us += job.est_cost_us;
   job.owner->lanes[job.interactive ? kInteractiveLane : kBatchLane]
       .push_back(&job);
   work_ready_.notify_one();
   pass_retired_.wait(mutex_, [this, &job]() REQUIRES(mutex_) {
     return job.done;
   });
-}
-
-std::vector<SharedDevice::Job*> SharedDevice::next_pass_locked(
-    bool interactive_only) {
-  std::vector<Job*> pass;
-  const std::size_t count = active_.size();
-  if (count == 0) return pass;
-
-  // Round-robin scan for the lead tenant, starting at the fairness cursor.
-  // Within a tenant the interactive lane drains strictly first.
-  std::size_t lead = count;
-  for (std::size_t step = 0; step < count; ++step) {
-    const std::size_t index = (next_tenant_ + step) % count;
-    const Tenant& tenant = *active_[index];
-    if (!tenant.lanes[kInteractiveLane].empty() ||
-        (!interactive_only && !tenant.lanes[kBatchLane].empty())) {
-      lead = index;
-      break;
-    }
-  }
-  if (lead == count) return pass;
-  next_tenant_ = (lead + 1) % count;
-
-  Tenant& lead_tenant = *active_[lead];
-  {
-    std::deque<Job*>& lane = !lead_tenant.lanes[kInteractiveLane].empty()
-                                 ? lead_tenant.lanes[kInteractiveLane]
-                                 : lead_tenant.lanes[kBatchLane];
-    pass.push_back(lane.front());
-    lane.pop_front();
-  }
-  if (!config_.cobatch) return pass;  // time-sliced: one sub-batch per pass
-
-  // Coalesce more sub-batches, one per tenant per round-robin sweep so no
-  // tenant monopolizes the pass, as long as geometries align and the
-  // sample cap holds. Tenants whose shapes don't align simply wait for
-  // their own (serialized per-model) pass on a later round.
-  std::size_t total = pass.front()->samples;
-  bool progressed = true;
-  while (progressed && total < config_.max_pass_samples) {
-    progressed = false;
-    for (std::size_t step = 0;
-         step < count && total < config_.max_pass_samples; ++step) {
-      Tenant& tenant = *active_[(lead + step) % count];
-      if (tenant.in_c != lead_tenant.in_c ||
-          tenant.in_h != lead_tenant.in_h ||
-          tenant.in_w != lead_tenant.in_w) {
-        continue;
-      }
-      std::deque<Job*>* lane = nullptr;
-      if (!tenant.lanes[kInteractiveLane].empty()) {
-        lane = &tenant.lanes[kInteractiveLane];
-      } else if (!interactive_only && !tenant.lanes[kBatchLane].empty()) {
-        lane = &tenant.lanes[kBatchLane];
-      }
-      if (lane == nullptr) continue;
-      Job* job = lane->front();
-      if (total + job->samples > config_.max_pass_samples) continue;
-      lane->pop_front();
-      pass.push_back(job);
-      total += job->samples;
-      progressed = true;
-    }
-  }
-
-  // Interactive sub-batches lead the pass — on a chunked device they ride
-  // the first chunks instead of waiting out every batch tenant's run —
-  // then group by tenant so each model's weights are loaded at most once
-  // per contiguous run (stable: preserves per-tenant FIFO order).
-  std::stable_sort(pass.begin(), pass.end(), [](const Job* a, const Job* b) {
-    if (a->interactive != b->interactive) return a->interactive;
-    return a->owner < b->owner;
-  });
-  return pass;
 }
 
 std::size_t SharedDevice::pending_samples_locked() const {
@@ -332,71 +252,85 @@ void SharedDevice::wait_for_work_locked() {
 SharedDevice::ActivePass SharedDevice::start_pass_locked(
     bool interactive_only) {
   ActivePass pass;
-  pass.jobs = next_pass_locked(interactive_only);
-  if (pass.jobs.empty()) return pass;
-  const Tenant& lead = *pass.jobs.front()->owner;
-  pass.in_c = lead.in_c;
-  pass.in_h = lead.in_h;
-  pass.in_w = lead.in_w;
-  for (const Job* job : pass.jobs) pass.planned_samples += job->samples;
-  pass.seq = ++pass_seq_;
   pass.interactive = interactive_only;
+  // Round-robin scan for the lead tenant, starting at the fairness cursor.
+  const std::size_t count = active_.size();
+  for (std::size_t step = 0; step < count; ++step) {
+    const std::size_t index = (next_tenant_ + step) % count;
+    Tenant& lead = *active_[index];
+    std::deque<Job*>* lane = next_lane_locked(lead, pass);
+    if (lane == nullptr) continue;
+    next_tenant_ = (index + 1) % count;
+    // The lead rides whole, even past max_pass_samples, and fixes the
+    // geometry everything else must match.
+    pass.jobs.push_back(lane->front());
+    lane->pop_front();
+    pass.planned_samples = pass.jobs.front()->samples;
+    pass.in_c = lead.in_c;
+    pass.in_h = lead.in_h;
+    pass.in_w = lead.in_w;
+    pass.seq = ++pass_seq_;
+    fill_pass_locked(pass);
+    break;
+  }
   return pass;
 }
 
-void SharedDevice::admit_joiners_locked(ActivePass& pass) {
-  if (!config_.cobatch) return;
+std::deque<SharedDevice::Job*>* SharedDevice::next_lane_locked(
+    Tenant& tenant, const ActivePass& pass) {
+  if (!tenant.lanes[kInteractiveLane].empty()) {
+    return &tenant.lanes[kInteractiveLane];
+  }
+  // A preemption pass serves probes exclusively: batch work waits for the
+  // suspended pass to resume rather than jumping its line.
+  if (!pass.interactive && !tenant.lanes[kBatchLane].empty()) {
+    return &tenant.lanes[kBatchLane];
+  }
+  return nullptr;
+}
+
+bool SharedDevice::joinable_locked(const Job& job,
+                                   const ActivePass& pass) const {
+  const Tenant& tenant = *job.owner;
+  return config_.cobatch && tenant.in_c == pass.in_c &&
+         tenant.in_h == pass.in_h && tenant.in_w == pass.in_w &&
+         pass.planned_samples + job.samples <= config_.max_pass_samples;
+}
+
+void SharedDevice::fill_pass_locked(ActivePass& pass) {
+  // One sub-batch per tenant per sweep, so no tenant monopolizes the pass.
   const std::size_t count = active_.size();
-  if (count == 0) return;
-  // Earliest position a joiner can take: right behind the cursor, but
-  // never inside the partially-executed sub-batch sitting on it.
-  std::size_t probe_at = pass.next_job + (pass.next_sample > 0 ? 1 : 0);
   bool progressed = true;
-  while (progressed && pass.planned_samples < config_.max_pass_samples) {
+  while (progressed) {
     progressed = false;
-    for (std::size_t step = 0;
-         step < count && pass.planned_samples < config_.max_pass_samples;
-         ++step) {
+    for (std::size_t step = 0; step < count; ++step) {
       Tenant& tenant = *active_[(next_tenant_ + step) % count];
-      if (tenant.in_c != pass.in_c || tenant.in_h != pass.in_h ||
-          tenant.in_w != pass.in_w) {
-        continue;
-      }
-      std::deque<Job*>* lane = nullptr;
-      if (!tenant.lanes[kInteractiveLane].empty()) {
-        lane = &tenant.lanes[kInteractiveLane];
-      } else if (!pass.interactive && !tenant.lanes[kBatchLane].empty()) {
-        // A preemption pass serves probes exclusively: batch work waits for
-        // the suspended pass to resume rather than jumping its line.
-        lane = &tenant.lanes[kBatchLane];
-      }
-      if (lane == nullptr) continue;
+      std::deque<Job*>* lane = next_lane_locked(tenant, pass);
+      if (lane == nullptr || !joinable_locked(*lane->front(), pass)) continue;
       Job* job = lane->front();
-      if (pass.planned_samples + job->samples > config_.max_pass_samples) {
-        continue;
-      }
       lane->pop_front();
-      if (job->interactive) {
-        // Probes ride the very next chunks.
-        pass.jobs.insert(
-            pass.jobs.begin() + static_cast<std::ptrdiff_t>(probe_at), job);
-        ++probe_at;
-      } else {
-        // Keep batch joiners grouped behind their tenant's last unexecuted
-        // sub-batch so chunk boundaries pay the fewest reloads; tenants
-        // not in the pass yet append at the tail.
-        std::size_t at = pass.jobs.size();
-        for (std::size_t i = pass.jobs.size(); i > probe_at;) {
-          --i;
-          if (pass.jobs[i]->owner == &tenant) {
-            at = i + 1;
-            break;
-          }
-        }
-        pass.jobs.insert(pass.jobs.begin() + static_cast<std::ptrdiff_t>(at),
-                         job);
+
+      // The unexecuted part is an interactive run, then a batch run; a
+      // sub-batch the cursor has split belongs to neither. The job goes
+      // behind its tenant's last job in its own run (one reload per
+      // tenant run), or at that run's end.
+      std::size_t begin = pass.next_job + (pass.next_sample > 0 ? 1 : 0);
+      std::size_t end = begin;
+      while (end < pass.jobs.size() && pass.jobs[end]->interactive) ++end;
+      if (!job->interactive) {
+        begin = end;
+        end = pass.jobs.size();
       }
+      std::size_t at = end;
+      for (std::size_t i = begin; i < end; ++i) {
+        if (pass.jobs[i]->owner == &tenant) at = i + 1;
+      }
+      pass.jobs.insert(pass.jobs.begin() + static_cast<std::ptrdiff_t>(at),
+                       job);
       pass.planned_samples += job->samples;
+      progressed = true;
+
+      if (pass.chunks == 0) continue;
       ++pass.joined;
       ++joined_jobs_;
       obs::TraceRecorder& rec = obs::trace();
@@ -405,7 +339,6 @@ void SharedDevice::admit_joiners_locked(ActivePass& pass) {
                            static_cast<std::int64_t>(job->samples),
                            tenant.trace_model);
       }
-      progressed = true;
     }
   }
 }
@@ -506,7 +439,6 @@ void SharedDevice::execute_chunk(ActivePass& pass, Chunk& chunk,
       job->exec_us += result.sim_accel_us;
       compute_us += result.sim_accel_us;
     }
-    job->executed += s1 - s0;
   }
 
   chunk.cost_us = chunk.overhead_us + chunk.switch_us + compute_us;
@@ -533,8 +465,6 @@ void SharedDevice::retire_chunk_locked(ActivePass& pass, Chunk& chunk) {
   if (chunk.switch_us > 0.0) ++model_switches_;
   busy_us_ += chunk.cost_us;
   switch_busy_us_ += chunk.switch_us;
-  pass.cost_us += chunk.cost_us;
-  pass.switch_total_us += chunk.switch_us;
   pass.done_samples += chunk.samples;
 
   bool seen_model = false;
@@ -580,7 +510,6 @@ void SharedDevice::retire_job_locked(Job& job) {
   tenant.sub_batches += 1;
   tenant.samples += job.samples;
   tenant.busy_us += attributed_us;
-  tenant.pending_us = std::max(0.0, tenant.pending_us - job.est_cost_us);
   job.done = true;
 }
 
@@ -604,11 +533,7 @@ void SharedDevice::finish_pass_locked(ActivePass& pass) {
 bool SharedDevice::should_preempt_locked(const ActivePass& pass) const {
   for (const Tenant* tenant : active_) {
     for (const Job* job : tenant->lanes[kInteractiveLane]) {
-      const bool joinable =
-          config_.cobatch && tenant->in_c == pass.in_c &&
-          tenant->in_h == pass.in_h && tenant->in_w == pass.in_w &&
-          pass.planned_samples + job->samples <= config_.max_pass_samples;
-      if (!joinable) return true;
+      if (!joinable_locked(*job, pass)) return true;
     }
   }
   return false;
@@ -621,7 +546,7 @@ void SharedDevice::run_pass_chunked(ActivePass pass, hw::ExecScratch& scratch,
     Chunk chunk;
     {
       util::MutexLock lock(mutex_);
-      if (preemptible()) admit_joiners_locked(pass);
+      if (preemptible()) fill_pass_locked(pass);
       chunk = plan_chunk_locked(pass);
     }
     execute_chunk(pass, chunk, scratch, thread_labeled);
@@ -727,13 +652,12 @@ SharedDeviceSnapshot SharedDevice::snapshot() const {
     row.sub_batches = tenant->sub_batches;
     row.samples = tenant->samples;
     row.busy_us = tenant->busy_us;
-    // Same source as backlog_us(): the engine-side provider when bound
-    // (queued + executing), lane-only pending otherwise — the tenant table
-    // must agree with what admission control is shedding against.
-    row.pending_us = tenant->load_provider ? tenant->load_provider()
-                                           : tenant->pending_us;
-    // Device-lane truth, unlike pending_us which may reflect the engine's
-    // wider queue: sub-batches sitting in this tenant's lanes right now.
+    // Same source as backlog_us(): the engine-side provider (queued +
+    // executing) — the tenant table must agree with what admission control
+    // is shedding against.
+    row.pending_us = tenant->load_provider ? tenant->load_provider() : 0.0;
+    // Device-lane truth, unlike pending_us, which is the engine's wider
+    // queue: sub-batches sitting in this tenant's lanes right now.
     row.queued_jobs = tenant->lanes[kInteractiveLane].size() +
                       tenant->lanes[kBatchLane].size();
     s.tenants.push_back(std::move(row));

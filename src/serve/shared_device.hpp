@@ -11,13 +11,19 @@
 //
 // Scheduling: every tenant's prepared sub-batches land in per-tenant FIFO
 // lanes on the device — one lane per priority class, interactive drained
-// first. Each device pass, the dispatcher coalesces pending sub-batches —
-// round-robin across tenants for fairness, then grouped by model for
-// execution — into one pass of up to `max_pass_samples` samples, provided
-// the tenants' input geometries align; geometry-incompatible work falls
-// back to serialized per-model passes. With `cobatch = false` the device
-// degrades to classic time-sliced serialization (one sub-batch per pass,
-// strict round-robin over tenants) — the ablation baseline of
+// first. A pass starts with the next sub-batch of the first tenant with
+// work at the round-robin cursor (the *lead*), whose input geometry fixes
+// the pass's. One routine then fills it, when it forms and again between
+// chunks: each sweep from the cursor takes at most one sub-batch per
+// tenant while it is joinable — co-batching on, the same geometry, and
+// room under `max_pass_samples`. Unexecuted work is an interactive run
+// followed by a batch run, and each admitted sub-batch goes right behind
+// its tenant's last one in its run (or at the run's end), so probes ride
+// ahead of all batch work, each tenant's run is contiguous (one weight
+// reload), and every lane stays FIFO. Geometry-incompatible work waits for
+// its own serialized pass. With `cobatch = false` the device degrades to
+// classic time-sliced serialization (one sub-batch per pass, strict
+// round-robin over tenants) — the ablation baseline of
 // bench/ablation_shared_pu.
 //
 // Execution: every pass runs through one chunk loop. The dispatcher splits
@@ -31,10 +37,10 @@
 // Preemption + continuous batching (`preempt_granularity_us > 0`): chunks
 // are additionally capped at the granularity's worth of modeled compute
 // (never below one sample), and between chunks the dispatcher
-//   - admits late-arriving geometry-compatible sub-batches into the
-//     in-flight pass ("joins": the weight reload is already paid, so a
-//     joiner rides the current pass instead of waiting out a coalesce
-//     window — continuous batching), and
+//   - fills the in-flight pass again, so late-arriving joinable sub-batches
+//     ride it ("joins": the weight reload is already paid, so a joiner
+//     rides the current pass instead of waiting out a coalesce window —
+//     continuous batching), and
 //   - suspends the pass when an interactive probe is pending that *cannot*
 //     join (geometry mismatch, pass at capacity, or time slicing): the
 //     probe gets its own pass immediately, then the suspended pass resumes.
@@ -78,8 +84,8 @@
 // All shared state is guarded by one device mutex; sub-batch tensors are
 // borrowed from the (blocked) caller for the duration of the call, never
 // retained. The chunk loop only touches its pass between chunks *under the
-// device mutex*, so joiners admitted by the dispatcher itself are the only
-// writers of an in-flight pass.
+// device mutex*, so the dispatcher's own fill is the only writer of an
+// in-flight pass.
 //
 // Lifetime: create() returns a shared_ptr; every attached backend holds one,
 // and engines hold their backend — so the device (and its dispatch thread)
@@ -129,7 +135,9 @@ struct SharedDeviceConfig {
   /// Max samples coalesced into one device pass. Bounds how long a pass —
   /// and therefore any tenant's wait for the *next* pass — can run, which
   /// is what keeps interactive latency bounded under cross-model
-  /// interference.
+  /// interference. The lead sub-batch is always admitted whole, so a pass
+  /// holds up to max(max_pass_samples, the lead engine's max_batch)
+  /// samples; only the sub-batches that join it are capped.
   std::size_t max_pass_samples = 32;
 
   /// Coalesce compatible sub-batches from different models into one pass
@@ -171,10 +179,9 @@ struct SharedDeviceConfig {
   /// Preemption granularity, microseconds. > 0 makes passes preemptible:
   /// each same-tenant chunk holds at most this much modeled compute (never
   /// less than one sample), and between chunks the dispatcher admits
-  /// geometry-compatible joiners up to max_pass_samples (with cobatch) and
-  /// serves pending interactive probes that cannot join (see file
-  /// comment). 0 (default): one chunk per tenant run, no joins, no
-  /// preemption.
+  /// joinable sub-batches into the pass and serves pending interactive
+  /// probes that cannot join (see file comment). 0 (default): one chunk
+  /// per tenant run, no joins, no preemption.
   double preempt_granularity_us = 0.0;
 
   /// Test seam: the microsecond clock the dispatcher paces against; null =
@@ -204,7 +211,8 @@ struct SharedTenantRow {
   std::uint64_t sub_batches = 0;  ///< executed sub-batches of this tenant
   std::uint64_t samples = 0;      ///< samples served for this tenant
   double busy_us = 0.0;       ///< modeled device time attributed to tenant
-  double pending_us = 0.0;    ///< queued + executing modeled work right now
+  double pending_us = 0.0;    ///< engine-side queued + executing modeled
+                              ///< work right now (0 while unbound)
   std::uint64_t queued_jobs = 0;  ///< sub-batches waiting in the device
                                   ///< lanes (excludes engine-side queues)
 };
@@ -263,13 +271,14 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
       DeviceSpec resolved);
 
   /// Binds the engine-side outstanding-work provider of the tenant behind
-  /// `backend` (returned by attach()). When bound, the device prices that
-  /// tenant's share of the aggregate backlog as the provider's value — the
-  /// engine's full committed work, queued *and* executing — instead of only
-  /// the sub-batches already sitting in the device lane, so a neighbour's
-  /// deep engine queue is visible to other tenants' admission control and
-  /// routing. The provider is called under the device mutex from any
-  /// thread; it must be lock-free on its side, and it must never be (or
+  /// `backend` (returned by attach()). The device prices that tenant's
+  /// share of the aggregate backlog as the provider's value — the engine's
+  /// full committed work, queued *and* executing — so a neighbour's deep
+  /// engine queue is visible to other tenants' admission control and
+  /// routing. An unbound tenant counts 0: its engine holds no work then
+  /// (before ReplicaSet binds it, and after stop() drained it). The
+  /// provider is called under the device mutex from any thread; it must be
+  /// lock-free on its side, and it must never be (or
   /// become) the last owner of anything whose destructor re-enters this
   /// device — a weak_ptr-locking provider must be unbound (pass nullptr)
   /// *before* the last engine reference can drop, or the provider's
@@ -313,12 +322,10 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
     const tensor::Tensor* stacked = nullptr;  ///< borrowed from the caller
     std::size_t samples = 0;
     bool interactive = false;  ///< carried an interactive rider (ExecHints)
-    double est_cost_us = 0.0;  ///< backlog contribution until retired
     BatchResult result;
     bool done = false;
     // Chunk accounting: a job can execute across several chunks, so its
     // exact attribution accumulates here until it retires.
-    std::size_t executed = 0;   ///< samples executed so far
     double exec_us = 0.0;       ///< accumulated modeled compute
     double extra_us = 0.0;      ///< reloads + pass overhead it carried
     double extra_dma_bytes = 0.0;  ///< weight bytes for reloads it carried
@@ -344,19 +351,18 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
     /// indexed by Priority (guarded by mutex_). The interactive lane is
     /// what the dispatcher re-checks between chunks of a preemptible pass.
     std::deque<Job*> lanes[kPriorityClasses];
-    /// Engine-side committed work, bound by bind_tenant_load(); when unset
-    /// the device falls back to the lane's own pending_us.
+    /// Engine-side committed work, bound by bind_tenant_load(); unset
+    /// counts 0.
     std::function<double()> load_provider;
     // Accounting (guarded by mutex_).
     std::uint64_t sub_batches = 0;
     std::uint64_t samples = 0;
     double busy_us = 0.0;
-    double pending_us = 0.0;
   };
 
   /// One live device pass: jobs in execution order with a cursor; retired
-  /// jobs fall off in front of the cursor, joiners are inserted behind it.
-  /// Owned by the dispatch thread; mutated only under mutex_ between
+  /// jobs fall off in front of the cursor, fill_pass_locked inserts behind
+  /// it. Owned by the dispatch thread; mutated only under mutex_ between
   /// chunks.
   struct ActivePass {
     std::vector<Job*> jobs;
@@ -367,9 +373,7 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
     std::size_t in_c = 0, in_h = 0, in_w = 0;  ///< pass geometry (lead's)
     std::uint64_t seq = 0;     ///< pass sequence number, 1-based
     std::uint64_t chunks = 0;  ///< chunks executed so far
-    std::size_t joined = 0;    ///< jobs admitted after the pass started
-    double cost_us = 0.0;
-    double switch_total_us = 0.0;
+    std::size_t joined = 0;    ///< jobs admitted after the first chunk
     std::int64_t start_us = 0;
     bool interactive = false;  ///< formed by a preemption, for probes only
     bool overhead_paid = false;  ///< pass_overhead_us charged yet?
@@ -434,33 +438,38 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   /// a pending interactive sub-batch cuts the window short.
   void wait_for_work_locked() REQUIRES(mutex_);
 
-  /// Pops the next pass from the tenant lanes: strict round-robin one
-  /// sub-batch per pass when cobatch is off; otherwise round-robin across
-  /// geometry-compatible tenants up to max_pass_samples, returned grouped
-  /// by tenant so weight reloads are paid once per model per pass. With
-  /// `interactive_only` only interactive lanes are drawn from (preemption
-  /// passes serve probes exclusively).
-  [[nodiscard]] std::vector<Job*> next_pass_locked(bool interactive_only)
-      REQUIRES(mutex_);
-
   /// Passes chunked to the granularity, with joins and preemption?
   [[nodiscard]] bool preemptible() const noexcept {
     return config_.preempt_granularity_us > 0.0;
   }
 
-  /// Plans a new pass: pops jobs (next_pass_locked), fixes the pass
-  /// geometry to the lead tenant's, assigns the sequence number.
-  /// Returns an empty-jobs pass when no (matching) work is pending.
+  /// Starts a new pass: the round-robin scan from the cursor picks the
+  /// lead tenant, whose next sub-batch fixes the pass geometry, then
+  /// fill_pass_locked coalesces the rest. With `interactive_only` only
+  /// interactive lanes are drawn from (preemption passes serve probes
+  /// exclusively). Returns an empty-jobs pass when no (matching) work is
+  /// pending.
   [[nodiscard]] ActivePass start_pass_locked(bool interactive_only)
       REQUIRES(mutex_);
 
-  /// Admits pending geometry-compatible sub-batches into the in-flight
-  /// pass up to max_pass_samples (continuous batching; preemptible
-  /// devices only, called between chunks): batch joiners are
-  /// inserted next to their tenant's unexecuted jobs (grouping minimizes
-  /// reloads) or appended; interactive joiners are inserted at the
-  /// earliest unexecuted position so they ride the very next chunks.
-  void admit_joiners_locked(ActivePass& pass) REQUIRES(mutex_);
+  /// The lane `tenant`'s next sub-batch for `pass` comes from: the
+  /// interactive lane first, then the batch lane unless the pass serves
+  /// probes only; null when neither has work.
+  [[nodiscard]] std::deque<Job*>* next_lane_locked(Tenant& tenant,
+                                                   const ActivePass& pass)
+      REQUIRES(mutex_);
+
+  /// Can `job` ride `pass`? Co-batching on, the pass's geometry, and room
+  /// under max_pass_samples.
+  [[nodiscard]] bool joinable_locked(const Job& job,
+                                     const ActivePass& pass) const
+      REQUIRES(mutex_);
+
+  /// Admits joinable sub-batches into `pass`, sweep by sweep from the
+  /// round-robin cursor, until a sweep admits none (placement: see file
+  /// comment). Runs when a pass forms and, on preemptible devices, between
+  /// chunks; a job admitted after the first chunk is a join.
+  void fill_pass_locked(ActivePass& pass) REQUIRES(mutex_);
 
   /// Plans the next chunk: a same-tenant sample range from the pass cursor
   /// — the tenant's whole contiguous run, capped on preemptible devices at
@@ -491,17 +500,17 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   /// pu_pass span / cobatched_pass instant.
   void finish_pass_locked(ActivePass& pass) REQUIRES(mutex_);
 
-  /// True when an interactive sub-batch is pending that could not join
-  /// `pass` at the next chunk boundary (geometry mismatch, pass at
-  /// capacity, or time slicing) — the suspend-this-pass trigger.
+  /// True when some pending interactive sub-batch is not joinable into
+  /// `pass` (geometry mismatch, pass at capacity, or time slicing) — the
+  /// suspend-this-pass trigger.
   [[nodiscard]] bool should_preempt_locked(const ActivePass& pass) const
       REQUIRES(mutex_);
 
-  /// Runs one pass to completion: per chunk, {admit joiners, plan chunk}
-  /// under mutex_, execute unlocked, {retire} under mutex_; on preemptible
-  /// devices, suspends between chunks for interactive-only passes when
-  /// should_preempt_locked fires. `depth` bounds the suspension nesting:
-  /// interactive passes (depth 1) never suspend.
+  /// Runs one pass to completion: per chunk, {fill (preemptible devices),
+  /// plan chunk} under mutex_, execute unlocked, {retire} under mutex_; on
+  /// preemptible devices, suspends between chunks for interactive-only
+  /// passes when should_preempt_locked fires. `depth` bounds the
+  /// suspension nesting: interactive passes (depth 1) never suspend.
   void run_pass_chunked(ActivePass pass, hw::ExecScratch& scratch,
                         bool& thread_labeled, int depth) EXCLUDES(mutex_);
 

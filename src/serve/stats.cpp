@@ -162,10 +162,6 @@ StatsSnapshot ServerStats::snapshot_with_window(double wall_seconds) const {
   return s;
 }
 
-std::string ServerStats::to_table(const std::string& title) const {
-  return render_stats_tables(snapshot(), title);
-}
-
 std::string render_stats_tables(const StatsSnapshot& s,
                                 const std::string& title) {
   std::ostringstream out;

@@ -9,9 +9,9 @@
 // worth the merge complexity at these rates. snapshot() freezes a
 // consistent view; aggregate() merges the collectors of a ReplicaSet's
 // engines into one exact cross-replica snapshot (histogram buckets add, so
-// aggregated percentiles are as accurate as per-replica ones); to_table()
-// renders the core::report-style tables the benches and the serving demo
-// print.
+// aggregated percentiles are as accurate as per-replica ones);
+// render_stats_tables() renders a snapshot as the core::report-style
+// tables the benches and the serving demo print.
 #pragma once
 
 #include <array>
@@ -158,10 +158,6 @@ class ServerStats {
       const std::vector<const ServerStats*>& parts,
       std::vector<PartTotals>* per_part = nullptr);
 
-  /// Renders snapshot() as aligned tables (latency / batching / simulated
-  /// hardware), ready to print.
-  [[nodiscard]] std::string to_table(const std::string& title) const;
-
   /// Clears all counters and restarts the observation window.
   void clear() EXCLUDES(mutex_);
 
@@ -193,9 +189,8 @@ class ServerStats {
   double sim_dma_bytes_ GUARDED_BY(mutex_) = 0.0;
 };
 
-/// Renders one snapshot as the aligned latency / batching / simulated
-/// hardware tables ServerStats::to_table prints — shared with ReplicaSet,
-/// whose aggregated snapshot has no ServerStats instance behind it.
+/// Renders one snapshot as aligned latency / batching / simulated hardware
+/// tables, ready to print.
 [[nodiscard]] std::string render_stats_tables(const StatsSnapshot& snapshot,
                                               const std::string& title);
 

@@ -261,6 +261,41 @@ TEST(Capacity, PreemptiblePuTightensTheSharedBound) {
   EXPECT_LE(coarse_latency->worst_case_us, 74700.0);
 }
 
+// SharedDevice admits a pass's lead sub-batch whole, so with max_batch 8
+// over max_pass_samples 4 one 8-sample sub-batch is a single 800us pass.
+// Blocking is that pass and the probe's own ride is another:
+// 800 + 0 + 0 + 1 x 800 = 1600us. Preemptible at 200us: blocking is one
+// 200us chunk and the ride is a chunk plus the whole sub-batch, capped by
+// the pass: 200 + min(800, 200 + 800) = 1000us. Pricing either at the
+// 4-sample pass cap (800us and 600us) under-covers the device.
+TEST(Capacity, PassLargerThanMaxPassSamplesIsPriced) {
+  ModelFacts m;
+  m.model = "m";
+  m.envelope.arrival_rps = 10.0;
+  m.envelope.interactive_fraction = 1.0;
+  m.envelope.interactive_deadline_us = 1e6;
+  ReplicaFacts r;
+  r.device = r.device_key = "pu";
+  r.shared = true;
+  r.sample_us = 100.0;
+  r.max_batch = 8;
+  r.queue_capacity = 64;
+  r.max_pass_samples = 4;
+  m.replicas.push_back(r);
+
+  const Finding* latency = nullptr;
+  const analysis::CapacityReport monolithic = analysis::analyze_capacity({m});
+  latency = find_proof(monolithic, ProofKind::kInteractiveLatency, "m");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_DOUBLE_EQ(latency->worst_case_us, 1600.0);
+
+  m.replicas.back().preempt_granularity_us = 200.0;
+  const analysis::CapacityReport chunked = analysis::analyze_capacity({m});
+  latency = find_proof(chunked, ProofKind::kInteractiveLatency, "m");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_DOUBLE_EQ(latency->worst_case_us, 1000.0);
+}
+
 // Time-sliced baseline (cobatch off): blocking is one sub-batch pass
 // (4 x 400 + 1000 = 2600us), no coalesce window, and a ride waits a full
 // round-robin sweep over both tenants (2 x 2600 = 5200us).

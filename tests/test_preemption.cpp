@@ -2,10 +2,12 @@
 // (SharedDeviceConfig::preempt_granularity_us), driven through the
 // deterministic scheduler harness (tests/serve_test_util.hpp): at
 // granularity 0 the chunk loop runs one chunk per tenant run with no joins
-// and no preemption, finer granularities split passes without changing a
-// single logit, late-arriving compatible work joins in-flight passes,
-// geometry-mismatched interactive probes suspend a pass between chunks,
-// the final-chunk race neither deadlocks nor double-dispatches,
+// and no preemption, a pass runs its lead and then round-robin sweeps with
+// probes ahead and each tenant contiguous, finer granularities split
+// passes without changing a single logit, late-arriving compatible work
+// joins in-flight passes, geometry-mismatched interactive probes suspend a
+// pass between chunks, the final-chunk race neither deadlocks nor
+// double-dispatches,
 // RequestQueue edges (capacity-1 queue, interactive reserve floor) compose
 // with preemption, and a seeded fuzz over randomized arrival schedules
 // proves conservation at granularity 0 and 1: no sample lost, duplicated,
@@ -20,6 +22,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/server.hpp"
@@ -182,6 +185,106 @@ TEST(Preemption, GranularityZeroRetiresPerTenantRunWithoutJoins) {
   EXPECT_EQ(snapshot.joined_jobs, 0u);
   EXPECT_EQ(snapshot.joined_passes, 0u);
   EXPECT_EQ(snapshot.preemptions, 0u);
+}
+
+// ---- pass composition -------------------------------------------------------
+
+// A pass is the lead's sub-batch, then round-robin sweeps from the cursor,
+// one sub-batch per tenant per sweep; probes form an interactive run ahead
+// of the batch run, and each tenant stays contiguous in its run. After a
+// warm-up led by `a` the cursor is at `b`, so `b` leads: the interactive
+// run is c's probe, the batch run b, b, then a, a (sweep order c, a, b),
+// then c. At granularity 0 each tenant run is one chunk. The next pass is
+// led by `c` and runs c, a, b — the reverse of the first pass's batch
+// tenant order, so no fixed tenant order (such as heap address) can pass.
+TEST(Preemption, PassRunsLeadFirstThenRoundRobin) {
+  const hw::QNetDesc qnet_a = make_preempt_qnet(918);
+  const hw::QNetDesc qnet_b = make_preempt_qnet(919);
+  const hw::QNetDesc qnet_c = make_preempt_qnet(923);  // same geometry
+  const std::map<std::string, hw::AcceleratorExecutor> refs = {
+      {"a", hw::AcceleratorExecutor(qnet_a)},
+      {"b", hw::AcceleratorExecutor(qnet_b)},
+      {"c", hw::AcceleratorExecutor(qnet_c)}};
+
+  ChunkGate gate;
+  SharedDeviceConfig pu_config;
+  pu_config.paced = false;
+  pu_config.max_pass_samples = 64;  // room for every queued sub-batch
+  gate.bind(pu_config);
+  auto pu = SharedDevice::create({}, pu_config);
+
+  ModelServer server;
+  const auto opener = gate.open_on_exit();
+  server.deploy("a", {qnet_a}, tenant_config(pu));
+  server.deploy("b", {qnet_b}, tenant_config(pu));
+  server.deploy("c", {qnet_c}, tenant_config(pu));
+
+  util::Rng rng{924};
+  std::future<Response> warmup = server.submit("a", preempt_image(rng));
+  const auto first = gate.next_for(std::chrono::seconds(20));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->model, "a");
+
+  // One-sample sub-batches, each queued on the device before the next is
+  // submitted, so every request is its own sub-batch.
+  struct Queued {
+    std::string model;
+    Tensor image;
+    std::future<Response> future;
+  };
+  std::vector<Queued> queued;
+  const auto enqueue = [&](const std::string& model,
+                           const SubmitOptions& options, std::size_t depth) {
+    Tensor image = preempt_image(rng);
+    std::future<Response> future = server.submit(model, image, options);
+    queued.push_back({model, std::move(image), std::move(future)});
+    return await_device_lane(*pu, model, depth);
+  };
+  // Releases the parked dispatcher into the next pass and checks its
+  // chunks and reloads; the dispatcher parks again at the last chunk.
+  const auto expect_pass =
+      [&](const std::vector<std::pair<std::string, std::size_t>>& chunks,
+          std::uint64_t reloads) {
+        const std::uint64_t switches = pu->snapshot().model_switches;
+        gate.release(chunks.size());
+        std::uint64_t pass = 0;
+        for (std::size_t i = 0; i < chunks.size(); ++i) {
+          const auto event = gate.next_for(std::chrono::seconds(20));
+          ASSERT_TRUE(event.has_value()) << "chunk " << i;
+          if (i == 0) pass = event->pass;
+          EXPECT_EQ(event->pass, pass);
+          EXPECT_EQ(event->chunk, i);
+          EXPECT_EQ(event->model, chunks[i].first) << "chunk " << i;
+          EXPECT_EQ(event->chunk_samples, chunks[i].second) << "chunk " << i;
+        }
+        EXPECT_EQ(pu->snapshot().model_switches - switches, reloads);
+      };
+
+  ASSERT_TRUE(enqueue("a", batch_options(), 1));
+  ASSERT_TRUE(enqueue("a", batch_options(), 2));
+  ASSERT_TRUE(enqueue("b", batch_options(), 1));
+  ASSERT_TRUE(enqueue("b", batch_options(), 2));
+  ASSERT_TRUE(enqueue("c", batch_options(), 1));
+  ASSERT_TRUE(enqueue("c", SubmitOptions{}, 2));  // the probe
+  // One reload per chunk: every tenant run is contiguous.
+  expect_pass({{"c", 1}, {"b", 2}, {"a", 2}, {"c", 1}}, 4);
+
+  ASSERT_TRUE(enqueue("a", batch_options(), 1));
+  ASSERT_TRUE(enqueue("b", batch_options(), 1));
+  ASSERT_TRUE(enqueue("c", batch_options(), 1));
+  // `c` is still resident from the last chunk: two reloads.
+  expect_pass({{"c", 1}, {"a", 1}, {"b", 1}}, 2);
+  gate.open();
+
+  for (Queued& q : queued) {
+    const Response response = q.future.get();
+    ASSERT_TRUE(ok(response.status)) << response.detail;
+    EXPECT_EQ(tensor::max_abs_diff(response.logits,
+                                   refs.at(q.model).run(q.image)),
+              0.0f);
+  }
+  ASSERT_TRUE(ok(warmup.get().status));
+  server.shutdown();
 }
 
 // ---- chunking preserves logits bit-for-bit ----------------------------------
