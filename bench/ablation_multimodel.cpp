@@ -57,8 +57,8 @@ serve::DeployConfig overload_config(bool priority_scheduling) {
   serve::DeployConfig config;
   config.in_c = 3;
   config.in_h = config.in_w = 16;
-  // One worker and a short coalescing wait: the standing backlog, not the
-  // batcher, dominates latency — exactly the regime priority classes target.
+  // One worker and a short coalescing wait: the standing backlog, not
+  // batch formation, dominates latency — exactly the regime priority classes target.
   config.workers = 1;
   config.max_batch = 8;
   config.max_wait_us = 200;

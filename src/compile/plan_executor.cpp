@@ -270,4 +270,22 @@ tensor::Tensor run_plan_batch(const CompiledPlan& plan,
   return logits;
 }
 
+tensor::Tensor run_ensemble_batch(
+    std::span<const std::shared_ptr<const CompiledPlan>> plans,
+    const tensor::Tensor& images, hw::ExecScratch& scratch,
+    std::span<const std::unique_ptr<hw::LayerProfiler>> profilers) {
+  const auto profiler = [&](std::size_t m) {
+    return profilers.empty() ? nullptr : profilers[m].get();
+  };
+  tensor::Tensor logits =
+      run_plan_batch(*plans.front(), images, scratch, profiler(0));
+  for (std::size_t m = 1; m < plans.size(); ++m) {
+    logits.add(run_plan_batch(*plans[m], images, scratch, profiler(m)));
+  }
+  if (plans.size() > 1) {
+    logits.scale(1.0f / static_cast<float>(plans.size()));
+  }
+  return logits;
+}
+
 }  // namespace mfdfp::compile

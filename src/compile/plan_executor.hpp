@@ -17,6 +17,9 @@
 // ExecScratch; the plan itself is immutable and shared.
 #pragma once
 
+#include <memory>
+#include <span>
+
 #include "compile/plan.hpp"
 #include "hw/executor.hpp"
 #include "tensor/tensor.hpp"
@@ -53,5 +56,15 @@ void run_plan_codes(const CompiledPlan& plan, hw::ExecScratch& scratch,
                                             hw::ExecScratch& scratch,
                                             hw::LayerProfiler* profiler =
                                                 nullptr);
+
+/// Averaged-logit ensemble over one stacked batch: run_plan_batch on every
+/// plan, member logits added in member order, then scaled by 1/members —
+/// the arithmetic of hw::run_ensemble, so the result is bit-identical to
+/// it. `profilers` is empty or holds one sink per plan (null entries skip
+/// profiling for that member).
+[[nodiscard]] tensor::Tensor run_ensemble_batch(
+    std::span<const std::shared_ptr<const CompiledPlan>> plans,
+    const tensor::Tensor& images, hw::ExecScratch& scratch,
+    std::span<const std::unique_ptr<hw::LayerProfiler>> profilers = {});
 
 }  // namespace mfdfp::compile

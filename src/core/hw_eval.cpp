@@ -33,15 +33,7 @@ nn::EvalResult evaluate_qnets_compiled(
   hw::ExecScratch scratch;
   return nn::evaluate_logits(
       [&](const tensor::Tensor& batch) {
-        tensor::Tensor sum =
-            compile::run_plan_batch(*plans.front(), batch, scratch);
-        for (std::size_t m = 1; m < plans.size(); ++m) {
-          sum.add(compile::run_plan_batch(*plans[m], batch, scratch));
-        }
-        if (plans.size() > 1) {
-          sum.scale(1.0f / static_cast<float>(plans.size()));
-        }
-        return sum;
+        return compile::run_ensemble_batch(plans, batch, scratch);
       },
       images, labels, batch_size);
 }

@@ -66,16 +66,8 @@ BatchResult SimulatedAcceleratorBackend::execute(
   BatchResult result;
   // Every member executes its deploy-time plan — bit-identical to run() on
   // the member's desc — and records per-layer host time in its profiler.
-  // Member logits are averaged exactly as hw::run_ensemble does.
-  result.logits = compile::run_plan_batch(*plans_.front(), stacked, scratch,
-                                          profilers_.front().get());
-  for (std::size_t m = 1; m < plans_.size(); ++m) {
-    result.logits.add(compile::run_plan_batch(*plans_[m], stacked, scratch,
-                                              profilers_[m].get()));
-  }
-  if (plans_.size() > 1) {
-    result.logits.scale(1.0f / static_cast<float>(plans_.size()));
-  }
+  result.logits =
+      compile::run_ensemble_batch(plans_, stacked, scratch, profilers_);
   // Each processing unit streams its member's samples back to back;
   // sample_us_ already carries the device's speed_factor.
   result.sim_accel_us = static_cast<double>(batch_size) * sample_us_;

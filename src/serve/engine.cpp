@@ -1,5 +1,6 @@
 #include "serve/engine.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -25,6 +26,14 @@ DeployConfig adopt_backend_device(DeployConfig config,
 }
 
 }  // namespace
+
+std::shared_ptr<const ExecutionBackend> InferenceEngine::simulated_backend(
+    std::vector<hw::QNetDesc> members, const DeployConfig& config) {
+  const DeployConfig resolved = resolve_config(config);
+  return std::make_shared<SimulatedAcceleratorBackend>(
+      std::move(members), resolved.accel, resolved.device, resolved.in_c,
+      resolved.in_h, resolved.in_w, resolved.plan_cache);
+}
 
 DeployConfig InferenceEngine::resolve_config(DeployConfig config) {
   DeviceSpec& device = config.device;
@@ -66,26 +75,14 @@ DeployConfig InferenceEngine::resolve_config(DeployConfig config) {
 
 InferenceEngine::InferenceEngine(std::vector<hw::QNetDesc> members,
                                  DeployConfig config)
-    : config_(resolve_config(std::move(config))),
-      backend_(std::make_shared<SimulatedAcceleratorBackend>(
-          std::move(members), config_.accel, config_.device, config_.in_c,
-          config_.in_h, config_.in_w, config_.plan_cache)),
-      queue_(config_.queue_capacity, config_.priority_scheduling),
-      batcher_(queue_,
-               BatcherConfig{config_.max_batch, config_.max_wait_us}) {
-  init_trace_identity();
-  workers_.start(config_.workers,
-                 [this](std::size_t index) { worker_main(index); });
-}
+    : InferenceEngine(simulated_backend(std::move(members), config), config) {}
 
 InferenceEngine::InferenceEngine(
     std::shared_ptr<const ExecutionBackend> backend, DeployConfig config)
     : config_(resolve_config(
           adopt_backend_device(std::move(config), backend.get()))),
       backend_(std::move(backend)),
-      queue_(config_.queue_capacity, config_.priority_scheduling),
-      batcher_(queue_,
-               BatcherConfig{config_.max_batch, config_.max_wait_us}) {
+      queue_(config_.queue_capacity, config_.priority_scheduling) {
   if (!backend_) {
     throw std::invalid_argument("InferenceEngine: null execution backend");
   }
@@ -93,8 +90,10 @@ InferenceEngine::InferenceEngine(
     throw std::invalid_argument("InferenceEngine: backend has no members");
   }
   init_trace_identity();
-  workers_.start(config_.workers,
-                 [this](std::size_t index) { worker_main(index); });
+  workers_.reserve(config_.workers);
+  for (std::size_t i = 0; i < config_.workers; ++i) {
+    workers_.emplace_back([this, i] { worker_main(i); });
+  }
 }
 
 void InferenceEngine::init_trace_identity() {
@@ -122,7 +121,8 @@ std::future<Response> InferenceEngine::submit(Tensor sample,
   if (options.deadline_us < 0) {
     request.deadline_us =
         config_.default_deadline_us > 0
-            ? request.enqueue_us + config_.default_deadline_us
+            ? saturating_add_us(request.enqueue_us,
+                                config_.default_deadline_us)
             : 0;
   } else {
     request.deadline_us = options.deadline_us;
@@ -220,14 +220,16 @@ std::future<Response> InferenceEngine::submit(Tensor sample,
 void InferenceEngine::stop() {
   stopped_.store(true, std::memory_order_release);
   queue_.close();
-  workers_.join();
+  std::call_once(joined_, [this] {
+    for (std::thread& worker : workers_) worker.join();
+  });
 }
 
 void InferenceEngine::worker_main(std::size_t worker_index) {
   hw::ExecScratch scratch;
-  std::vector<Request> batch, expired;
+  std::vector<Request> batch;
   bool thread_labeled = false;
-  while (batcher_.next_batch(batch, expired)) {
+  while (queue_.pop_batch(batch, config_.max_batch, config_.max_wait_us)) {
     obs::TraceRecorder& rec = obs::trace();
     if (!thread_labeled && rec.enabled()) {
       // Lazy: label this worker's trace track the first time tracing is on.
@@ -236,14 +238,22 @@ void InferenceEngine::worker_main(std::size_t worker_index) {
           std::to_string(worker_index)));
       thread_labeled = true;
     }
-    for (const Request& request : expired) {
+    // Fail requests that expired while queued instead of spending device
+    // time on them; the live ones keep their order.
+    const std::int64_t now = util::Stopwatch::now_us();
+    const auto live_end = std::stable_partition(
+        batch.begin(), batch.end(), [now](const Request& request) {
+          return request.deadline_us == 0 || now <= request.deadline_us;
+        });
+    for (auto it = live_end; it != batch.end(); ++it) {
       stats_.record_timeout();
-      rec.record_instant("expired_in_queue", "admission",
-                         util::Stopwatch::now_us(), request.id, nullptr, 0,
-                         trace_model_);
-      outstanding_[static_cast<std::size_t>(request.priority)].fetch_sub(
+      rec.record_instant("expired_in_queue", "admission", now, it->id,
+                         nullptr, 0, trace_model_);
+      fail_request(*it, StatusCode::kDeadlineExceeded, "expired while queued");
+      outstanding_[static_cast<std::size_t>(it->priority)].fetch_sub(
           1, std::memory_order_relaxed);
     }
+    batch.erase(live_end, batch.end());
     if (!batch.empty()) execute_batch(batch, scratch);
   }
 }

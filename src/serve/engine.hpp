@@ -1,7 +1,7 @@
 // InferenceEngine: the per-model serving unit behind ModelServer.
 //
-// Owns the *scheduling* half of one deployed replica — the queue -> dynamic
-// batcher -> worker pool pipeline that drains client requests — and submits
+// Owns the *scheduling* half of one deployed replica — the request queue and
+// the worker threads that drain it batch by batch — and submits
 // every prepared batch to an ExecutionBackend (serve/device.hpp), which
 // owns the *execution* half: the accelerator device the replica was placed
 // on, what runs the batch, and what it costs. The production backend is
@@ -35,24 +35,25 @@
 //
 // Thread-safety: submit() may be called from any number of client threads;
 // stop() is idempotent and drains the queue before returning, so no promise
-// is ever abandoned.
+// is ever abandoned. Concurrent stop() callers (the destructor racing
+// ReplicaSet::stop) all return only after every worker has exited.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/capacity.hpp"
 #include "hw/cost_model.hpp"
 #include "hw/executor.hpp"
-#include "serve/batcher.hpp"
 #include "serve/device.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/stats.hpp"
-#include "serve/worker_pool.hpp"
 
 namespace mfdfp::compile {
 class PlanCache;  // compile/plan_cache.hpp
@@ -80,7 +81,7 @@ struct DeployConfig {
   bool admission_control = true;    ///< shed kBatch when delay > budget
 
   /// Engine replicas behind one name (see serve/replica_set.hpp). Each
-  /// replica is a full InferenceEngine — own queue, worker pool, and
+  /// replica is a full InferenceEngine — own queue, workers, and
   /// accelerator device — and the ReplicaSet routes each submission per
   /// `routing`. Ignored when `placement` is non-empty (one replica per
   /// listed device).
@@ -141,7 +142,7 @@ class InferenceEngine {
  public:
   /// Deploys `members` (>= 1; > 1 = averaged-logit ensemble) on a
   /// SimulatedAcceleratorBackend built from config.accel + config.device,
-  /// and starts the worker pool. All members must share the input geometry
+  /// and starts the workers. All members must share the input geometry
   /// in `config`.
   InferenceEngine(std::vector<hw::QNetDesc> members, DeployConfig config);
 
@@ -256,15 +257,23 @@ class InferenceEngine {
 
  private:
   /// Applies device overrides (workers/max_batch/queue_capacity, auto-name)
-  /// onto the raw config. Shared by both ctors so queue_/batcher_ see the
-  /// resolved values.
+  /// onto the raw config, then validates it. Idempotent, so the members
+  /// ctor can resolve before building its backend and delegate.
   [[nodiscard]] static DeployConfig resolve_config(DeployConfig config);
+
+  /// The members ctor's backend, built on the resolved config's device.
+  [[nodiscard]] static std::shared_ptr<const ExecutionBackend>
+  simulated_backend(std::vector<hw::QNetDesc> members,
+                    const DeployConfig& config);
 
   /// Interns this deployment's trace names (model tag, per-lane categories,
   /// queue-depth counter tracks) into the process-global obs::trace()
   /// recorder, so the serving hot path only ever passes stable pointers.
   void init_trace_identity();
 
+  /// Drains pop_batch() until the queue is closed and empty: fails the
+  /// requests whose deadline passed while queued (kDeadlineExceeded,
+  /// counted as timed_out) and executes the rest.
   void worker_main(std::size_t worker_index);
   /// Stacks the batch, executes it through the backend (passing ExecHints —
   /// interactive when any rider is kInteractive, so preemptible shared PUs
@@ -278,11 +287,13 @@ class InferenceEngine {
   std::shared_ptr<const ExecutionBackend> backend_;
 
   RequestQueue queue_;
-  DynamicBatcher batcher_;
-  WorkerPool workers_;
   ServerStats stats_;
   std::atomic<RequestId> next_id_{1};
   std::atomic<bool> stopped_{false};
+  /// Started by the ctor, joined once by stop(); concurrent stop() callers
+  /// block in call_once until that join finishes.
+  std::vector<std::thread> workers_;
+  std::once_flag joined_;
   /// Accepted-but-unresolved requests per priority class (see outstanding()).
   std::array<std::atomic<std::size_t>, kPriorityClasses> outstanding_{};
 

@@ -33,7 +33,7 @@ ReplicaSet::ReplicaSet(std::vector<hw::QNetDesc> members,
     : config_(std::move(config)) {
   // Placement wins over num_replicas: one replica per listed device.
   // Validate every entry before building anything — a half-constructed set
-  // whose later device is invalid would have started worker pools already.
+  // whose later device is invalid would have started worker threads already.
   if (!config_.placement.empty()) {
     config_.num_replicas = config_.placement.size();
     for (std::size_t index = 0; index < config_.placement.size(); ++index) {

@@ -58,7 +58,7 @@ class ReplicaSet {
   /// Builds one engine per placement entry (or config.num_replicas engines
   /// on config.device when the placement is empty; >= 1 either way). Each
   /// engine gets a copy of `members`, the config with its replica_index and
-  /// DeviceSpec stamped, and its own worker pool, started here. Throws
+  /// DeviceSpec stamped, and its own worker threads, started here. Throws
   /// std::invalid_argument when any placement entry has speed_factor <= 0.
   ReplicaSet(std::vector<hw::QNetDesc> members, DeployConfig config);
 

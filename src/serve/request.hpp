@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <string>
 
 #include "serve/status.hpp"
@@ -84,6 +85,17 @@ struct Request {
   std::int64_t deadline_us = 0;  ///< absolute, same clock; 0 = no deadline
   std::promise<Response> promise;
 };
+
+/// `base_us + budget_us`, saturated at the int64 limits: a configured
+/// budget near INT64_MAX means "effectively never", so deadlines and batch
+/// close times derived from it must clamp instead of overflowing.
+[[nodiscard]] constexpr std::int64_t saturating_add_us(
+    std::int64_t base_us, std::int64_t budget_us) noexcept {
+  std::int64_t sum = 0;
+  if (!__builtin_add_overflow(base_us, budget_us, &sum)) return sum;
+  return budget_us > 0 ? std::numeric_limits<std::int64_t>::max()
+                       : std::numeric_limits<std::int64_t>::min();
+}
 
 /// Fails a request with a ready response carrying `code`.
 inline void fail_request(Request& request, StatusCode code,

@@ -1,5 +1,6 @@
 #include "serve/request_queue.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "util/stopwatch.hpp"
@@ -15,47 +16,47 @@ bool RequestQueue::push(Request&& request) {
     if (closed_ || total_locked() >= limit) return false;
     lanes_[lane_of(request.priority)].push_back(std::move(request));
   }
-  // notify_all, not notify_one: pop() and wait_for_items() waiters share the
-  // condition variable, and waking only a coalescing waiter would leave an
-  // idle pop() waiter asleep until that waiter's deadline.
+  // notify_all, not notify_one: callers waiting for a first request and
+  // callers coalescing a claimed one share the condition variable, and
+  // waking only a coalescing caller would leave an idle one asleep until
+  // that caller's close time.
   ready_.notify_all();
   return true;
 }
 
-bool RequestQueue::pop(Request& out) {
+bool RequestQueue::pop_batch(std::vector<Request>& batch,
+                             std::size_t max_batch, std::int64_t max_wait_us) {
+  // Bounds one timed wait: a close time near INT64_MAX must not overflow
+  // the condition variable's clock arithmetic. The loop re-checks anyway.
+  constexpr std::int64_t kMaxWaitSliceUs = 3'600'000'000;  // one hour
+  batch.clear();
   util::MutexLock lock(mutex_);
   ready_.wait(mutex_, [this]() REQUIRES(mutex_) {
     return closed_ || total_locked() > 0;
   });
-  for (auto& lane : lanes_) {
-    if (lane.empty()) continue;
-    out = std::move(lane.front());
-    lane.pop_front();
-    return true;
-  }
-  return false;  // closed and drained
-}
+  take_locked(batch, 1);
+  if (batch.empty()) return false;  // closed and drained
 
-std::size_t RequestQueue::try_pop_n(std::vector<Request>& out, std::size_t n) {
-  util::MutexLock lock(mutex_);
-  std::size_t popped = 0;
-  for (auto& lane : lanes_) {
-    while (popped < n && !lane.empty()) {
-      out.push_back(std::move(lane.front()));
-      lane.pop_front();
-      ++popped;
-    }
-  }
-  return popped;
-}
-
-void RequestQueue::wait_for_items(std::size_t n, std::int64_t deadline_us) {
-  util::MutexLock lock(mutex_);
+  const std::int64_t close_at =
+      saturating_add_us(batch.front().enqueue_us, max_wait_us);
   for (;;) {
-    if (closed_ || total_locked() >= n) return;
+    if (closed_ || batch.size() + total_locked() >= max_batch) break;
     const std::int64_t now = util::Stopwatch::now_us();
-    if (now >= deadline_us) return;
-    ready_.wait_for(mutex_, std::chrono::microseconds(deadline_us - now));
+    if (now >= close_at) break;
+    ready_.wait_for(mutex_, std::chrono::microseconds(
+                                std::min(close_at - now, kMaxWaitSliceUs)));
+  }
+  take_locked(batch, max_batch);
+  return true;
+}
+
+void RequestQueue::take_locked(std::vector<Request>& batch,
+                               std::size_t limit) {
+  for (auto& lane : lanes_) {
+    while (batch.size() < limit && !lane.empty()) {
+      batch.push_back(std::move(lane.front()));
+      lane.pop_front();
+    }
   }
 }
 

@@ -1,23 +1,25 @@
 // Thread-safe bounded queue of pending inference requests with strict
 // priority lanes.
 //
-// Producers (client threads) push; consumers (the dynamic batcher, on behalf
-// of worker threads) pop under a single mutex. In priority-aware mode
-// (the default) the queue keeps one FIFO lane per Priority class and always
-// drains kInteractive before kBatch — strict priority, no aging — while
-// order *within* a lane stays FIFO, which is the fairness property
-// test_serve.cpp checks. With `priority_aware = false` every request lands
-// in a single global FIFO regardless of its priority class (the ablation
-// baseline). Capacity is shared across lanes, except that in priority-aware
-// mode 1/8 of it (minimum one slot, for capacities >= 2) is reserved for
-// kInteractive: a deadline-less kBatch flood that admission control cannot
-// shed would otherwise fill the queue and starve interactive traffic with
-// kQueueFull at the door — the exact overload regime priority classes exist
-// for.
+// Producers (client threads) push; consumers (the engine's worker threads)
+// take whole batches with pop_batch() under a single mutex. In
+// priority-aware mode (the default) the queue keeps one FIFO lane per
+// Priority class and always drains kInteractive before kBatch — strict
+// priority, no aging — while order *within* a lane stays FIFO, which is the
+// fairness property test_serve.cpp checks. With `priority_aware = false`
+// every request lands in a single global FIFO regardless of its priority
+// class (the ablation baseline). Capacity is shared across lanes, except
+// that in priority-aware mode 1/8 of it (minimum one slot, for capacities
+// >= 2) is reserved for kInteractive: a deadline-less kBatch flood that
+// admission control cannot shed would otherwise fill the queue and starve
+// interactive traffic with kQueueFull at the door — the exact overload
+// regime priority classes exist for.
 //
-// The queue supports the two waits batching needs: "block until at least one
-// request or closed" and "block until >= n requests or a deadline or
-// closed".
+// Batch formation (pop_batch) is the standard serving trade-off: a batch
+// closes as soon as `max_batch` requests are available, or `max_wait_us`
+// after its oldest request was enqueued — so batching adds at most
+// `max_wait_us` to any request's latency, and under load batches fill
+// instantly and the wait never triggers.
 #pragma once
 
 #include <array>
@@ -42,24 +44,23 @@ class RequestQueue {
   /// headroom — so the caller owns the rejection response.
   [[nodiscard]] bool push(Request&& request) EXCLUDES(mutex_);
 
-  /// Blocks until a request is available (pops the highest-priority one into
-  /// `out`, returns true) or the queue is closed *and* drained (returns
-  /// false).
-  [[nodiscard]] bool pop(Request& out) EXCLUDES(mutex_);
-
-  /// Pops up to `n` requests without blocking, appending to `out` in strict
-  /// priority order (all pending kInteractive before any kBatch). Returns
-  /// how many were popped.
-  std::size_t try_pop_n(std::vector<Request>& out, std::size_t n)
+  /// Blocks for the next batch; returns false only when the queue is closed
+  /// *and* drained. Otherwise `batch` is replaced by 1..max(1, max_batch)
+  /// requests in strict priority order (all pending kInteractive before
+  /// any kBatch, FIFO within a lane). The oldest pending request is claimed
+  /// as soon as one arrives, before waiting for more — so two idle callers
+  /// split two requests instead of one coalescing both. The batch then
+  /// closes at `max_batch` requests, at the claimed request's
+  /// `enqueue_us + max_wait_us` (saturating; already past for a request
+  /// that aged in a backlog, making coalescing one non-blocking sweep), or
+  /// when the queue closes. Requests still waiting meanwhile stay claimable
+  /// by other callers.
+  [[nodiscard]] bool pop_batch(std::vector<Request>& batch,
+                               std::size_t max_batch, std::int64_t max_wait_us)
       EXCLUDES(mutex_);
 
-  /// Blocks until the queue holds >= `n` requests, `deadline_us` (absolute,
-  /// util::Stopwatch::now_us clock) passes, or the queue is closed.
-  void wait_for_items(std::size_t n, std::int64_t deadline_us)
-      EXCLUDES(mutex_);
-
-  /// Closes the queue: subsequent pushes fail, waiters wake, pop() drains
-  /// what is left and then returns false.
+  /// Closes the queue: subsequent pushes fail, waiters wake, pop_batch()
+  /// drains what is left and then returns false.
   void close() EXCLUDES(mutex_);
 
   [[nodiscard]] bool closed() const EXCLUDES(mutex_);
@@ -87,6 +88,10 @@ class RequestQueue {
   [[nodiscard]] std::size_t lane_of(Priority priority) const noexcept {
     return priority_aware_ ? static_cast<std::size_t>(priority) : 0;
   }
+  /// Moves pending requests into `batch` in strict priority order until it
+  /// holds `limit` requests or the lanes are empty.
+  void take_locked(std::vector<Request>& batch, std::size_t limit)
+      REQUIRES(mutex_);
   [[nodiscard]] std::size_t total_locked() const noexcept REQUIRES(mutex_) {
     std::size_t total = 0;
     for (const auto& lane : lanes_) total += lane.size();

@@ -1,7 +1,7 @@
 // ModelServer: the serving front door.
 //
 // Maps each model name to its versioned deployment — a ReplicaSet of
-// isolated InferenceEngines with their own queues and worker pools — and
+// isolated InferenceEngines with their own queues and worker threads — and
 // dispatches submissions by name onto the set's least-loaded replica. One
 // process hosts many models concurrently, each optionally sharded across
 // replicas:

@@ -515,7 +515,7 @@ TEST(Capacity, EngineRouterAndAnalyzerShareOneCostFormula) {
   config.in_c = 3;
   config.in_h = config.in_w = 16;
   config.workers = 1;
-  // Park the batcher so submissions stay outstanding and countable.
+  // Park batch formation so submissions stay outstanding and countable.
   config.max_batch = 256;
   config.max_wait_us = 300'000;
   server.deploy("m", {qnet}, config);

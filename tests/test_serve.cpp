@@ -1,23 +1,24 @@
-// Serving-engine properties: batcher coalescing bounds, FIFO fairness under
-// producer contention, priority-lane draining, clean worker-pool shutdown,
+// Serving-engine properties: batch-formation bounds, FIFO fairness under
+// producer contention, priority-lane draining, clean worker shutdown,
 // typed status codes on every failure path, and the load-bearing invariant
 // that served logits are bit-identical to per-sample run().
 #include "serve/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "core/ensemble.hpp"
 #include "nn/zoo.hpp"
-#include "serve/batcher.hpp"
 #include "serve/request_queue.hpp"
-#include "serve/worker_pool.hpp"
 #include "util/stopwatch.hpp"
 
 namespace mfdfp::serve {
@@ -62,22 +63,20 @@ DeployConfig small_deploy_config() {
   return config;
 }
 
-// ---- batcher ---------------------------------------------------------------
+// ---- batch formation (RequestQueue::pop_batch) ----------------------------
 
-TEST(DynamicBatcher, NeverExceedsMaxBatch) {
+TEST(RequestQueue, PopBatchNeverExceedsMaxBatch) {
   RequestQueue queue(256);
-  DynamicBatcher batcher(queue, BatcherConfig{4, 0});
   for (RequestId id = 0; id < 11; ++id) {
     ASSERT_TRUE(queue.push(make_request(id)));
   }
   queue.close();
 
-  std::vector<Request> batch, expired;
+  std::vector<Request> batch;
   std::vector<std::size_t> batch_sizes;
   RequestId next_expected = 0;
-  while (batcher.next_batch(batch, expired)) {
+  while (queue.pop_batch(batch, 4, 0)) {
     EXPECT_LE(batch.size(), 4u);
-    EXPECT_TRUE(expired.empty());
     for (const Request& request : batch) {
       EXPECT_EQ(request.id, next_expected++) << "dequeue must be FIFO";
     }
@@ -91,14 +90,13 @@ TEST(DynamicBatcher, NeverExceedsMaxBatch) {
   EXPECT_EQ(batch_sizes[2], 3u);
 }
 
-TEST(DynamicBatcher, LoneRequestReleasedAfterMaxWait) {
+TEST(RequestQueue, PopBatchReleasesLoneRequestAfterMaxWait) {
   RequestQueue queue(16);
-  DynamicBatcher batcher(queue, BatcherConfig{8, 20'000});
   ASSERT_TRUE(queue.push(make_request(1)));
 
   util::Stopwatch watch;
-  std::vector<Request> batch, expired;
-  ASSERT_TRUE(batcher.next_batch(batch, expired));
+  std::vector<Request> batch;
+  ASSERT_TRUE(queue.pop_batch(batch, 8, 20'000));
   // The lone request must not wait for a full batch forever — it is
   // released within max_wait (plus generous scheduling slack).
   EXPECT_LT(watch.micros(), 2'000'000);
@@ -107,25 +105,31 @@ TEST(DynamicBatcher, LoneRequestReleasedAfterMaxWait) {
   queue.close();
 }
 
-TEST(DynamicBatcher, FailsExpiredRequestsInsteadOfServingThem) {
+// Two idle callers must split two requests, not let the first coalesce
+// both: each claims its first request before waiting for more. Both callers
+// then sit in a minute-long coalescing wait, so only close() releases them,
+// and by then the queue is empty.
+TEST(RequestQueue, PopBatchClaimsFirstRequestBeforeCoalescing) {
   RequestQueue queue(16);
-  DynamicBatcher batcher(queue, BatcherConfig{4, 0});
-  const std::int64_t now = util::Stopwatch::now_us();
-  ASSERT_TRUE(queue.push(make_request(1, now - 10)));  // already expired
-  ASSERT_TRUE(queue.push(make_request(2)));            // no deadline
-  ASSERT_TRUE(queue.push(make_request(3, now - 10)));  // also expired
+  ASSERT_TRUE(queue.push(make_request(1)));
+  ASSERT_TRUE(queue.push(make_request(2)));
 
-  std::vector<Request> batch, expired;
-  ASSERT_TRUE(batcher.next_batch(batch, expired));
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch.front().id, 2u);
-  ASSERT_EQ(expired.size(), 2u);
-  for (Request& request : expired) {
-    const Response response = request.promise.get_future().get();
-    EXPECT_FALSE(ok(response.status));
-    EXPECT_EQ(response.status, StatusCode::kDeadlineExceeded);
+  std::array<std::vector<Request>, 2> batches;
+  std::array<bool, 2> popped{};
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < 2; ++c) {
+    callers.emplace_back([&, c] {
+      popped[c] = queue.pop_batch(batches[c], 8, 60'000'000);
+    });
   }
+  while (queue.size() != 0) std::this_thread::yield();
   queue.close();
+  for (std::thread& caller : callers) caller.join();
+  for (std::size_t c = 0; c < 2; ++c) {
+    EXPECT_TRUE(popped[c]);
+    ASSERT_EQ(batches[c].size(), 1u) << "caller " << c;
+  }
+  EXPECT_NE(batches[0].front().id, batches[1].front().id);
 }
 
 // ---- queue fairness --------------------------------------------------------
@@ -148,11 +152,12 @@ TEST(RequestQueue, PerProducerFifoUnderContention) {
   queue.close();
 
   std::vector<RequestId> next_seq(kProducers, 0);
-  Request popped;
+  std::vector<Request> popped;
   std::size_t total = 0;
-  while (queue.pop(popped)) {
-    const std::size_t producer = popped.id / 1'000'000;
-    const RequestId seq = popped.id % 1'000'000;
+  while (queue.pop_batch(popped, 1, 0)) {
+    ASSERT_EQ(popped.size(), 1u);
+    const std::size_t producer = popped.front().id / 1'000'000;
+    const RequestId seq = popped.front().id % 1'000'000;
     EXPECT_EQ(seq, next_seq[producer])
         << "per-producer order violated for producer " << producer;
     ++next_seq[producer];
@@ -169,10 +174,10 @@ TEST(RequestQueue, RejectsWhenFullOrClosed) {
   queue.close();
   EXPECT_FALSE(queue.push(make_request(4)));  // closed
   // Drain still works after close.
-  Request out;
-  EXPECT_TRUE(queue.pop(out));
-  EXPECT_TRUE(queue.pop(out));
-  EXPECT_FALSE(queue.pop(out));
+  std::vector<Request> out;
+  EXPECT_TRUE(queue.pop_batch(out, 1, 0));
+  EXPECT_TRUE(queue.pop_batch(out, 1, 0));
+  EXPECT_FALSE(queue.pop_batch(out, 1, 0));
 }
 
 // ---- queue edge cases ------------------------------------------------------
@@ -192,14 +197,16 @@ TEST(RequestQueue, PushAtCapacityLeavesPromiseUsable) {
   queue.close();
 }
 
-TEST(RequestQueue, WaitForItemsWakesOnClose) {
+TEST(RequestQueue, PopBatchWakesOnClose) {
   RequestQueue queue(16);
-  const std::int64_t far_deadline = util::Stopwatch::now_us() + 60'000'000;
+  ASSERT_TRUE(queue.push(make_request(1)));
   std::atomic<bool> woke{false};
+  std::vector<Request> batch;
   std::thread waiter([&] {
-    // Asks for more items than will ever arrive; only close() can wake it
-    // before the (minute-long) deadline.
-    queue.wait_for_items(8, far_deadline);
+    // Asks for more requests than will ever arrive; only close() can end
+    // the (minute-long) coalescing wait, and the claimed request still
+    // comes out.
+    EXPECT_TRUE(queue.pop_batch(batch, 8, 60'000'000));
     woke.store(true);
   });
   // Give the waiter a moment to block, then close.
@@ -208,23 +215,33 @@ TEST(RequestQueue, WaitForItemsWakesOnClose) {
   queue.close();
   waiter.join();
   EXPECT_TRUE(woke.load());
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.front().id, 1u);
+  EXPECT_FALSE(queue.pop_batch(batch, 8, 60'000'000)) << "closed and drained";
+  EXPECT_TRUE(batch.empty());
 }
 
-TEST(RequestQueue, FifoPreservedAcrossPartialTryPopN) {
+TEST(RequestQueue, FifoPreservedAcrossPartialBatches) {
   RequestQueue queue(16);
   for (RequestId id = 0; id < 7; ++id) {
     ASSERT_TRUE(queue.push(make_request(id)));
   }
-  std::vector<Request> popped;
-  EXPECT_EQ(queue.try_pop_n(popped, 3), 3u);  // partial pop
-  EXPECT_EQ(queue.try_pop_n(popped, 2), 2u);  // partial pop
-  EXPECT_EQ(queue.try_pop_n(popped, 5), 2u);  // drains the remainder
+  std::vector<RequestId> popped;
+  std::vector<Request> batch;
+  for (const std::size_t max_batch : {3u, 2u, 5u}) {
+    ASSERT_TRUE(queue.pop_batch(batch, max_batch, 0));
+    // 3, 2, then the 2 that remain: a batch past its close time takes what
+    // is pending instead of waiting.
+    EXPECT_EQ(batch.size(), std::min<std::size_t>(max_batch, 7 - popped.size()));
+    for (const Request& request : batch) popped.push_back(request.id);
+  }
   ASSERT_EQ(popped.size(), 7u);
   for (RequestId id = 0; id < 7; ++id) {
-    EXPECT_EQ(popped[id].id, id) << "FIFO broken across partial pops";
+    EXPECT_EQ(popped[id], id) << "FIFO broken across partial batches";
   }
-  EXPECT_EQ(queue.try_pop_n(popped, 1), 0u);  // empty
+  EXPECT_EQ(queue.size(), 0u);
   queue.close();
+  EXPECT_FALSE(queue.pop_batch(batch, 1, 0));
 }
 
 // ---- priority lanes --------------------------------------------------------
@@ -242,16 +259,17 @@ TEST(RequestQueue, StrictPriorityDrainsInteractiveFirst) {
 
   // Interactive lane drains first (FIFO within it), then batch (FIFO).
   std::vector<Request> popped;
-  EXPECT_EQ(queue.try_pop_n(popped, 3), 3u);
+  ASSERT_TRUE(queue.pop_batch(popped, 3, 0));
   ASSERT_EQ(popped.size(), 3u);
   EXPECT_EQ(popped[0].id, 1u);
   EXPECT_EQ(popped[1].id, 2u);
   EXPECT_EQ(popped[2].id, 100u);
-  Request next;
-  ASSERT_TRUE(queue.pop(next));
-  EXPECT_EQ(next.id, 101u);
-  ASSERT_TRUE(queue.pop(next));
-  EXPECT_EQ(next.id, 102u);
+  ASSERT_TRUE(queue.pop_batch(popped, 1, 0));
+  ASSERT_EQ(popped.size(), 1u);
+  EXPECT_EQ(popped.front().id, 101u);
+  ASSERT_TRUE(queue.pop_batch(popped, 1, 0));
+  ASSERT_EQ(popped.size(), 1u);
+  EXPECT_EQ(popped.front().id, 102u);
   queue.close();
 }
 
@@ -309,11 +327,66 @@ TEST(RequestQueue, FifoModeIgnoresPriority) {
   RequestQueue queue(16, /*priority_aware=*/false);
   ASSERT_TRUE(queue.push(make_request(100, 0, Priority::kBatch)));
   ASSERT_TRUE(queue.push(make_request(1, 0, Priority::kInteractive)));
-  Request out;
-  ASSERT_TRUE(queue.pop(out));
-  EXPECT_EQ(out.id, 100u) << "FIFO mode must not reorder by priority";
+  std::vector<Request> out;
+  ASSERT_TRUE(queue.pop_batch(out, 1, 0));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out.front().id, 100u) << "FIFO mode must not reorder by priority";
   queue.close();
 }
+
+/// Stub device for lifecycle tests: execute() holds every caller until the
+/// gate opens. live_workers() counts the worker threads that have executed
+/// a batch and not yet exited: a thread_local sentinel decrements it during
+/// thread teardown, after the worker's drain loop has returned.
+class GatedBackend final : public ExecutionBackend {
+ public:
+  [[nodiscard]] BatchResult execute(const Tensor& stacked, hw::ExecScratch&,
+                                    const ExecHints&) const override {
+    struct ExitSentinel {
+      std::atomic<int>* live = nullptr;
+      ~ExitSentinel() {
+        if (live != nullptr) live->fetch_sub(1, std::memory_order_release);
+      }
+    };
+    thread_local ExitSentinel sentinel;
+    if (sentinel.live == nullptr) {
+      live_.fetch_add(1, std::memory_order_relaxed);
+      sentinel.live = &live_;
+    }
+    entered_.fetch_add(1, std::memory_order_release);
+    while (!open_.load(std::memory_order_acquire)) std::this_thread::yield();
+    BatchResult result;
+    result.logits = Tensor{Shape{stacked.shape().n(), 2}};
+    return result;
+  }
+  [[nodiscard]] const DeviceSpec& device() const noexcept override {
+    return device_;
+  }
+  [[nodiscard]] double sample_us() const noexcept override { return 1.0; }
+  [[nodiscard]] double batch_dma_bytes(std::size_t) const override {
+    return 0.0;
+  }
+  [[nodiscard]] std::size_t member_count() const noexcept override {
+    return 1;
+  }
+
+  void open() const { open_.store(true, std::memory_order_release); }
+  /// Spins until `n` execute() calls have started.
+  void await_entered(int n) const {
+    while (entered_.load(std::memory_order_acquire) < n) {
+      std::this_thread::yield();
+    }
+  }
+  [[nodiscard]] int live_workers() const {
+    return live_.load(std::memory_order_acquire);
+  }
+
+ private:
+  DeviceSpec device_;
+  mutable std::atomic<bool> open_{false};
+  mutable std::atomic<int> entered_{0};
+  mutable std::atomic<int> live_{0};
+};
 
 // ---- engine ----------------------------------------------------------------
 
@@ -417,7 +490,7 @@ TEST(InferenceEngine, ExpiredAtSubmitFailsImmediatelyAsTimedOut) {
   const Response response =
       engine.submit(std::move(image), expired_options).get();
   EXPECT_EQ(response.status, StatusCode::kDeadlineExceeded);
-  // Resolved at submit, not after the 500 ms batcher wait.
+  // Resolved at submit, not after the 500 ms coalescing wait.
   EXPECT_LT(watch.micros(), 400'000);
   EXPECT_EQ(engine.queue_depth(), 0u) << "expired request took a queue slot";
 
@@ -457,6 +530,86 @@ TEST(InferenceEngine, StopDrainsPendingWorkWithoutDeadlock) {
   image.fill_uniform(rng, -1.0f, 1.0f);
   const Response rejected = engine.submit(std::move(image)).get();
   EXPECT_EQ(rejected.status, StatusCode::kShuttingDown);
+}
+
+TEST(InferenceEngine, FailsRequestsThatExpireWhileQueued) {
+  auto backend = std::make_shared<GatedBackend>();
+  DeployConfig config = small_deploy_config();
+  config.workers = 1;
+  config.max_batch = 4;
+  config.max_wait_us = 0;
+  InferenceEngine engine(backend, config);
+
+  // Hold the only worker inside execute() while three requests queue
+  // behind it, two of them with a deadline that passes meanwhile.
+  std::future<Response> first = engine.submit(Tensor{Shape{3, 16, 16}});
+  backend->await_entered(1);
+  SubmitOptions expiring;
+  expiring.deadline_us = util::Stopwatch::now_us() + 50'000;
+  std::future<Response> expired_a =
+      engine.submit(Tensor{Shape{3, 16, 16}}, expiring);
+  std::future<Response> live = engine.submit(Tensor{Shape{3, 16, 16}});
+  std::future<Response> expired_b =
+      engine.submit(Tensor{Shape{3, 16, 16}}, expiring);
+  while (util::Stopwatch::now_us() <= expiring.deadline_us) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  backend->open();
+
+  EXPECT_TRUE(ok(first.get().status));
+  const Response served = live.get();
+  ASSERT_TRUE(ok(served.status)) << served.detail;
+  EXPECT_EQ(served.batch_size, 1u) << "expired requests must not ride along";
+  for (std::future<Response>* future : {&expired_a, &expired_b}) {
+    EXPECT_EQ(future->get().status, StatusCode::kDeadlineExceeded);
+  }
+  engine.stop();
+  const StatsSnapshot stats = engine.stats().snapshot();
+  EXPECT_EQ(stats.timed_out, 2u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(engine.outstanding_total(), 0u);
+}
+
+// A budget of INT64_MAX means "never": enqueue_us + budget must saturate
+// instead of overflowing (signed overflow, caught by UBSan), in the
+// default deadline and in the batch close time alike, and the engine must
+// still serve correctly.
+TEST(InferenceEngine, Int64MaxBudgetsSaturate) {
+  const hw::QNetDesc desc = make_test_qnet(91, false);
+  const hw::AcceleratorExecutor reference(desc);
+  DeployConfig config = small_deploy_config();
+  config.workers = 1;
+  config.max_batch = 2;
+  config.max_wait_us = std::numeric_limits<std::int64_t>::max();
+  config.default_deadline_us = std::numeric_limits<std::int64_t>::max();
+  InferenceEngine engine({desc}, config);
+
+  util::Rng rng{92};
+  Tensor images{Shape{3, 3, 16, 16}};
+  images.fill_uniform(rng, -1.0f, 1.0f);
+  // Two requests fill the batch, ending the never-closing wait...
+  std::vector<std::future<Response>> futures;
+  for (std::size_t i = 0; i < 2; ++i) {
+    futures.push_back(engine.submit(tensor::slice_outer(images, i, i + 1)));
+  }
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Response response = futures[i].get();
+    ASSERT_TRUE(ok(response.status)) << response.detail;
+    EXPECT_EQ(response.batch_size, 2u);
+    EXPECT_EQ(tensor::max_abs_diff(
+                  response.logits,
+                  reference.run(tensor::slice_outer(images, i, i + 1))),
+              0.0f);
+  }
+  // ...and a lone request leaves it only when stop() closes the queue.
+  std::future<Response> lone = engine.submit(tensor::slice_outer(images, 2, 3));
+  engine.stop();
+  const Response response = lone.get();
+  ASSERT_TRUE(ok(response.status)) << response.detail;
+  EXPECT_EQ(tensor::max_abs_diff(
+                response.logits,
+                reference.run(tensor::slice_outer(images, 2, 3))),
+            0.0f);
 }
 
 TEST(InferenceEngine, ManyConcurrentClients) {
@@ -615,44 +768,47 @@ TEST(ServerStatsAggregate, SkipsNullPartsAndMergesMixedDevices) {
   EXPECT_GE(merged.e2e_max_us, 1100);
 }
 
-// Regression (caught by -Wthread-safety, reproduced under TSan): two
-// threads racing WorkerPool::join() — reachable in production as
-// ~InferenceEngine racing ReplicaSet::stop — used to race on the thread
-// vector, and the loser could return while pool threads were still
-// running. The contract now: *every* join() caller blocks until all pool
-// threads have exited.
-TEST(WorkerPoolTest, ConcurrentJoinWaitsForAllWorkers) {
+// Regression (caught by -Wthread-safety, reproduced under TSan): concurrent
+// stop() callers — reachable in production as ~InferenceEngine racing
+// ReplicaSet::stop — used to race on the worker thread vector, and the
+// loser could return while workers were still running. The contract now:
+// *every* stop() caller blocks until all workers have exited.
+TEST(InferenceEngine, ConcurrentStopWaitsForAllWorkers) {
+  constexpr int kWorkers = 3;
   for (int iteration = 0; iteration < 100; ++iteration) {
-    WorkerPool pool;
-    std::atomic<int> running{0};
-    std::atomic<bool> release{false};
-    pool.start(4, [&](std::size_t) {
-      running.fetch_add(1, std::memory_order_relaxed);
-      while (!release.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      running.fetch_sub(1, std::memory_order_relaxed);
-    });
+    auto backend = std::make_shared<GatedBackend>();
+    DeployConfig config = small_deploy_config();
+    config.workers = kWorkers;
+    config.max_batch = 1;
+    InferenceEngine engine(backend, config);
+    // One request per worker, each held inside execute() by the gate.
+    std::vector<std::future<Response>> futures;
+    for (int i = 0; i < kWorkers; ++i) {
+      futures.push_back(engine.submit(Tensor{Shape{3, 16, 16}}));
+    }
+    backend->await_entered(kWorkers);
 
     std::atomic<bool> go{false};
-    std::vector<std::thread> joiners;
+    std::vector<std::thread> stoppers;
     for (int j = 0; j < 3; ++j) {
-      joiners.emplace_back([&] {
+      stoppers.emplace_back([&] {
         while (!go.load(std::memory_order_acquire)) {
           std::this_thread::yield();
         }
-        pool.join();
+        engine.stop();
         // The postcondition every caller relies on (the engine destructor
         // must not return while a worker can still touch the engine).
-        EXPECT_EQ(running.load(std::memory_order_relaxed), 0);
+        EXPECT_EQ(backend->live_workers(), 0);
       });
     }
-    release.store(true, std::memory_order_release);
     go.store(true, std::memory_order_release);
-    for (std::thread& joiner : joiners) joiner.join();
-    EXPECT_EQ(pool.size(), 0u);
-    // join() after the pool is drained is a no-op, not a hang.
-    pool.join();
+    backend->open();
+    for (std::thread& stopper : stoppers) stopper.join();
+    for (std::future<Response>& future : futures) {
+      EXPECT_TRUE(ok(future.get().status));
+    }
+    // stop() after the workers are gone is a no-op, not a hang.
+    engine.stop();
   }
 }
 

@@ -326,8 +326,8 @@ TEST(ModelServer, DisabledAdmissionControlQueuesTightBudgetBatchWork) {
 
   server.shutdown();
   const Response tight_response = tight_future.get();
-  // Without admission control the request is queued and later expires in
-  // the batcher — kDeadlineExceeded, never kShedded.
+  // Without admission control the request is queued and later expires at
+  // batch formation — kDeadlineExceeded, never kShedded.
   EXPECT_NE(tight_response.status, StatusCode::kShedded);
   EXPECT_EQ(server.stats("m").shedded, 0u);
   for (auto& future : futures) (void)future.get();
