@@ -7,6 +7,7 @@
 
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
+#include "util/timer_slack.hpp"
 
 namespace mfdfp::serve {
 
@@ -226,6 +227,9 @@ void InferenceEngine::stop() {
 }
 
 void InferenceEngine::worker_main(std::size_t worker_index) {
+  // pop_batch closes a lone request's batch with a wait to
+  // enqueue_us + max_wait_us; keep the wake-up from overshooting it.
+  util::use_fine_timer_slack();
   hw::ExecScratch scratch;
   std::vector<Request> batch;
   bool thread_labeled = false;

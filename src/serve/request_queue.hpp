@@ -18,7 +18,10 @@
 // Batch formation (pop_batch) is the standard serving trade-off: a batch
 // closes as soon as `max_batch` requests are available, or `max_wait_us`
 // after its oldest request was enqueued — so batching adds at most
-// `max_wait_us` to any request's latency, and under load batches fill
+// `max_wait_us` to any request's latency, up to the wake-up precision of
+// the timed wait. Engine workers run with 1 ns timer slack
+// (util/timer_slack.hpp), so on Linux that wait ends within the kernel's
+// wake-up latency, not up to 50 us late. Under load batches fill
 // instantly and the wait never triggers.
 #pragma once
 

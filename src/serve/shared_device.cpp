@@ -10,13 +10,10 @@
 #include <thread>
 #include <utility>
 
-#ifdef __linux__
-#include <sys/prctl.h>
-#endif
-
 #include "obs/trace.hpp"
 #include "serve/engine.hpp"
 #include "util/table.hpp"
+#include "util/timer_slack.hpp"
 
 namespace mfdfp::serve {
 
@@ -604,11 +601,8 @@ void SharedDevice::run_pass_chunked(ActivePass pass, hw::ExecScratch& scratch,
 }
 
 void SharedDevice::dispatch_main() {
-#ifdef __linux__
-  // Pacing holds are sleeps, and the default 50 us timer slack would let
-  // each one overshoot its chunk's modeled completion by that much.
-  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
-#endif
+  // Pacing holds and coalesce-window slices both wait to a deadline.
+  util::use_fine_timer_slack();
   hw::ExecScratch scratch;
   bool thread_labeled = false;
   for (;;) {

@@ -1,8 +1,10 @@
-// Wall-clock stopwatch for coarse timing of training/eval loops.
+// Wall-clock stopwatch for coarse timing of training/eval loops, and the
+// serving layer's clock.
 //
-// Note: *reported* inference latency/energy in the benches comes from the
-// hw::CycleModel (deterministic), not from this wall clock; the stopwatch is
-// for progress logging only.
+// Modeled inference latency/energy in the benches comes from the
+// hw::CycleModel (deterministic), not from this wall clock. now_us() is
+// the serving clock: request enqueue times, deadlines and batch-close
+// times (RequestQueue::pop_batch) are all read from it.
 #pragma once
 
 #include <chrono>

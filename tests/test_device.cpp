@@ -11,15 +11,22 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <vector>
+
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 #include "hw/cycle_model.hpp"
 #include "hw/traffic_model.hpp"
 #include "nn/zoo.hpp"
 #include "serve/server.hpp"
+#include "serve/shared_device.hpp"
 
 namespace mfdfp::serve {
 namespace {
@@ -72,6 +79,15 @@ DeviceSpec make_device(std::string name, double speed) {
   device.name = std::move(name);
   device.speed_factor = speed;
   return device;
+}
+
+/// The calling thread's timer slack in ns (Linux), or -1 elsewhere.
+long thread_timer_slack_ns() {
+#ifdef __linux__
+  return static_cast<long>(prctl(PR_GET_TIMERSLACK, 0UL, 0UL, 0UL, 0UL));
+#else
+  return -1;
+#endif
 }
 
 // ---- SimulatedAcceleratorBackend -------------------------------------------
@@ -234,6 +250,7 @@ class StubBackend final : public ExecutionBackend {
     result.sim_accel_us = static_cast<double>(batch_size) * sample_us_;
     result.sim_dma_bytes = batch_dma_bytes(batch_size);
     executions_.fetch_add(1, std::memory_order_relaxed);
+    timer_slack_ns_.store(thread_timer_slack_ns(), std::memory_order_relaxed);
     return result;
   }
   [[nodiscard]] const DeviceSpec& device() const noexcept override {
@@ -251,12 +268,17 @@ class StubBackend final : public ExecutionBackend {
   [[nodiscard]] std::uint64_t executions() const noexcept {
     return executions_.load(std::memory_order_relaxed);
   }
+  /// Timer slack of the thread behind the last execute() call.
+  [[nodiscard]] long timer_slack_ns() const noexcept {
+    return timer_slack_ns_.load(std::memory_order_relaxed);
+  }
 
  private:
   DeviceSpec device_;
   std::size_t classes_;
   double sample_us_;
   mutable std::atomic<std::uint64_t> executions_{0};
+  mutable std::atomic<long> timer_slack_ns_{-1};
 };
 
 TEST(InferenceEngine, ServesThroughAnInjectedBackend) {
@@ -319,6 +341,52 @@ TEST(InferenceEngine, UnnamedInjectedBackendGetsAutoNamedDevice) {
   ASSERT_TRUE(ok(response.status));
   EXPECT_EQ(response.device, "dev3");
   engine.stop();
+}
+
+// Engine workers wait to enqueue_us + max_wait_us when they close a lone
+// request's batch; with Linux's default 50 us timer slack that wait would
+// overshoot, so every worker runs with 1 ns slack.
+TEST(InferenceEngine, WorkersRunWithFineTimerSlack) {
+#ifndef __linux__
+  GTEST_SKIP() << "timer slack is a Linux per-thread setting";
+#endif
+  auto backend =
+      std::make_shared<StubBackend>(make_device("stub-npu", 1.0), 4, 1000.0);
+  InferenceEngine engine(backend, small_config());
+  util::Rng rng{427};
+  ASSERT_TRUE(ok(engine.submit(random_image(rng)).get().status));
+  engine.stop();
+  EXPECT_EQ(backend->timer_slack_ns(), 1);
+}
+
+// A paced shared PU's dispatcher sleeps to each chunk's modeled
+// completion. The chunk hook runs on the dispatcher thread, after the
+// chunk's riders are released, so the test waits for the hook itself.
+TEST(SharedDevice, PacedDispatcherRunsWithFineTimerSlack) {
+#ifndef __linux__
+  GTEST_SKIP() << "timer slack is a Linux per-thread setting";
+#endif
+  std::promise<long> dispatcher_slack_ns;
+  std::once_flag first_chunk;
+  SharedDeviceConfig pu_config;
+  pu_config.coalesce_window_us = 0;
+  pu_config.paced = true;
+  pu_config.chunk_hook = [&](const SharedDeviceChunkEvent&) {
+    std::call_once(first_chunk, [&] {
+      dispatcher_slack_ns.set_value(thread_timer_slack_ns());
+    });
+  };
+  auto pu = SharedDevice::create(make_device("npu0", 1.0), pu_config);
+  DeployConfig config = small_config();
+  config.placement = {DeviceSpec::on(pu)};
+  ReplicaSet set({make_test_qnet(428)}, config);
+  util::Rng rng{429};
+  ASSERT_TRUE(ok(set.submit(random_image(rng)).get().status));
+  std::future<long> slack = dispatcher_slack_ns.get_future();
+  ASSERT_EQ(slack.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_EQ(slack.get(), 1);
+  set.stop();
 }
 
 TEST(InferenceEngine, NullBackendThrows) {

@@ -105,6 +105,21 @@ TEST(RequestQueue, PopBatchReleasesLoneRequestAfterMaxWait) {
   queue.close();
 }
 
+// The timed wait that closes a lone request's batch may wake late (host
+// load), never early: only the lower bound is checked, so this cannot
+// flake, and it pins the close time at enqueue_us + max_wait_us.
+TEST(RequestQueue, PopBatchNeverClosesBeforeMaxWait) {
+  RequestQueue queue(16);
+  ASSERT_TRUE(queue.push(make_request(1)));
+
+  std::vector<Request> batch;
+  ASSERT_TRUE(queue.pop_batch(batch, 8, 2000));
+  const std::int64_t returned_us = util::Stopwatch::now_us();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_GE(returned_us, batch.front().enqueue_us + 2000);
+  queue.close();
+}
+
 // Two idle callers must split two requests, not let the first coalesce
 // both: each claims its first request before waiting for more. Both callers
 // then sit in a minute-long coalescing wait, so only close() releases them,
