@@ -49,10 +49,10 @@ using tensor::Tensor;
 /// per sample), so measured scaling reflects the modeled accelerators.
 constexpr double kTargetSampleUs = 400.0;
 
-/// `num_replicas` replicas, one drain thread each. With `paced` (the
+/// `replicas` replicas, one drain thread each. With `paced` (the
 /// measured phases) every replica runs on its own paced one-tenant PU;
 /// without it on a plain unpaced dedicated device (correctness only).
-serve::DeployConfig paced_config(std::size_t num_replicas,
+serve::DeployConfig paced_config(std::size_t replicas,
                                  const hw::AcceleratorConfig& accel,
                                  bool paced = true) {
   serve::DeployConfig config;
@@ -62,14 +62,12 @@ serve::DeployConfig paced_config(std::size_t num_replicas,
   config.max_batch = 8;
   config.max_wait_us = 200;
   config.queue_capacity = 8192;
-  config.num_replicas = num_replicas;
-  if (paced) {
-    for (std::size_t i = 0; i < num_replicas; ++i) {
-      config.placement.push_back(
-          serve::DeviceSpec::on(serve::SharedDevice::create(
-              {.name = "npu" + std::to_string(i)},
-              {.coalesce_window_us = 0, .paced = true})));
-    }
+  for (std::size_t i = 0; i < replicas; ++i) {
+    config.placement.push_back(
+        paced ? serve::DeviceSpec::on(serve::SharedDevice::create(
+                    {.name = "npu" + std::to_string(i)},
+                    {.coalesce_window_us = 0, .paced = true}))
+              : config.device);
   }
   config.accel = accel;
   return config;
@@ -79,10 +77,10 @@ serve::DeployConfig paced_config(std::size_t num_replicas,
 /// Returns wall seconds from first submit to last completion.
 double run_throughput(const hw::QNetDesc& qnet,
                       const hw::AcceleratorConfig& accel,
-                      const Tensor& images, std::size_t num_replicas,
+                      const Tensor& images, std::size_t replicas,
                       std::size_t requests) {
   serve::ModelServer server;
-  server.deploy("m", {qnet}, paced_config(num_replicas, accel));
+  server.deploy("m", {qnet}, paced_config(replicas, accel));
 
   serve::SubmitOptions options;
   options.priority = serve::Priority::kBatch;
@@ -109,13 +107,13 @@ double run_throughput(const hw::QNetDesc& qnet,
 std::int64_t run_overload_tail(const hw::QNetDesc& qnet,
                                const hw::AcceleratorConfig& accel,
                                const Tensor& images,
-                               std::size_t num_replicas) {
+                               std::size_t replicas) {
   const std::size_t rounds = bench::quick_mode() ? 4 : 8;
   constexpr std::size_t kBurst = 16;
   constexpr std::size_t kBacklog = 96;
 
   serve::ModelServer server;
-  server.deploy("m", {qnet}, paced_config(num_replicas, accel));
+  server.deploy("m", {qnet}, paced_config(replicas, accel));
   const auto set = server.replica_set("m");
 
   const std::size_t pool = images.shape().n();

@@ -12,7 +12,9 @@ checkout's `.bench_build` when --build-root is not given. One warm-up run
 per side, as long as a measured one (a shorter run can fail run.py's
 sample-count floor), builds both binaries and is discarded. Pair i then
 runs both sides with seed K+i, the parent first on even i and the change
-first on odd i, so slow drift of the host cancels out.
+first on odd i, so slow drift of the host cancels out. After each pair it
+prints every metric of both runs to stderr, so single slow runs stay
+visible next to the medians.
 
 For every metric the report prints the parent and change medians, the
 change/parent ratio, the bound BENCHMARK.json gives it (end-to-end metrics
@@ -100,7 +102,7 @@ def main():
         summary = "  ".join(
             f"{name}={samples['parent'][-1].get(name)}"
             f"->{samples['change'][-1].get(name)}"
-            for name in list(metrics_spec)[:3])
+            for name in metrics_spec)
         print(f"pair {i + 1}/{args.pairs}: {summary}", file=sys.stderr)
 
     print(f"{args.workload}: {args.pairs} alternating pairs, {seconds:g} s "

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "compile/passes.hpp"
 #include "compile/plan_cache.hpp"
@@ -13,16 +12,17 @@ namespace mfdfp::serve {
 
 SimulatedAcceleratorBackend::SimulatedAcceleratorBackend(
     std::vector<hw::QNetDesc> members, hw::AcceleratorConfig accel,
-    DeviceSpec device, std::size_t in_c, std::size_t in_h, std::size_t in_w,
+    const DeviceSpec& device, std::size_t in_c, std::size_t in_h,
+    std::size_t in_w,
     const std::shared_ptr<compile::PlanCache>& plan_cache)
-    : device_(std::move(device)), accel_(accel) {
+    : accel_(accel) {
   if (members.empty()) {
     throw std::invalid_argument(
         "SimulatedAcceleratorBackend: no model members");
   }
-  if (!device_.valid()) {
+  if (!device.valid()) {
     throw std::invalid_argument(
-        "SimulatedAcceleratorBackend: device \"" + device_.name +
+        "SimulatedAcceleratorBackend: device \"" + device.name +
         "\" has speed_factor <= 0");
   }
 
@@ -41,7 +41,7 @@ SimulatedAcceleratorBackend::SimulatedAcceleratorBackend(
     hw::CycleReport cycles;
     cycles.total_cycles = profile.cycles_per_sample_total;
     sample_us_ = std::max(sample_us_,
-                          cycles.microseconds(accel_, device_.speed_factor));
+                          cycles.microseconds(accel_, device.speed_factor));
     for (const hw::LayerProfileRow& row : profile.rows) {
       weight_dma_bytes_ += static_cast<double>(row.weight_bytes);
       act_dma_bytes_ += static_cast<double>(row.act_bytes_per_sample);

@@ -22,10 +22,11 @@
 // SharedDevice placed with DeviceSpec::on(pu). SimulatedAcceleratorBackend — the only
 // production implementation — serves each member's deploy-time CompiledPlan
 // (bit-identical to the reference AcceleratorExecutor::run()) plus the
-// hw::CycleModel / hw::TrafficModel accounting; tests
-// inject stub backends to exercise the engine against synthetic devices,
-// and a future shared-PU cross-model backend plugs in here without touching
-// the engine.
+// hw::CycleModel / hw::TrafficModel accounting. SharedDeviceBackend
+// (serve/shared_device.hpp) puts several engines on one PU through the same
+// seam, and tests inject stub backends to exercise the engine against
+// synthetic devices. Which device a backend runs on is not the backend's
+// to say: the engine's resolved DeployConfig.device is the one record.
 //
 // Thread-safety contract (binding on every implementation):
 //   - execute() is called concurrently from every worker thread of every
@@ -47,8 +48,9 @@
 // config, engine, or backend still references the placement entry.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,6 +59,7 @@
 #include "hw/cost_model.hpp"
 #include "hw/executor.hpp"
 #include "hw/layer_profile.hpp"
+#include "serve/request.hpp"
 #include "tensor/tensor.hpp"
 
 namespace mfdfp::compile {
@@ -146,6 +149,19 @@ struct ExecHints {
   bool interactive = false;
 };
 
+/// An engine's accepted-but-unresolved requests per priority lane, queued
+/// plus executing. The engine owns and writes the counts; its backend may
+/// read them (see ExecutionBackend::share_outstanding).
+struct OutstandingCounts {
+  std::array<std::atomic<std::size_t>, kPriorityClasses> lanes{};
+
+  [[nodiscard]] std::size_t total() const noexcept {
+    std::size_t sum = 0;
+    for (const auto& lane : lanes) sum += lane.load(std::memory_order_relaxed);
+    return sum;
+  }
+};
+
 /// The engine-side view of one accelerator device (see file comment).
 class ExecutionBackend {
  public:
@@ -160,9 +176,6 @@ class ExecutionBackend {
   [[nodiscard]] virtual BatchResult execute(const tensor::Tensor& stacked,
                                             hw::ExecScratch& scratch,
                                             const ExecHints& hints) const = 0;
-
-  /// The device this backend executes on.
-  [[nodiscard]] virtual const DeviceSpec& device() const noexcept = 0;
 
   /// Device-scaled modeled latency of one sample, microseconds. This is the
   /// unit of normalized routing and of the engine's admission-control delay
@@ -186,18 +199,14 @@ class ExecutionBackend {
     return 0.0;
   }
 
-  /// Binds (or, with null, unbinds) this engine's outstanding-work
-  /// provider for backends that aggregate load across engines. A shared
-  /// device calls the provider — from any thread, under its own lock — to
-  /// price this tenant's committed work (queued + executing) into the
-  /// other tenants' cross_tenant_backlog_us(); see
-  /// SharedDevice::bind_tenant_load for the full provider contract,
-  /// including the rule that a weak_ptr-locking provider must be unbound
-  /// *before* the last engine reference can drop (ReplicaSet::stop does
-  /// this). Default: no-op — a dedicated backend serves one engine whose
-  /// own counters already tell the whole story.
-  virtual void bind_load_provider(
-      std::function<double()> /*outstanding_us*/) const {}
+  /// Called once, by the engine's constructor, with the engine's own
+  /// outstanding counts. A shared device keeps them until the tenant is
+  /// released and prices this tenant's committed work from them into the
+  /// other tenants' cross_tenant_backlog_us(). Default: no-op — a
+  /// dedicated backend serves one engine whose own counters already tell
+  /// the whole story.
+  virtual void share_outstanding(
+      std::shared_ptr<const OutstandingCounts> /*counts*/) const {}
 
   /// Accumulated per-layer profiles of this backend's model members, one
   /// LayerProfile per member in member order (see hw/layer_profile.hpp).
@@ -219,8 +228,10 @@ class ExecutionBackend {
 class SimulatedAcceleratorBackend final : public ExecutionBackend {
  public:
   /// `members` must be non-empty and share the {in_c, in_h, in_w} input
-  /// geometry. Throws std::invalid_argument on an empty member list or an
-  /// invalid device (speed_factor <= 0).
+  /// geometry. `device` only prices the members (its speed_factor scales
+  /// sample_us); the backend keeps no copy of it. Throws
+  /// std::invalid_argument on an empty member list or an invalid device
+  /// (speed_factor <= 0).
   ///
   /// Every member is compiled (compile_qnet: lowered, verified and proven
   /// safe) into a CompiledPlan that execute() runs. A non-null `plan_cache`
@@ -231,7 +242,8 @@ class SimulatedAcceleratorBackend final : public ExecutionBackend {
   /// compile/plan_cache.hpp).
   SimulatedAcceleratorBackend(
       std::vector<hw::QNetDesc> members, hw::AcceleratorConfig accel,
-      DeviceSpec device, std::size_t in_c, std::size_t in_h, std::size_t in_w,
+      const DeviceSpec& device, std::size_t in_c, std::size_t in_h,
+      std::size_t in_w,
       const std::shared_ptr<compile::PlanCache>& plan_cache = nullptr);
 
   /// Hints are ignored: a dedicated device serves one caller's batch at a
@@ -239,9 +251,6 @@ class SimulatedAcceleratorBackend final : public ExecutionBackend {
   [[nodiscard]] BatchResult execute(const tensor::Tensor& stacked,
                                     hw::ExecScratch& scratch,
                                     const ExecHints& hints) const override;
-  [[nodiscard]] const DeviceSpec& device() const noexcept override {
-    return device_;
-  }
   [[nodiscard]] double sample_us() const noexcept override {
     return sample_us_;
   }
@@ -262,7 +271,6 @@ class SimulatedAcceleratorBackend final : public ExecutionBackend {
   }
 
  private:
-  DeviceSpec device_;
   hw::AcceleratorConfig accel_;
   /// Deploy-time compiled plans, one per member. shared_ptr pins each plan
   /// across cache eviction / redeploy.

@@ -14,20 +14,6 @@ namespace mfdfp::serve {
 using tensor::Shape;
 using tensor::Tensor;
 
-namespace {
-
-/// For backend-injection deployments the backend's own DeviceSpec is the
-/// source of truth — copy it over config.device so resolve_config applies
-/// that device's scheduling overrides. Null backends pass through and fail
-/// in the constructor body.
-DeployConfig adopt_backend_device(DeployConfig config,
-                                  const ExecutionBackend* backend) {
-  if (backend != nullptr) config.device = backend->device();
-  return config;
-}
-
-}  // namespace
-
 std::shared_ptr<const ExecutionBackend> InferenceEngine::simulated_backend(
     std::vector<hw::QNetDesc> members, const DeployConfig& config) {
   const DeployConfig resolved = resolve_config(config);
@@ -80,8 +66,7 @@ InferenceEngine::InferenceEngine(std::vector<hw::QNetDesc> members,
 
 InferenceEngine::InferenceEngine(
     std::shared_ptr<const ExecutionBackend> backend, DeployConfig config)
-    : config_(resolve_config(
-          adopt_backend_device(std::move(config), backend.get()))),
+    : config_(resolve_config(std::move(config))),
       backend_(std::move(backend)),
       queue_(config_.queue_capacity, config_.priority_scheduling) {
   if (!backend_) {
@@ -90,6 +75,7 @@ InferenceEngine::InferenceEngine(
   if (backend_->member_count() == 0) {
     throw std::invalid_argument("InferenceEngine: backend has no members");
   }
+  backend_->share_outstanding(outstanding_);
   init_trace_identity();
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
@@ -191,9 +177,9 @@ std::future<Response> InferenceEngine::submit(Tensor sample,
   const std::size_t lane = static_cast<std::size_t>(request.priority);
   // Counted before the push: a worker that pops the request must never see
   // the counter at zero while it holds live work.
-  outstanding_[lane].fetch_add(1, std::memory_order_relaxed);
+  outstanding_->lanes[lane].fetch_add(1, std::memory_order_relaxed);
   if (!queue_.push(std::move(request))) {
-    outstanding_[lane].fetch_sub(1, std::memory_order_relaxed);
+    outstanding_->lanes[lane].fetch_sub(1, std::memory_order_relaxed);
     // push() left the request intact on failure, promise included.
     stats_.record_rejected();
     obs::trace().record_instant("reject_queue_full", "admission",
@@ -254,7 +240,7 @@ void InferenceEngine::worker_main(std::size_t worker_index) {
       rec.record_instant("expired_in_queue", "admission", now, it->id,
                          nullptr, 0, trace_model_);
       fail_request(*it, StatusCode::kDeadlineExceeded, "expired while queued");
-      outstanding_[static_cast<std::size_t>(it->priority)].fetch_sub(
+      outstanding_->lanes[static_cast<std::size_t>(it->priority)].fetch_sub(
           1, std::memory_order_relaxed);
     }
     batch.erase(live_end, batch.end());
@@ -334,8 +320,8 @@ void InferenceEngine::execute_batch(std::vector<Request>& batch,
     stats_.record_response(response.e2e_us, response.queue_wait_us,
                            batch[i].priority);
     batch[i].promise.set_value(std::move(response));
-    outstanding_[static_cast<std::size_t>(batch[i].priority)].fetch_sub(
-        1, std::memory_order_relaxed);
+    outstanding_->lanes[static_cast<std::size_t>(batch[i].priority)]
+        .fetch_sub(1, std::memory_order_relaxed);
   }
 }
 

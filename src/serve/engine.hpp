@@ -14,19 +14,28 @@
 // (ensemble = max over members, batch = sequential samples) and DMA bytes
 // from hw::TrafficModel (weights fetched once per batch — the traffic win of
 // batching — activations per sample).
-// Tests inject stub backends through the backend constructor to exercise
-// the engine against synthetic devices.
+// SharedDeviceBackend puts the engine on a PU it shares with other engines,
+// and tests inject stub backends through the backend constructor to
+// exercise the engine against synthetic devices. Either way the engine's
+// resolved DeployConfig.device is the one record of which device it runs
+// on.
 //
 // Scheduling: the queue drains strict priority (kInteractive before kBatch)
 // when `priority_scheduling` is on, and `admission_control` sheds kBatch
 // requests at submit time when the estimated queue delay (outstanding
 // requests — queued plus executing — x the *device's own* per-sample
-// modeled cost) already exceeds the request's deadline budget — an
+// modeled cost, plus the other tenants' committed work on a shared PU)
+// already exceeds the request's deadline budget — an
 // overloaded engine fails cheap traffic fast instead of queueing work it
 // cannot finish in time, and a 2x-provisioned device admits 2x deeper
 // backlogs for the same budget. Requests whose deadline has already passed
 // at submit fail immediately with kDeadlineExceeded (counted as timed_out)
 // instead of occupying a queue slot until batch formation.
+//
+// The engine keeps its per-lane outstanding counts in one OutstandingCounts
+// block and lends it read-only to its backend once, from the constructor
+// (ExecutionBackend::share_outstanding): a shared PU prices every tenant's
+// committed work from its engine's counts, so there is one source of load.
 //
 // Clients normally reach an engine through ModelServer (server.hpp), which
 // maps names to replica sets of engines; the engine itself is name-agnostic
@@ -80,18 +89,13 @@ struct DeployConfig {
   bool priority_scheduling = true;  ///< strict-priority queue drain
   bool admission_control = true;    ///< shed kBatch when delay > budget
 
-  /// Engine replicas behind one name (see serve/replica_set.hpp). Each
-  /// replica is a full InferenceEngine — own queue, workers, and
-  /// accelerator device — and the ReplicaSet routes each submission per
-  /// `routing`. Ignored when `placement` is non-empty (one replica per
-  /// listed device).
-  std::size_t num_replicas = 1;
-
-  /// Per-replica device placement. Empty (the default) = homogeneous:
-  /// num_replicas replicas, each on a copy of `device`. Non-empty = one
-  /// replica per entry, so {.speed_factor = 1}, {.speed_factor = 2} deploys
-  /// two differently-provisioned accelerators behind one name. Deploy
-  /// throws std::invalid_argument on any entry with speed_factor <= 0.
+  /// Per-replica device placement (see serve/replica_set.hpp): one
+  /// replica — a full InferenceEngine with its own queue, workers, and
+  /// accelerator device — per entry, so {.speed_factor = 1},
+  /// {.speed_factor = 2} deploys two differently-provisioned accelerators
+  /// behind one name and `placement.assign(n, device)` n identical ones.
+  /// Empty (the default) = one replica on `device`. Deploy throws
+  /// std::invalid_argument on any entry with speed_factor <= 0.
   std::vector<DeviceSpec> placement;
 
   /// How the ReplicaSet picks a replica: least normalized outstanding work
@@ -111,10 +115,10 @@ struct DeployConfig {
   std::uint32_t replica_index = 0;
 
   /// The device this engine executes on (per-replica; the ReplicaSet copies
-  /// placement[replica_index] here). Its nonzero workers / max_batch /
-  /// queue_capacity override the engine defaults above, and its
-  /// speed_factor scales every modeled latency. An empty name auto-fills
-  /// "dev<replica_index>".
+  /// placement[replica_index] here, merged with the PU's own spec for a
+  /// shared placement). Its nonzero workers / max_batch / queue_capacity
+  /// override the engine defaults above, and its speed_factor scales every
+  /// modeled latency. An empty name auto-fills "dev<replica_index>".
   DeviceSpec device{};
 
   /// Baseline accelerator instance used for the simulated-latency/DMA
@@ -146,9 +150,10 @@ class InferenceEngine {
   /// in `config`.
   InferenceEngine(std::vector<hw::QNetDesc> members, DeployConfig config);
 
-  /// Deploys onto an explicit backend (the API seam: tests inject stubs,
-  /// future cross-model backends share one device between engines). Throws
-  /// std::invalid_argument on a null backend.
+  /// Deploys onto an explicit backend (the API seam: ReplicaSet attaches
+  /// shared-PU tenants, tests inject stubs). `config.device` names the
+  /// device the backend runs on. Throws std::invalid_argument on a null
+  /// backend.
   InferenceEngine(std::shared_ptr<const ExecutionBackend> backend,
                   DeployConfig config);
 
@@ -179,10 +184,8 @@ class InferenceEngine {
   }
 
   /// The device this engine executes on (resolved: auto-name filled in,
-  /// overrides applied). This is the authoritative identity — for injected
-  /// backends whose DeviceSpec arrived unnamed, the backend keeps its raw
-  /// spec while this (and every Response.device / stats row) carries the
-  /// auto-filled "dev<replica_index>" name.
+  /// overrides applied) — what every Response.device and stats row
+  /// carries.
   [[nodiscard]] const DeviceSpec& device() const noexcept {
     return config_.device;
   }
@@ -193,29 +196,13 @@ class InferenceEngine {
   /// Requests accepted but not yet resolved: queued plus in execution.
   /// queue depth alone goes blind while a worker holds a popped batch.
   [[nodiscard]] std::size_t outstanding(Priority priority) const noexcept {
-    return outstanding_[static_cast<std::size_t>(priority)].load(
+    return outstanding_->lanes[static_cast<std::size_t>(priority)].load(
         std::memory_order_relaxed);
   }
   [[nodiscard]] std::size_t outstanding_total() const noexcept {
-    std::size_t total = 0;
-    for (const auto& counter : outstanding_) {
-      total += counter.load(std::memory_order_relaxed);
-    }
-    return total;
+    return outstanding_->total();
   }
 
-  /// Outstanding requests x the device's per-sample modeled cost: the work,
-  /// in modeled microseconds, this engine has committed to but not
-  /// finished. Because sample_us() already divides by the device's
-  /// speed_factor, this is normalized load — a 2x device reports half the
-  /// delay for the same backlog. Note this is the engine's *own* work only;
-  /// routing and admission balance estimated_queue_delay_us(), which adds
-  /// the cross-tenant backlog of a shared device.
-  [[nodiscard]] double outstanding_work_us() const noexcept {
-    return analysis::committed_delay_us(
-        static_cast<double>(outstanding_total()), backend_->sample_us(),
-        /*cross_backlog_us=*/0.0);
-  }
   [[nodiscard]] std::size_t member_count() const noexcept {
     return backend_->member_count();
   }
@@ -282,8 +269,7 @@ class InferenceEngine {
 
   DeployConfig config_;
   /// Shared, not unique: a drained engine's stats/device stay readable
-  /// through ReplicaSet snapshots after undeploy, and future shared-PU
-  /// backends serve several engines at once.
+  /// through ReplicaSet snapshots after undeploy.
   std::shared_ptr<const ExecutionBackend> backend_;
 
   RequestQueue queue_;
@@ -294,8 +280,10 @@ class InferenceEngine {
   /// block in call_once until that join finishes.
   std::vector<std::thread> workers_;
   std::once_flag joined_;
-  /// Accepted-but-unresolved requests per priority class (see outstanding()).
-  std::array<std::atomic<std::size_t>, kPriorityClasses> outstanding_{};
+  /// Accepted-but-unresolved requests per priority class (see
+  /// outstanding()); lent read-only to backend_ by the constructor.
+  const std::shared_ptr<OutstandingCounts> outstanding_ =
+      std::make_shared<OutstandingCounts>();
 
   // Interned trace identity (init_trace_identity; stable for the global
   // recorder's lifetime).

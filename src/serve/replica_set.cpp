@@ -31,37 +31,30 @@ DeviceSpec merge_shared_spec(const DeviceSpec& entry,
 ReplicaSet::ReplicaSet(std::vector<hw::QNetDesc> members,
                        DeployConfig config)
     : config_(std::move(config)) {
-  // Placement wins over num_replicas: one replica per listed device.
+  // One replica per listed device; none listed = one on config.device.
   // Validate every entry before building anything — a half-constructed set
   // whose later device is invalid would have started worker threads already.
-  if (!config_.placement.empty()) {
-    config_.num_replicas = config_.placement.size();
-    for (std::size_t index = 0; index < config_.placement.size(); ++index) {
-      if (!config_.placement[index].valid()) {
-        throw std::invalid_argument(
-            "ReplicaSet: placement[" + std::to_string(index) +
-            "] has speed_factor <= 0 and no shared device");
-      }
+  if (config_.placement.empty()) config_.placement.push_back(config_.device);
+  for (std::size_t index = 0; index < config_.placement.size(); ++index) {
+    if (!config_.placement[index].valid()) {
+      throw std::invalid_argument(
+          "ReplicaSet: placement[" + std::to_string(index) +
+          "] has speed_factor <= 0 and no shared device");
     }
-  } else if (!config_.device.valid()) {
-    throw std::invalid_argument(
-        "ReplicaSet: config.device has speed_factor <= 0");
   }
-  if (config_.num_replicas == 0) config_.num_replicas = 1;
 
-  replicas_.reserve(config_.num_replicas);
-  for (std::size_t index = 0; index < config_.num_replicas; ++index) {
+  const std::size_t count = config_.placement.size();
+  replicas_.reserve(count);
+  for (std::size_t index = 0; index < count; ++index) {
     DeployConfig replica_config = config_;
     replica_config.replica_index = static_cast<std::uint32_t>(index);
-    if (!config_.placement.empty()) {
-      replica_config.device = config_.placement[index];
-    }
+    replica_config.device = config_.placement[index];
     // Each engine holds only its own device; the set-level list stays in
     // config_.placement.
     replica_config.placement.clear();
     // The last replica can move the members; the others copy.
     std::vector<hw::QNetDesc> replica_members =
-        index + 1 == config_.num_replicas ? std::move(members) : members;
+        index + 1 == count ? std::move(members) : members;
     if (replica_config.device.shared != nullptr) {
       // Shared PU: attach a tenant backend to the named device instead of
       // provisioning a private simulated accelerator. The engine is built
@@ -70,32 +63,14 @@ ReplicaSet::ReplicaSet(std::vector<hw::QNetDesc> members,
           replica_config.device.shared;
       replica_config.device =
           merge_shared_spec(replica_config.device, *device);
-      std::shared_ptr<const SharedDeviceBackend> backend = device->attach(
-          std::move(replica_members), replica_config,
-          replica_config.device);
+      std::shared_ptr<const SharedDeviceBackend> backend =
+          device->attach(std::move(replica_members), replica_config);
       replicas_.push_back(std::make_shared<InferenceEngine>(
           std::move(backend), std::move(replica_config)));
     } else {
       replicas_.push_back(std::make_shared<InferenceEngine>(
           std::move(replica_members), std::move(replica_config)));
     }
-  }
-
-  // Make each tenant's full engine-side backlog (queued + executing)
-  // visible to its device, so the other tenants' admission control and
-  // routing price a shared PU's true aggregate outstanding work (no-op
-  // for dedicated backends). weak_ptr: the device outlives the engine,
-  // and a drained tenant prices as 0. Bound only now, after every replica
-  // constructed: a throw mid-construction unwinds engines whose providers
-  // were never bound, and stop() unbinds before the last engine reference
-  // can drop (see ExecutionBackend::bind_load_provider) — so no provider
-  // can ever outlive, or destroy, its engine.
-  for (const auto& replica : replicas_) {
-    replica->backend().bind_load_provider(
-        [weak = std::weak_ptr<InferenceEngine>(replica)] {
-          const std::shared_ptr<InferenceEngine> engine = weak.lock();
-          return engine ? engine->outstanding_work_us() : 0.0;
-        });
   }
 }
 
@@ -159,19 +134,6 @@ std::future<Response> ReplicaSet::submit(tensor::Tensor sample,
 
 void ReplicaSet::stop() {
   for (const auto& replica : replicas_) replica->stop();
-  // Unbind load providers before any engine reference can be dropped: a
-  // provider's weak_ptr::lock on another thread — running under a shared
-  // device's mutex — must never become the *last* owner of an engine,
-  // because ~InferenceEngine would then re-enter that mutex through
-  // ~SharedDeviceBackend -> release_tenant and self-deadlock. Unbinding
-  // serializes on the same mutex, so any provider call already in flight
-  // (and its temporary shared_ptr) completes before the unbind returns,
-  // and none can start afterwards. The engines are drained at this point,
-  // so pricing their load as the lane's own pending work is also simply
-  // correct. No-op for dedicated backends.
-  for (const auto& replica : replicas_) {
-    replica->backend().bind_load_provider(nullptr);
-  }
 }
 
 double ReplicaSet::total_speed() const noexcept {

@@ -12,9 +12,9 @@
 // SharedDevice attaches that replica as a *tenant* of the shared PU
 // (serve/shared_device.hpp) instead of provisioning a private accelerator —
 // several deployments naming the same handle contend for, and co-batch on,
-// one device's cycles. An empty placement keeps the historical homogeneous
-// behaviour: num_replicas copies of config.device. A single-replica set
-// (the default) behaves exactly like a single engine.
+// one device's cycles. An empty placement means one replica on
+// config.device, and `placement.assign(n, spec)` deploys n identical ones.
+// A single-replica set (the default) behaves exactly like a single engine.
 //
 // Routing is load-aware per DeployConfig.routing. The default,
 // kNormalizedWork, sends each submission to the replica with the least
@@ -55,8 +55,8 @@ namespace mfdfp::serve {
 
 class ReplicaSet {
  public:
-  /// Builds one engine per placement entry (or config.num_replicas engines
-  /// on config.device when the placement is empty; >= 1 either way). Each
+  /// Builds one engine per placement entry (one engine on config.device
+  /// when the placement is empty, which config() then lists). Each
   /// engine gets a copy of `members`, the config with its replica_index and
   /// DeviceSpec stamped, and its own worker threads, started here. Throws
   /// std::invalid_argument when any placement entry has speed_factor <= 0.

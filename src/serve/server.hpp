@@ -9,7 +9,7 @@
 //   ModelServer server;
 //   server.deploy("cnn", {qnet}, config);            // single network
 //   server.deploy("ens", member_qnets, config);      // averaged ensemble
-//   config.num_replicas = 4;                         // shard across 4 engines
+//   config.placement.assign(4, config.device);       // shard across 4 engines
 //   server.deploy("hot", {qnet}, config);
 //   config.placement = {{.name = "npu0"},            // heterogeneous devices
 //                       {.name = "npu1", .speed_factor = 2.0}};
@@ -76,8 +76,9 @@ class ModelServer {
   ModelServer(const ModelServer&) = delete;
   ModelServer& operator=(const ModelServer&) = delete;
 
-  /// Deploys (or hot-redeploys) a model as config.num_replicas engine
-  /// replicas; config.model_name and config.model_version are overwritten
+  /// Deploys (or hot-redeploys) a model as one engine replica per
+  /// config.placement entry (one on config.device when the placement is
+  /// empty); config.model_name and config.model_version are overwritten
   /// with the deployment's identity. Throws std::invalid_argument on an
   /// empty name/member list and std::logic_error after shutdown().
   ///

@@ -10,6 +10,7 @@
 #include <thread>
 #include <utility>
 
+#include "analysis/capacity.hpp"
 #include "obs/trace.hpp"
 #include "serve/engine.hpp"
 #include "util/table.hpp"
@@ -90,8 +91,7 @@ void SharedDevice::sleep_device_us(std::int64_t duration_us) const {
 }
 
 std::shared_ptr<const SharedDeviceBackend> SharedDevice::attach(
-    std::vector<hw::QNetDesc> members, const DeployConfig& config,
-    DeviceSpec resolved) {
+    std::vector<hw::QNetDesc> members, const DeployConfig& config) {
   // The tenant's plans and per-sample pricing are exactly a dedicated
   // simulated backend on this PU's provisioning; the shared device adds the
   // queue, pass scheduling, and switch costs on top.
@@ -123,8 +123,7 @@ std::shared_ptr<const SharedDeviceBackend> SharedDevice::attach(
     active_.push_back(raw);
     active_count_.store(active_.size(), std::memory_order_relaxed);
   }
-  return std::make_shared<SharedDeviceBackend>(shared_from_this(), raw,
-                                               std::move(resolved));
+  return std::make_shared<SharedDeviceBackend>(shared_from_this(), raw);
 }
 
 std::size_t SharedDevice::tenant_count() const {
@@ -132,32 +131,24 @@ std::size_t SharedDevice::tenant_count() const {
   return tenants_.size();
 }
 
-double SharedDevice::backlog_us() const {
-  return backlog_excluding_us(nullptr);
+double SharedDevice::Tenant::pending_us() const {
+  return outstanding ? analysis::committed_delay_us(
+                           static_cast<double>(outstanding->total()),
+                           sim->sample_us(), /*cross_backlog_us=*/0.0)
+                     : 0.0;
 }
 
 double SharedDevice::backlog_excluding_us(const Tenant* excluded) const {
   // Callers exclude their own active tenant, so one active tenant means no
   // other backlog. Skipping the mutex keeps per-submit routing/admission
   // checks from starving a one-tenant PU's dispatcher in a submit burst.
-  if (excluded != nullptr &&
-      active_count_.load(std::memory_order_relaxed) <= 1) {
-    return 0.0;
-  }
+  if (active_count_.load(std::memory_order_relaxed) <= 1) return 0.0;
   util::MutexLock lock(mutex_);
   double total = 0.0;
   for (const Tenant* tenant : active_) {
-    if (tenant != excluded && tenant->load_provider) {
-      total += tenant->load_provider();
-    }
+    if (tenant != excluded) total += tenant->pending_us();
   }
   return total;
-}
-
-void SharedDevice::bind_tenant_load(const SharedDeviceBackend& backend,
-                                    std::function<double()> outstanding_us) {
-  util::MutexLock lock(mutex_);
-  backend.tenant_->load_provider = std::move(outstanding_us);
 }
 
 void SharedDevice::release_tenant(Tenant* tenant) {
@@ -169,7 +160,7 @@ void SharedDevice::release_tenant(Tenant* tenant) {
   // case resident_ still points here.
   tenant->lanes[kInteractiveLane].clear();
   tenant->lanes[kBatchLane].clear();
-  tenant->load_provider = nullptr;
+  tenant->outstanding.reset();
   tenant->sim.reset();
   active_.erase(std::remove(active_.begin(), active_.end(), tenant),
                 active_.end());
@@ -646,10 +637,10 @@ SharedDeviceSnapshot SharedDevice::snapshot() const {
     row.sub_batches = tenant->sub_batches;
     row.samples = tenant->samples;
     row.busy_us = tenant->busy_us;
-    // Same source as backlog_us(): the engine-side provider (queued +
+    // Same source as cross-tenant backlogs: the engine's counts (queued +
     // executing) — the tenant table must agree with what admission control
     // is shedding against.
-    row.pending_us = tenant->load_provider ? tenant->load_provider() : 0.0;
+    row.pending_us = tenant->pending_us();
     // Device-lane truth, unlike pending_us, which is the engine's wider
     // queue: sub-batches sitting in this tenant's lanes right now.
     row.queued_jobs = tenant->lanes[kInteractiveLane].size() +
@@ -690,10 +681,8 @@ std::string SharedDevice::stats_table(const std::string& title) const {
 // ---- SharedDeviceBackend ----------------------------------------------------
 
 SharedDeviceBackend::SharedDeviceBackend(std::shared_ptr<SharedDevice> device,
-                                         SharedDevice::Tenant* tenant,
-                                         DeviceSpec resolved)
-    : device_(std::move(device)), tenant_(tenant),
-      resolved_(std::move(resolved)) {}
+                                         SharedDevice::Tenant* tenant)
+    : device_(std::move(device)), tenant_(tenant) {}
 
 SharedDeviceBackend::~SharedDeviceBackend() {
   device_->release_tenant(tenant_);
@@ -729,9 +718,10 @@ double SharedDeviceBackend::cross_tenant_backlog_us() const noexcept {
   return device_->backlog_excluding_us(tenant_);
 }
 
-void SharedDeviceBackend::bind_load_provider(
-    std::function<double()> outstanding_us) const {
-  device_->bind_tenant_load(*this, std::move(outstanding_us));
+void SharedDeviceBackend::share_outstanding(
+    std::shared_ptr<const OutstandingCounts> counts) const {
+  util::MutexLock lock(device_->mutex_);
+  tenant_->outstanding = std::move(counts);
 }
 
 std::vector<hw::LayerProfile> SharedDeviceBackend::layer_profiles() const {

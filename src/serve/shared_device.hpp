@@ -212,7 +212,7 @@ struct SharedTenantRow {
   std::uint64_t samples = 0;      ///< samples served for this tenant
   double busy_us = 0.0;       ///< modeled device time attributed to tenant
   double pending_us = 0.0;    ///< engine-side queued + executing modeled
-                              ///< work right now (0 while unbound)
+                              ///< work right now
   std::uint64_t queued_jobs = 0;  ///< sub-batches waiting in the device
                                   ///< lanes (excludes engine-side queues)
 };
@@ -263,32 +263,10 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   /// returns the ExecutionBackend the engine submits through. Called by
   /// ReplicaSet for every replica whose placement entry carries this
   /// device's handle; `config` supplies geometry and identity
-  /// (model_name/version/replica_index), `resolved` the merged DeviceSpec
-  /// the backend reports (PU name + speed, tenant scheduling overrides).
-  /// Throws std::invalid_argument on an empty member list.
+  /// (model_name/version/replica_index). Throws std::invalid_argument on an
+  /// empty member list.
   [[nodiscard]] std::shared_ptr<const SharedDeviceBackend> attach(
-      std::vector<hw::QNetDesc> members, const DeployConfig& config,
-      DeviceSpec resolved);
-
-  /// Binds the engine-side outstanding-work provider of the tenant behind
-  /// `backend` (returned by attach()). The device prices that tenant's
-  /// share of the aggregate backlog as the provider's value — the engine's
-  /// full committed work, queued *and* executing — so a neighbour's deep
-  /// engine queue is visible to other tenants' admission control and
-  /// routing. An unbound tenant counts 0: its engine holds no work then
-  /// (before ReplicaSet binds it, and after stop() drained it). The
-  /// provider is called under the device mutex from any thread; it must be
-  /// lock-free on its side, and it must never be (or
-  /// become) the last owner of anything whose destructor re-enters this
-  /// device — a weak_ptr-locking provider must be unbound (pass nullptr)
-  /// *before* the last engine reference can drop, or the provider's
-  /// temporary shared_ptr could run ~InferenceEngine ->
-  /// ~SharedDeviceBackend -> release_tenant under the already-held device
-  /// mutex. ReplicaSet::stop() performs exactly that unbind; unbinding
-  /// serializes on the device mutex against in-flight provider calls.
-  void bind_tenant_load(const SharedDeviceBackend& backend,
-                        std::function<double()> outstanding_us)
-      EXCLUDES(mutex_);
+      std::vector<hw::QNetDesc> members, const DeployConfig& config);
 
   [[nodiscard]] const DeviceSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] const SharedDeviceConfig& config() const noexcept {
@@ -298,9 +276,6 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   /// Engines ever attached (detached tenants still count — their
   /// accounting rows persist).
   [[nodiscard]] std::size_t tenant_count() const EXCLUDES(mutex_);
-
-  /// Modeled microseconds of queued + executing work across all tenants.
-  [[nodiscard]] double backlog_us() const EXCLUDES(mutex_);
 
   /// Consistent accounting snapshot (see SharedDeviceSnapshot).
   [[nodiscard]] SharedDeviceSnapshot snapshot() const EXCLUDES(mutex_);
@@ -351,13 +326,20 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
     /// indexed by Priority (guarded by mutex_). The interactive lane is
     /// what the dispatcher re-checks between chunks of a preemptible pass.
     std::deque<Job*> lanes[kPriorityClasses];
-    /// Engine-side committed work, bound by bind_tenant_load(); unset
-    /// counts 0.
-    std::function<double()> load_provider;
+    /// The engine's outstanding counts (guarded by mutex_), shared by its
+    /// constructor through SharedDeviceBackend::share_outstanding; null
+    /// before that and once released.
+    std::shared_ptr<const OutstandingCounts> outstanding;
     // Accounting (guarded by mutex_).
     std::uint64_t sub_batches = 0;
     std::uint64_t samples = 0;
     double busy_us = 0.0;
+
+    /// The engine's committed work, queued + executing, in modeled
+    /// microseconds on this PU: committed_delay_us(total, sample_us, 0),
+    /// the formula the engine prices its own backlog with. 0 without
+    /// counts.
+    [[nodiscard]] double pending_us() const;
   };
 
   /// One live device pass: jobs in execution order with a cursor; retired
@@ -410,9 +392,9 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   /// SharedDeviceBackend).
   void submit_and_wait(Job& job) EXCLUDES(mutex_);
 
-  /// Called by ~SharedDeviceBackend: frees the tenant's plans and load
-  /// provider (its engine has drained, so the lanes are empty) while
-  /// keeping the accounting row readable in snapshots.
+  /// Called by ~SharedDeviceBackend: frees the tenant's plans and drops its
+  /// outstanding counts (its engine has drained, so the lanes are empty)
+  /// while keeping the accounting row readable in snapshots.
   void release_tenant(Tenant* tenant) EXCLUDES(mutex_);
 
   /// Aggregate pending work minus `tenant`'s own contribution.
@@ -560,8 +542,9 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
 /// until the dispatch thread retires its sub-batch (paced to the modeled
 /// device when SharedDeviceConfig.paced). Cost accessors report the
 /// tenant's own per-sample cost on the shared PU; cross_tenant_backlog_us()
-/// reports the other tenants' queued work so engine admission and
-/// ReplicaSet routing price the device's aggregate load.
+/// reports the other tenants' committed work, priced from their engines'
+/// shared outstanding counts, so engine admission and ReplicaSet routing
+/// price the device's aggregate load.
 ///
 /// Thread-safety: as ExecutionBackend requires — all methods safe from any
 /// number of engine worker / submit threads. Lifetime: holds the
@@ -570,7 +553,7 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
 class SharedDeviceBackend final : public ExecutionBackend {
  public:
   SharedDeviceBackend(std::shared_ptr<SharedDevice> device,
-                      SharedDevice::Tenant* tenant, DeviceSpec resolved);
+                      SharedDevice::Tenant* tenant);
 
   /// Releases the tenant's device-side plans (see
   /// SharedDevice::release_tenant). Runs only after the owning engine
@@ -585,9 +568,6 @@ class SharedDeviceBackend final : public ExecutionBackend {
   [[nodiscard]] BatchResult execute(const tensor::Tensor& stacked,
                                     hw::ExecScratch& scratch,
                                     const ExecHints& hints) const override;
-  [[nodiscard]] const DeviceSpec& device() const noexcept override {
-    return resolved_;
-  }
   [[nodiscard]] double sample_us() const noexcept override;
   [[nodiscard]] double batch_dma_bytes(std::size_t batch_size) const override;
   [[nodiscard]] std::size_t member_count() const noexcept override;
@@ -598,22 +578,19 @@ class SharedDeviceBackend final : public ExecutionBackend {
   [[nodiscard]] double switch_us() const noexcept {
     return tenant_->switch_us;
   }
-  /// Forwards to SharedDevice::bind_tenant_load for this tenant.
-  void bind_load_provider(
-      std::function<double()> outstanding_us) const override;
+  /// Keeps the engine's counts on the tenant until release_tenant.
+  void share_outstanding(
+      std::shared_ptr<const OutstandingCounts> counts) const override;
   /// This tenant's member profiles on the shared PU (empty after the
   /// tenant's plans were released — i.e. never while the owning engine
   /// is alive).
   [[nodiscard]] std::vector<hw::LayerProfile> layer_profiles() const override;
 
  private:
-  friend class SharedDevice;  // bind_tenant_load resolves tenant_
-
   std::shared_ptr<SharedDevice> device_;
   /// Stable pointer into device_->tenants_ (Tenants live as long as the
   /// device; immutable fields are read lock-free by the cost accessors).
   SharedDevice::Tenant* tenant_;
-  DeviceSpec resolved_;
 };
 
 }  // namespace mfdfp::serve

@@ -533,7 +533,7 @@ TEST(Capacity, EngineRouterAndAnalyzerShareOneCostFormula) {
       5.0, engine->simulated_sample_us(),
       engine->backend().cross_tenant_backlog_us());
   EXPECT_DOUBLE_EQ(engine->estimated_queue_delay_us(), expected);
-  EXPECT_DOUBLE_EQ(engine->outstanding_work_us(), expected)
+  EXPECT_DOUBLE_EQ(engine->backend().cross_tenant_backlog_us(), 0.0)
       << "dedicated backend: no cross-tenant term";
   EXPECT_DOUBLE_EQ(server.replica_set("m")->estimated_queue_delay_us(),
                    expected);
@@ -597,7 +597,7 @@ TEST(Capacity, ReplicaSetFactsMatchTheLiveDeployment) {
   dedicated.in_c = 3;
   dedicated.in_h = dedicated.in_w = 16;
   dedicated.workers = 1;
-  dedicated.num_replicas = 2;
+  dedicated.placement.assign(2, dedicated.device);
   server.deploy("d", {qnet}, dedicated);
   const ModelFacts dfacts = server.replica_set("d")->capacity_facts();
   ASSERT_EQ(dfacts.replicas.size(), 2u);

@@ -674,7 +674,7 @@ TEST(PlanCache, ReplicasAndRenamedDeploymentsShareOnePlan) {
   config.in_h = kInH;
   config.in_w = kInW;
   config.workers = 1;
-  config.num_replicas = 2;
+  config.placement.assign(2, config.device);
   server.deploy("first", {desc}, config);
 
   // Two replicas, one compilation.
@@ -683,7 +683,7 @@ TEST(PlanCache, ReplicasAndRenamedDeploymentsShareOnePlan) {
   EXPECT_EQ(stats.hits, 1u);
 
   // Same content under another deployment name: another hit, zero compiles.
-  config.num_replicas = 1;
+  config.placement.clear();
   server.deploy("second", {desc}, config);
   stats = server.plan_cache()->stats();
   EXPECT_EQ(stats.misses, 1u);

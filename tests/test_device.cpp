@@ -232,9 +232,8 @@ TEST(InferenceEngine, InvalidDeviceSpeedThrowsAtConstruction) {
 /// alone, with no knowledge of what executes the batch.
 class StubBackend final : public ExecutionBackend {
  public:
-  StubBackend(DeviceSpec device, std::size_t classes, double sample_us)
-      : device_(std::move(device)), classes_(classes),
-        sample_us_(sample_us) {}
+  StubBackend(std::size_t classes, double sample_us)
+      : classes_(classes), sample_us_(sample_us) {}
 
   [[nodiscard]] BatchResult execute(const Tensor& stacked, hw::ExecScratch&,
                                     const ExecHints&) const override {
@@ -252,9 +251,6 @@ class StubBackend final : public ExecutionBackend {
     executions_.fetch_add(1, std::memory_order_relaxed);
     timer_slack_ns_.store(thread_timer_slack_ns(), std::memory_order_relaxed);
     return result;
-  }
-  [[nodiscard]] const DeviceSpec& device() const noexcept override {
-    return device_;
   }
   [[nodiscard]] double sample_us() const noexcept override {
     return sample_us_;
@@ -274,7 +270,6 @@ class StubBackend final : public ExecutionBackend {
   }
 
  private:
-  DeviceSpec device_;
   std::size_t classes_;
   double sample_us_;
   mutable std::atomic<std::uint64_t> executions_{0};
@@ -282,10 +277,11 @@ class StubBackend final : public ExecutionBackend {
 };
 
 TEST(InferenceEngine, ServesThroughAnInjectedBackend) {
-  auto backend = std::make_shared<StubBackend>(make_device("stub-npu", 1.0),
-                                               /*classes=*/4,
+  auto backend = std::make_shared<StubBackend>(/*classes=*/4,
                                                /*sample_us=*/1000.0);
-  InferenceEngine engine(backend, small_config());
+  DeployConfig config = small_config();
+  config.device = make_device("stub-npu", 1.0);
+  InferenceEngine engine(backend, config);
   EXPECT_EQ(engine.device().name, "stub-npu");
   EXPECT_DOUBLE_EQ(engine.simulated_sample_us(), 1000.0);
 
@@ -311,27 +307,13 @@ TEST(InferenceEngine, ServesThroughAnInjectedBackend) {
   EXPECT_DOUBLE_EQ(stats.sim_dma_bytes, 600.0);
 }
 
-TEST(InferenceEngine, BackendDeviceOverridesWinOnInjection) {
-  DeviceSpec device = make_device("stub-q1", 1.0);
-  device.queue_capacity = 2;
-  device.max_batch = 1;
-  auto backend =
-      std::make_shared<StubBackend>(std::move(device), 4, 1000.0);
-  DeployConfig config = small_config();
-  config.queue_capacity = 1024;
-  InferenceEngine engine(backend, config);
-  EXPECT_EQ(engine.config().queue_capacity, 2u);
-  EXPECT_EQ(engine.config().max_batch, 1u);
-  engine.stop();
-}
-
 TEST(InferenceEngine, UnnamedInjectedBackendGetsAutoNamedDevice) {
-  // The engine's resolved device is the authoritative identity: a backend
-  // injected with an unnamed DeviceSpec still yields the auto-filled
-  // "dev<replica_index>" name on device() and in responses.
-  auto backend =
-      std::make_shared<StubBackend>(make_device("", 1.0), 4, 1000.0);
+  // The engine's resolved config.device is the only device record: with an
+  // injected backend and an unnamed device it still carries the
+  // auto-filled "dev<replica_index>" name on device() and in responses.
+  auto backend = std::make_shared<StubBackend>(4, 1000.0);
   DeployConfig config = small_config();
+  config.device = make_device("", 1.0);
   config.replica_index = 3;
   InferenceEngine engine(backend, config);
   EXPECT_EQ(engine.device().name, "dev3");
@@ -350,8 +332,7 @@ TEST(InferenceEngine, WorkersRunWithFineTimerSlack) {
 #ifndef __linux__
   GTEST_SKIP() << "timer slack is a Linux per-thread setting";
 #endif
-  auto backend =
-      std::make_shared<StubBackend>(make_device("stub-npu", 1.0), 4, 1000.0);
+  auto backend = std::make_shared<StubBackend>(4, 1000.0);
   InferenceEngine engine(backend, small_config());
   util::Rng rng{427};
   ASSERT_TRUE(ok(engine.submit(random_image(rng)).get().status));
@@ -401,7 +382,6 @@ TEST(InferenceEngine, NullBackendThrows) {
 TEST(ReplicaSet, PlacementBuildsOneReplicaPerDevice) {
   const hw::QNetDesc qnet = make_test_qnet(431);
   DeployConfig config = small_config();
-  config.num_replicas = 9;  // placement wins over num_replicas
   config.placement = {make_device("edge", 1.0), make_device("", 2.0),
                       make_device("dc", 4.0)};
 
@@ -442,8 +422,8 @@ TEST(ReplicaSet, NormalizedRoutingSendsProportionalTraffic) {
   // Normalized-work routing balances outstanding *time*, so the 4x device
   // absorbs ~4x the requests; the final loads differ by at most one sample
   // on the slow device.
-  const double slow_work = set.replica(0)->outstanding_work_us();
-  const double fast_work = set.replica(1)->outstanding_work_us();
+  const double slow_work = set.replica(0)->estimated_queue_delay_us();
+  const double fast_work = set.replica(1)->estimated_queue_delay_us();
   EXPECT_LE(std::abs(slow_work - fast_work),
             set.replica(0)->simulated_sample_us());
   EXPECT_GE(set.replica(1)->outstanding_total(),
@@ -469,31 +449,11 @@ TEST(ReplicaSet, SpeedBlindRoutingBalancesRawCounts) {
   // modeled work queued behind the slow device.
   EXPECT_EQ(set.replica(0)->outstanding_total(), 5u);
   EXPECT_EQ(set.replica(1)->outstanding_total(), 5u);
-  EXPECT_GT(set.replica(0)->outstanding_work_us(),
-            3.0 * set.replica(1)->outstanding_work_us());
+  EXPECT_GT(set.replica(0)->estimated_queue_delay_us(),
+            3.0 * set.replica(1)->estimated_queue_delay_us());
 
   set.stop();
   for (auto& future : futures) EXPECT_TRUE(ok(future.get().status));
-}
-
-TEST(ReplicaSet, HomogeneousPlacementMatchesNumReplicasPath) {
-  const hw::QNetDesc qnet = make_test_qnet(437);
-  DeployConfig by_count = parked_config();
-  by_count.num_replicas = 3;
-  DeployConfig by_placement = parked_config();
-  by_placement.placement = {make_device("", 1.0), make_device("", 1.0),
-                            make_device("", 1.0)};
-
-  ReplicaSet counted({qnet}, by_count);
-  ReplicaSet placed({qnet}, by_placement);
-  ASSERT_EQ(counted.replica_count(), placed.replica_count());
-  for (std::size_t i = 0; i < counted.replica_count(); ++i) {
-    EXPECT_EQ(counted.device(i).name, placed.device(i).name);
-    EXPECT_DOUBLE_EQ(counted.replica(i)->simulated_sample_us(),
-                     placed.replica(i)->simulated_sample_us());
-  }
-  counted.stop();
-  placed.stop();
 }
 
 // ---- per-device stats -------------------------------------------------------

@@ -41,21 +41,21 @@ hw::QNetDesc make_test_qnet(std::uint64_t seed, bool conv_net = false) {
   return hw::extract_qnet(net, spec, "test");
 }
 
-DeployConfig replica_config(std::size_t num_replicas) {
+DeployConfig replica_config(std::size_t replicas) {
   DeployConfig config;
   config.in_c = 3;
   config.in_h = config.in_w = 16;
   config.max_batch = 4;
   config.max_wait_us = 1000;
   config.workers = 1;
-  config.num_replicas = num_replicas;
+  config.placement.assign(replicas, config.device);
   return config;
 }
 
 /// Workers parked in a long coalescing wait: submissions stay outstanding,
 /// so routing decisions are observable instead of racing the drain.
-DeployConfig parked_config(std::size_t num_replicas) {
-  DeployConfig config = replica_config(num_replicas);
+DeployConfig parked_config(std::size_t replicas) {
+  DeployConfig config = replica_config(replicas);
   config.max_batch = 256;
   config.max_wait_us = 300'000;
   return config;

@@ -374,9 +374,6 @@ class GatedBackend final : public ExecutionBackend {
     result.logits = Tensor{Shape{stacked.shape().n(), 2}};
     return result;
   }
-  [[nodiscard]] const DeviceSpec& device() const noexcept override {
-    return device_;
-  }
   [[nodiscard]] double sample_us() const noexcept override { return 1.0; }
   [[nodiscard]] double batch_dma_bytes(std::size_t) const override {
     return 0.0;
@@ -397,7 +394,6 @@ class GatedBackend final : public ExecutionBackend {
   }
 
  private:
-  DeviceSpec device_;
   mutable std::atomic<bool> open_{false};
   mutable std::atomic<int> entered_{0};
   mutable std::atomic<int> live_{0};

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/capacity.hpp"
 #include "nn/zoo.hpp"
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
@@ -96,7 +97,7 @@ TEST(SharedDevice, AttachRejectsEmptyMemberList) {
   auto pu = SharedDevice::create();
   DeployConfig config = small_config();
   EXPECT_THROW(
-      (void)pu->attach({}, config, pu->spec()), std::invalid_argument);
+      (void)pu->attach({}, config), std::invalid_argument);
 }
 
 // ---- cross-model co-batching ------------------------------------------------
@@ -318,6 +319,65 @@ TEST(SharedDevice, NeighbourBacklogShedsIdleTenantsBatchWork) {
 
   for (auto& future : backlog) EXPECT_TRUE(ok(future.get().status));
   server.shutdown();
+}
+
+// Each tenant's committed work is priced once, from its engine's own
+// outstanding counts, by committed_delay_us(n, s, 0) — so every
+// estimate is exact, not merely large.
+TEST(SharedDevice, CrossTenantBacklogIsEachNeighboursCommittedWork) {
+  const hw::QNetDesc qnet_a = make_test_qnet(545);
+  const hw::QNetDesc qnet_b = make_test_qnet(546);
+  auto pu = SharedDevice::create({}, {.paced = false});
+
+  ModelServer server;
+  DeployConfig config = small_config();
+  // Park batch formation: the one worker claims the first request and
+  // waits seconds for more, so every submit below stays outstanding.
+  config.workers = 1;
+  config.max_batch = 256;
+  config.max_wait_us = 10'000'000;
+  config.placement = {DeviceSpec::on(pu)};
+  server.deploy("a", {qnet_a}, config);
+  server.deploy("b", {qnet_b}, config);
+  const std::shared_ptr<InferenceEngine> engine_a = server.engine("a");
+  std::shared_ptr<InferenceEngine> engine_b = server.engine("b");
+  const double sample_a = engine_a->simulated_sample_us();
+  const double sample_b = engine_b->simulated_sample_us();
+
+  constexpr std::size_t kA = 3;
+  constexpr std::size_t kB = 7;
+  util::Rng rng{547};
+  std::vector<std::future<Response>> futures;
+  for (std::size_t i = 0; i < kA; ++i) {
+    futures.push_back(server.submit("a", random_image(rng)));
+  }
+  for (std::size_t i = 0; i < kB; ++i) {
+    futures.push_back(server.submit("b", random_image(rng)));
+  }
+
+  const double work_a = static_cast<double>(kA) * sample_a;
+  const double work_b = static_cast<double>(kB) * sample_b;
+  EXPECT_DOUBLE_EQ(
+      engine_a->estimated_queue_delay_us(),
+      analysis::committed_delay_us(static_cast<double>(kA), sample_a, work_b));
+  EXPECT_DOUBLE_EQ(
+      engine_b->estimated_queue_delay_us(),
+      analysis::committed_delay_us(static_cast<double>(kB), sample_b, work_a));
+  const SharedDeviceSnapshot snapshot = pu->snapshot();
+  ASSERT_EQ(snapshot.tenants.size(), 2u);
+  EXPECT_DOUBLE_EQ(snapshot.tenants[0].pending_us, work_a);
+  EXPECT_DOUBLE_EQ(snapshot.tenants[1].pending_us, work_b);
+
+  // Undeploying b drains and releases its tenant: its work leaves a's
+  // estimate and its frozen row.
+  engine_b.reset();
+  ASSERT_TRUE(server.undeploy("b"));
+  EXPECT_DOUBLE_EQ(engine_a->backend().cross_tenant_backlog_us(), 0.0);
+  EXPECT_DOUBLE_EQ(engine_a->estimated_queue_delay_us(), work_a);
+  EXPECT_DOUBLE_EQ(pu->snapshot().tenants[1].pending_us, 0.0);
+
+  server.shutdown();
+  for (auto& future : futures) EXPECT_TRUE(ok(future.get().status));
 }
 
 // ---- stats rows -------------------------------------------------------------
