@@ -241,21 +241,15 @@ tensor::Tensor run_plan_batch(const CompiledPlan& plan,
                               hw::LayerProfiler* profiler) {
   const std::size_t batch = images.shape().n();
   const std::size_t sample = images.size() / batch;
-  const quant::DfpFormat input_format{hw::kInputBits, plan.input_frac};
   tensor::Tensor logits;
   // Every sample's arithmetic is independent of the others, so running the
   // steps kSubBatch samples at a time gives the codes of one pass over the
   // whole batch.
   for (std::size_t n0 = 0; n0 < batch; n0 += kSubBatch) {
     const std::size_t count = std::min(kSubBatch, batch - n0);
-    CodeTensor& codes = scratch.input;
-    codes.shape = with_batch(images.shape(), count);
-    codes.frac = plan.input_frac;
-    codes.codes.resize(count * sample);
-    const float* values = images.data().data() + n0 * sample;
-    for (std::size_t i = 0; i < codes.codes.size(); ++i) {
-      codes.codes[i] = static_cast<std::int8_t>(input_format.encode(values[i]));
-    }
+    CodeTensor::encode_into(images.data().subspan(n0 * sample, count * sample),
+                            with_batch(images.shape(), count),
+                            plan.input_frac, scratch.input);
     run_plan_codes(plan, scratch, profiler);
 
     const CodeTensor& out = scratch.input;

@@ -22,19 +22,23 @@ Tensor CodeTensor::decode() const {
   return out;
 }
 
-void CodeTensor::encode_into(const Tensor& values, int frac, CodeTensor& out) {
+void CodeTensor::encode_into(std::span<const float> values,
+                             const Shape& shape, int frac, CodeTensor& out) {
   const DfpFormat format{kInputBits, frac};
-  out.shape = values.shape();
+  const double scale = std::ldexp(1.0, frac);
+  out.shape = shape;
   out.frac = frac;
   out.codes.resize(values.size());
+  std::int8_t* codes = out.codes.data();
   for (std::size_t i = 0; i < values.size(); ++i) {
-    out.codes[i] = static_cast<std::int8_t>(format.encode(values[i]));
+    codes[i] = static_cast<std::int8_t>(
+        format.encode_scaled(static_cast<double>(values[i]) * scale));
   }
 }
 
 CodeTensor CodeTensor::encode(const Tensor& values, int frac) {
   CodeTensor out;
-  encode_into(values, frac, out);
+  encode_into(values.data(), values.shape(), frac, out);
   return out;
 }
 

@@ -11,6 +11,8 @@
 // invariant every plan is held to is plan == run(), bit for bit.
 #pragma once
 
+#include <span>
+
 #include "hw/datapath.hpp"
 #include "hw/qnet.hpp"
 #include "tensor/tensor.hpp"
@@ -32,9 +34,14 @@ struct CodeTensor {
   [[nodiscard]] static CodeTensor encode(const tensor::Tensor& values,
                                          int frac);
 
-  /// Encodes into `out`, reusing its `codes` capacity (no allocation once
-  /// the buffer has grown to the batch size).
-  static void encode_into(const tensor::Tensor& values, int frac,
+  /// Encodes `values` (`shape` elements) with <8, frac> into `out`,
+  /// reusing its `codes` capacity (no allocation once the buffer has grown
+  /// to the batch size). The one float -> code loop of run() and the
+  /// compiled plans: quant::DfpFormat::encode per element, with 2^frac
+  /// computed once. values[i] * 2^frac equals encode()'s values[i] /
+  /// step() because both scales are exact powers of two for |frac| <= 1023.
+  static void encode_into(std::span<const float> values,
+                          const tensor::Shape& shape, int frac,
                           CodeTensor& out);
 };
 

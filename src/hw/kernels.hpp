@@ -116,10 +116,12 @@ class CodeTable {
 /// The avg-pool output code of one window with tap-code sum `sum`: the
 /// float mean of the decoded taps, float(sum * 2^-in_frac) * inv_area, then
 /// DfpFormat::encode at out_frac — with the scales in_scale = 2^-in_frac
-/// and out_scale = 2^out_frac hoisted out of the window loop. Identical to
-/// the ldexp/encode spelling while both scales are normal doubles, which
-/// check_radix guarantees. The one expression the kernel runs and the
-/// analyzer's interval proof evaluates.
+/// and out_scale = 2^out_frac hoisted out of the window loop. Both scales
+/// are exact powers of two (check_radix keeps |frac| <= 256), so the
+/// products equal the per-output ldexp(sum, -in_frac) and encode()'s
+/// value / step(), and encode_scaled rounds the result exactly as encode()
+/// does. The one expression the kernel runs and the analyzer's interval
+/// proof evaluates.
 [[nodiscard]] inline std::int8_t avg_pool_code(std::int64_t sum,
                                                double in_scale,
                                                float inv_area,

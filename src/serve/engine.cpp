@@ -1,6 +1,7 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -129,6 +130,16 @@ std::future<Response> InferenceEngine::submit(Tensor sample,
     stats_.record_rejected();
     fail_request(request, StatusCode::kInvalidInput,
                  "bad input shape " + shape.to_string());
+    return future;
+  }
+  // A NaN has no nearest code; refuse it here rather than serve the code 0
+  // the encode maps it to. An int flag and no early exit, so the scan
+  // vectorizes.
+  int has_nan = 0;
+  for (const float v : request.input.data()) has_nan |= std::isnan(v);
+  if (has_nan != 0) {
+    stats_.record_rejected();
+    fail_request(request, StatusCode::kInvalidInput, "NaN in input sample");
     return future;
   }
   if (stopped_.load(std::memory_order_acquire)) {

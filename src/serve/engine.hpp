@@ -165,7 +165,8 @@ class InferenceEngine {
 
   /// Submits one sample ({C,H,W} or {1,C,H,W}). The future resolves when a
   /// worker completes the request's batch; rejected/shed/expired
-  /// submissions resolve immediately with the matching StatusCode.
+  /// submissions resolve immediately with the matching StatusCode (a wrong
+  /// shape or a NaN element: kInvalidInput).
   [[nodiscard]] std::future<Response> submit(tensor::Tensor sample,
                                              SubmitOptions options = {});
 

@@ -10,7 +10,8 @@
 //   kOk                 | served; logits valid                   | consume result
 //   kQueueFull          | bounded queue at capacity at submit    | back off / retry later
 //   kDeadlineExceeded   | deadline passed (at submit or queued)  | drop; raise deadline
-//   kInvalidInput       | sample shape != deployed geometry      | fix the request (no retry)
+//   kInvalidInput       | sample shape != deployed geometry, or  | fix the request (no retry)
+//                       | a NaN in the sample                    |
 //   kModelNotFound      | no model deployed under that name      | fix routing (no retry)
 //   kShuttingDown       | engine/server stopped or stopping      | fail over to another node
 //   kShedded            | admission control refused kBatch work  | retry after backlog drains

@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -331,6 +335,42 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndArchitectures, CompiledBitIdentity,
     ::testing::Values(IdentityCase{21, "cifar"}, IdentityCase{22, "alexnet"},
                       IdentityCase{23, "mlp"}, IdentityCase{24, "cifar"}));
+
+// The input encode at every sub-batch boundary (run_plan_batch encodes
+// four samples at a time): batches of 1, 5 and 9 leave tails of 1, 1 and 1
+// after full sub-batches of 0, 1 and 2. Every input is a rounding edge at
+// the plan's input radix (an exact half-way point k + 0.5 for k in
+// [-130, 129], shifted per sample) or a saturating one (-0.0, +-inf,
+// +-1e30); the logits must equal run() bit for bit.
+TEST(CompiledBitIdentity, InputEncodeEdgesAcrossSubBatchTails) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (const char* architecture : {"mlp", "cifar"}) {
+    const hw::QNetDesc desc = make_zoo_qnet(25, architecture);
+    const auto plan = compile_qnet(desc, kInC, kInH, kInW);
+    const hw::AcceleratorExecutor executor(desc);
+    std::vector<float> edges{-0.0f, kInf, -kInf, 1e30f, -1e30f};
+    for (int k = -130; k <= 129; ++k) {
+      edges.push_back(
+          static_cast<float>(std::ldexp(k + 0.5, -desc.input_frac)));
+    }
+    for (const std::size_t batch : {1u, 5u, 9u}) {
+      Tensor images{Shape{batch, kInC, kInH, kInW}};
+      const std::size_t sample = kInC * kInH * kInW;
+      for (std::size_t i = 0; i < images.size(); ++i) {
+        images[i] = edges[(i + 7 * (i / sample)) % edges.size()];
+      }
+      hw::ExecScratch scratch;
+      const Tensor compiled = run_plan_batch(*plan, images, scratch);
+      const Tensor reference = executor.run(images);
+      ASSERT_EQ(compiled.shape(), reference.shape());
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(compiled[i]),
+                  std::bit_cast<std::uint32_t>(reference[i]))
+            << architecture << " batch " << batch << " logit " << i;
+      }
+    }
+  }
+}
 
 // --------------------------------------------------------- edge geometries
 

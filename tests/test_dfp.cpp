@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
+#include "hw/datapath.hpp"
 #include "util/rng.hpp"
 
 namespace mfdfp::quant {
@@ -65,6 +71,112 @@ TEST(DfpFormat, ErrorBoundedByHalfStep) {
 TEST(DfpFormat, ToString) {
   EXPECT_EQ((DfpFormat{8, 5}).to_string(), "<8,5>");
   EXPECT_EQ((DfpFormat{8, -3}).to_string(), "<8,-3>");
+}
+
+// The floor/ceil spelling encode_scaled used before it became branch-free,
+// kept as the oracle. Defined for every non-NaN `scaled`.
+std::int32_t floor_ceil_encode(const DfpFormat& f, double scaled) {
+  const double rounded =
+      scaled >= 0.0 ? std::floor(scaled + 0.5) : std::ceil(scaled - 0.5);
+  return static_cast<std::int32_t>(
+      std::clamp(rounded, static_cast<double>(f.min_code()),
+                 static_cast<double>(f.max_code())));
+}
+
+// Every half-way point k + 0.5 of the 8-bit range and one code past each
+// rail, k in [-130, 129].
+std::vector<double> half_way_points() {
+  std::vector<double> points;
+  for (int k = -130; k <= 129; ++k) points.push_back(k + 0.5);
+  return points;
+}
+
+// Zeros, infinities, subnormals and the float extremes, both signs.
+std::vector<float> special_floats() {
+  std::vector<float> values;
+  for (const float v :
+       {0.0f, std::numeric_limits<float>::infinity(),
+        std::numeric_limits<float>::denorm_min(),
+        std::nextafter(FLT_MIN, 0.0f),  // largest subnormal
+        FLT_MIN, FLT_MAX, 1.0f, 0.5f}) {
+    values.push_back(v);
+    values.push_back(-v);
+  }
+  return values;
+}
+
+TEST(DfpFormat, EncodeScaledMatchesFloorCeilAroundEveryHalfWayPoint) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const int bits : {2, 8, 16, 31}) {
+    const DfpFormat f{bits, 0};
+    std::vector<double> points = half_way_points();
+    // Half-way points around the rails of the wider formats too.
+    for (const double rail : {static_cast<double>(f.min_code()),
+                              static_cast<double>(f.max_code())}) {
+      for (int d = -2; d <= 1; ++d) points.push_back(rail + d + 0.5);
+    }
+    for (const double y : points) {
+      const float yf = static_cast<float>(y);
+      for (const double scaled :
+           {y, std::nextafter(y, -kInf), std::nextafter(y, kInf),
+            static_cast<double>(yf),
+            static_cast<double>(std::nextafter(yf, -FLT_MAX)),
+            static_cast<double>(std::nextafter(yf, FLT_MAX))}) {
+        for (const double signed_scaled : {scaled, -scaled}) {
+          EXPECT_EQ(f.encode_scaled(signed_scaled),
+                    floor_ceil_encode(f, signed_scaled))
+              << "bits " << bits << " scaled " << signed_scaled;
+        }
+      }
+    }
+    for (const float v : special_floats()) {
+      EXPECT_EQ(f.encode_scaled(v), floor_ceil_encode(f, v))
+          << "bits " << bits << " scaled " << v;
+    }
+    for (const double v : {DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN,
+                           std::numeric_limits<double>::denorm_min(), -0.0}) {
+      EXPECT_EQ(f.encode_scaled(v), floor_ceil_encode(f, v))
+          << "bits " << bits << " scaled " << v;
+    }
+  }
+}
+
+// encode() at every radix check_radix accepts, on the float nearest each
+// half-way point's value (exact for frac in [-120, 148]), its 1-ulp float
+// neighbours and the special floats.
+TEST(DfpFormat, EncodeMatchesFloorCeilAtEveryRadix) {
+  for (int frac = -hw::kMaxRadix; frac <= hw::kMaxRadix; ++frac) {
+    const DfpFormat f{8, frac};
+    std::vector<float> values = special_floats();
+    for (const double y : half_way_points()) {
+      const float v = static_cast<float>(std::ldexp(y, -frac));
+      if (frac >= -120 && frac <= 148) {
+        ASSERT_EQ(static_cast<double>(v) / f.step(), y) << "frac " << frac;
+      }
+      values.insert(values.end(), {v, std::nextafter(v, -FLT_MAX),
+                                   std::nextafter(v, FLT_MAX)});
+    }
+    for (const float v : values) {
+      EXPECT_EQ(f.encode(v),
+                floor_ceil_encode(f, static_cast<double>(v) / f.step()))
+          << "frac " << frac << " value " << v;
+    }
+  }
+}
+
+TEST(DfpFormat, NanEncodesAsZero) {
+  for (const double nan : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN()}) {
+    for (const int bits : {2, 8, 31}) {
+      EXPECT_EQ((DfpFormat{bits, 0}).encode_scaled(nan), 0) << bits;
+    }
+  }
+  for (int frac = -hw::kMaxRadix; frac <= hw::kMaxRadix; ++frac) {
+    const DfpFormat f{8, frac};
+    EXPECT_EQ(f.encode(std::numeric_limits<float>::quiet_NaN()), 0) << frac;
+    EXPECT_EQ(f.quantize(-std::numeric_limits<float>::quiet_NaN()), 0.0f)
+        << frac;
+  }
 }
 
 struct FormatCase {

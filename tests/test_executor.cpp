@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "hw/kernels.hpp"
 #include "nn/zoo.hpp"
@@ -27,6 +30,39 @@ TEST(CodeTensor, EncodeDecodeRoundTrip) {
   const quant::DfpFormat format{8, 7};
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_FLOAT_EQ(decoded[i], format.quantize(values[i]));
+  }
+}
+
+// The batch encoder multiplies by 2^frac once per call; encode() divides
+// by step() per element. Both must give the same code at every radix
+// check_radix accepts, on half-way points, their float neighbours, signed
+// zeros, subnormals, the float extremes, infinities and NaN.
+TEST(CodeTensor, BatchEncodeMatchesScalarEncodeAtEveryRadix) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (int frac = -kMaxRadix; frac <= kMaxRadix; ++frac) {
+    std::vector<float> values{0.0f,
+                              -0.0f,
+                              kInf,
+                              -kInf,
+                              std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::denorm_min(),
+                              -std::numeric_limits<float>::denorm_min(),
+                              FLT_MAX,
+                              -FLT_MAX};
+    for (int k = -130; k <= 129; ++k) {
+      const float v = static_cast<float>(std::ldexp(k + 0.5, -frac));
+      values.insert(values.end(), {v, std::nextafter(v, -kInf),
+                                   std::nextafter(v, kInf)});
+    }
+    const Tensor tensor{Shape{values.size()}, values};
+    const CodeTensor codes = CodeTensor::encode(tensor, frac);
+    ASSERT_EQ(codes.shape, tensor.shape());
+    ASSERT_EQ(codes.frac, frac);
+    const quant::DfpFormat format{kInputBits, frac};
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      EXPECT_EQ(codes.codes[i], format.encode(values[i]))
+          << "frac " << frac << " value " << values[i];
+    }
   }
 }
 

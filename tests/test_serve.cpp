@@ -482,6 +482,33 @@ TEST(InferenceEngine, RejectsBadShapesWithInvalidInput) {
   EXPECT_EQ(engine.stats().snapshot().rejected, 4u);
 }
 
+TEST(InferenceEngine, RejectsNanSamplesWithInvalidInput) {
+  const hw::QNetDesc desc = make_test_qnet(64, false);
+  InferenceEngine engine({desc}, small_deploy_config());
+
+  util::Rng rng{65};
+  Tensor image{Shape{1, 3, 16, 16}};
+  image.fill_uniform(rng, -1.0f, 1.0f);
+  for (const float nan : {std::numeric_limits<float>::quiet_NaN(),
+                          -std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::signaling_NaN()}) {
+    Tensor poisoned = image;
+    poisoned[poisoned.size() - 1] = nan;  // the last element, past any head
+    const Response response = engine.submit(std::move(poisoned)).get();
+    EXPECT_EQ(response.status, StatusCode::kInvalidInput);
+    EXPECT_NE(response.detail.find("NaN"), std::string::npos);
+  }
+  EXPECT_EQ(engine.stats().snapshot().rejected, 3u);
+
+  // Infinities are not NaN: they saturate to the rails and are served.
+  Tensor infinite = image;
+  infinite[0] = std::numeric_limits<float>::infinity();
+  infinite[1] = -std::numeric_limits<float>::infinity();
+  const Response served = engine.submit(std::move(infinite)).get();
+  ASSERT_TRUE(ok(served.status)) << served.detail;
+  EXPECT_EQ(engine.stats().snapshot().rejected, 3u);
+}
+
 TEST(InferenceEngine, ExpiredAtSubmitFailsImmediatelyAsTimedOut) {
   const hw::QNetDesc desc = make_test_qnet(62, false);
   DeployConfig config = small_deploy_config();
