@@ -80,33 +80,20 @@ constexpr std::size_t kProbeBurst = 4;
 /// bound for exactly this configuration.
 constexpr double kPreemptGranularityUs = 4000.0;
 
-/// Proof that the preemption budget split a pass: two consecutive chunks
-/// of one pass run the same model with no join admitted between them.
-/// Without a budget a chunk is a tenant's whole contiguous run, so only a
-/// joiner could extend that run, and the remaining-sample count rules that
-/// out. observe() runs on the dispatch thread (the chunk_hook seam).
+/// Proof that the preemption budget split a pass: the device reports a
+/// chunk that the budget closed while its tenant's run still had samples
+/// (SharedDeviceChunkEvent::budget_closed). observe() runs on the dispatch
+/// thread (the chunk_hook seam).
 class SplitWitness {
  public:
   void observe(const serve::SharedDeviceChunkEvent& event) {
-    if (event.pass == last_pass_ && event.chunk == last_chunk_ + 1 &&
-        event.model == last_model_ &&
-        event.remaining_samples + event.chunk_samples == last_remaining_) {
-      split_.store(true, std::memory_order_relaxed);
-    }
-    last_pass_ = event.pass;
-    last_chunk_ = event.chunk;
-    last_model_ = event.model;
-    last_remaining_ = event.remaining_samples;
+    if (event.budget_closed) split_.store(true, std::memory_order_relaxed);
   }
   [[nodiscard]] bool split() const {
     return split_.load(std::memory_order_relaxed);
   }
 
  private:
-  std::uint64_t last_pass_ = 0;
-  std::uint64_t last_chunk_ = 0;
-  std::string last_model_;
-  std::size_t last_remaining_ = 0;
   std::atomic<bool> split_{false};
 };
 

@@ -186,6 +186,17 @@ class ExecutionBackend {
   /// Modeled DMA bytes of a batch (weights once, activations per sample).
   [[nodiscard]] virtual double batch_dma_bytes(std::size_t batch_size) const = 0;
 
+  /// Modeled per-batch cost a second rider would share, microseconds
+  /// (>= 0): what a batch costs on top of its n x sample_us(). The engine
+  /// holds a batch open for at most this long (and never past
+  /// max_wait_us), because a longer wait cannot buy back more device time
+  /// than the batch saves. Default 0: a dedicated device prices a batch at
+  /// n x sample_us() with its DMA double-buffered behind compute, so
+  /// holding a batch open saves no device time there.
+  [[nodiscard]] virtual double batch_fixed_us() const noexcept {
+    return 0.0;
+  }
+
   /// Model members executing on this device (>= 1; > 1 = ensemble).
   [[nodiscard]] virtual std::size_t member_count() const noexcept = 0;
 

@@ -76,6 +76,13 @@ InferenceEngine::InferenceEngine(
   if (backend_->member_count() == 0) {
     throw std::invalid_argument("InferenceEngine: backend has no members");
   }
+  // Hold a batch open only while a rider can still share its fixed cost.
+  // Compared in double, so a fixed cost past the int64 range keeps
+  // max_wait_us.
+  const double fixed_us = std::ceil(backend_->batch_fixed_us());
+  batch_window_us_ = fixed_us < static_cast<double>(config_.max_wait_us)
+                         ? static_cast<std::int64_t>(fixed_us)
+                         : config_.max_wait_us;
   backend_->share_outstanding(outstanding_);
   init_trace_identity();
   workers_.reserve(config_.workers);
@@ -225,12 +232,12 @@ void InferenceEngine::stop() {
 
 void InferenceEngine::worker_main(std::size_t worker_index) {
   // pop_batch closes a lone request's batch with a wait to
-  // enqueue_us + max_wait_us; keep the wake-up from overshooting it.
+  // enqueue_us + batch_window_us_; keep the wake-up from overshooting it.
   util::use_fine_timer_slack();
   hw::ExecScratch scratch;
   std::vector<Request> batch;
   bool thread_labeled = false;
-  while (queue_.pop_batch(batch, config_.max_batch, config_.max_wait_us)) {
+  while (queue_.pop_batch(batch, config_.max_batch, batch_window_us_)) {
     obs::TraceRecorder& rec = obs::trace();
     if (!thread_labeled && rec.enabled()) {
       // Lazy: label this worker's trace track the first time tracing is on.

@@ -75,7 +75,13 @@ struct DeployConfig {
   /// Input geometry of one sample (the engine validates every submit).
   std::size_t in_c = 3, in_h = 32, in_w = 32;
 
-  // Batching policy.
+  // Batching policy. A batch closes at max_batch requests or when its
+  // window ends: min(max_wait_us, the backend's batch_fixed_us()) after
+  // its oldest request was enqueued. So max_wait_us is an upper bound on
+  // the hold, reached only where a batch shares at least that much fixed
+  // cost (a shared PU's reload and pass overhead); a dedicated device,
+  // whose batches cost n x sample_us, closes a batch as soon as no rider
+  // is waiting.
   std::size_t max_batch = 8;
   std::int64_t max_wait_us = 2000;
 
@@ -194,6 +200,13 @@ class InferenceEngine {
     return *backend_;
   }
 
+  /// How long a worker holds a batch open for more riders, microseconds:
+  /// min(max_wait_us, ceil(backend().batch_fixed_us())), fixed at
+  /// construction (see DeployConfig::max_wait_us).
+  [[nodiscard]] std::int64_t batch_window_us() const noexcept {
+    return batch_window_us_;
+  }
+
   /// Requests accepted but not yet resolved: queued plus in execution.
   /// queue depth alone goes blind while a worker holds a popped batch.
   [[nodiscard]] std::size_t outstanding(Priority priority) const noexcept {
@@ -272,6 +285,8 @@ class InferenceEngine {
   /// Shared, not unique: a drained engine's stats/device stay readable
   /// through ReplicaSet snapshots after undeploy.
   std::shared_ptr<const ExecutionBackend> backend_;
+  /// See batch_window_us(); set by the constructor before any worker runs.
+  std::int64_t batch_window_us_ = 0;
 
   RequestQueue queue_;
   ServerStats stats_;

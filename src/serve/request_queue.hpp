@@ -19,10 +19,13 @@
 // closes as soon as `max_batch` requests are available, or `max_wait_us`
 // after its oldest request was enqueued — so batching adds at most
 // `max_wait_us` to any request's latency, up to the wake-up precision of
-// the timed wait. Engine workers run with 1 ns timer slack
-// (util/timer_slack.hpp), so on Linux that wait ends within the kernel's
-// wake-up latency, not up to 50 us late. Under load batches fill
-// instantly and the wait never triggers.
+// the timed wait. The engine passes its batch window here, not the
+// configured DeployConfig::max_wait_us: min(max_wait_us, the backend's
+// batch_fixed_us()), so a batch is held only while another rider could
+// still share its fixed cost (0 on a dedicated device). Engine workers
+// run with 1 ns timer slack (util/timer_slack.hpp), so on Linux that wait
+// ends within the kernel's wake-up latency, not up to 50 us late. Under
+// load batches fill instantly and the wait never triggers.
 #pragma once
 
 #include <array>

@@ -362,6 +362,7 @@ SharedDevice::Chunk SharedDevice::plan_chunk_locked(ActivePass& pass) {
       if (chunk.samples > 0 && used_us + per_sample_us > budget_us) {
         chunk.end_job = j;
         chunk.end_sample = s;
+        chunk.budget_closed = true;
         return chunk;
       }
       used_us += per_sample_us;
@@ -570,6 +571,7 @@ void SharedDevice::run_pass_chunked(ActivePass pass, hw::ExecScratch& scratch,
       event.remaining_samples = pass.planned_samples - pass.done_samples;
       event.interactive_pass = pass.interactive;
       event.preempting = preempt;
+      event.budget_closed = chunk.budget_closed;
     }
     pass_retired_.notify_all();
     if (config_.chunk_hook) config_.chunk_hook(event);
@@ -708,6 +710,10 @@ double SharedDeviceBackend::sample_us() const noexcept {
 
 double SharedDeviceBackend::batch_dma_bytes(std::size_t batch_size) const {
   return tenant_->sim->batch_dma_bytes(batch_size);
+}
+
+double SharedDeviceBackend::batch_fixed_us() const noexcept {
+  return tenant_->switch_us + device_->config().pass_overhead_us;
 }
 
 std::size_t SharedDeviceBackend::member_count() const noexcept {

@@ -128,6 +128,9 @@ struct SharedDeviceChunkEvent {
   std::size_t remaining_samples = 0;  ///< planned samples still unexecuted
   bool interactive_pass = false;  ///< pass was formed to serve a preemption
   bool preempting = false;  ///< the pass suspends for a probe after this chunk
+  /// The preemption budget (preempt_granularity_us) closed this chunk while
+  /// its tenant's run still had samples: the pass was split mid-run.
+  bool budget_closed = false;
 };
 
 /// Provisioning of one shared PU (see file comment for the cost model).
@@ -375,6 +378,7 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
     std::size_t samples = 0;
     double switch_us = 0.0;    ///< reload paid entering this chunk
     double overhead_us = 0.0;  ///< pass overhead (first chunk only)
+    bool budget_closed = false;  ///< see SharedDeviceChunkEvent
     /// Filled by execute_chunk: modeled cost and wall start time.
     double cost_us = 0.0;
     std::int64_t start_us = 0;
@@ -570,6 +574,9 @@ class SharedDeviceBackend final : public ExecutionBackend {
                                     const ExecHints& hints) const override;
   [[nodiscard]] double sample_us() const noexcept override;
   [[nodiscard]] double batch_dma_bytes(std::size_t batch_size) const override;
+  /// switch_us() + the PU's pass_overhead_us: the reload and pass overhead
+  /// a pass pays once, whatever the number of riders.
+  [[nodiscard]] double batch_fixed_us() const noexcept override;
   [[nodiscard]] std::size_t member_count() const noexcept override;
   [[nodiscard]] double cross_tenant_backlog_us() const noexcept override;
   /// This tenant's weight-reload penalty on the shared PU, microseconds

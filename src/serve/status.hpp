@@ -76,26 +76,6 @@ enum class StatusCode {
   return "unknown";
 }
 
-/// Compatibility helper for code migrating off the pre-ModelServer
-/// `bool ok + std::string error` contract: the message the old API would
-/// have carried for each failure code. New code should not call this.
-[[nodiscard]] constexpr const char* legacy_error_message(
-    StatusCode code) noexcept {
-  switch (code) {
-    case StatusCode::kOk:               return "";
-    case StatusCode::kQueueFull:        return "queue full";
-    case StatusCode::kDeadlineExceeded: return "deadline exceeded";
-    case StatusCode::kInvalidInput:     return "bad input shape";
-    case StatusCode::kModelNotFound:    return "model not found";
-    case StatusCode::kShuttingDown:     return "engine stopped";
-    case StatusCode::kShedded:          return "shedded by admission control";
-    case StatusCode::kInvalidConfig:    return "invalid deploy config";
-    case StatusCode::kUnsafePlan:       return "plan rejected by analyzer";
-    case StatusCode::kInfeasibleSlo:    return "placement fails its SLO";
-  }
-  return "unknown error";
-}
-
 /// Typed deploy-time rejection: carries the StatusCode explaining *why*
 /// deploy() refused (kInvalidConfig for nonsensical DeployConfigs,
 /// kUnsafePlan when the numeric analyzer rejected the compiled plan,

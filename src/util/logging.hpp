@@ -21,7 +21,6 @@ void set_log_level(LogLevel level) noexcept;
 void log(LogLevel level, std::string_view message);
 
 inline void log_debug(std::string_view m) { log(LogLevel::kDebug, m); }
-inline void log_info(std::string_view m) { log(LogLevel::kInfo, m); }
 inline void log_warn(std::string_view m) { log(LogLevel::kWarn, m); }
 inline void log_error(std::string_view m) { log(LogLevel::kError, m); }
 

@@ -41,7 +41,6 @@ class CAPABILITY("mutex") Mutex {
 
   void lock() ACQUIRE() { mutex_.lock(); }
   void unlock() RELEASE() { mutex_.unlock(); }
-  [[nodiscard]] bool try_lock() TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
   /// The wrapped handle, for interop that the analysis cannot follow
   /// anyway (callers should pair it with NO_THREAD_SAFETY_ANALYSIS).
@@ -129,14 +128,6 @@ class CondVar {
                 Predicate predicate) REQUIRES(mutex)
       NO_THREAD_SAFETY_ANALYSIS {
     return cv_.wait_for(mutex, timeout, std::move(predicate));
-  }
-
-  template <typename Clock, typename Duration, typename Predicate>
-  bool wait_until(Mutex& mutex,
-                  std::chrono::time_point<Clock, Duration> deadline,
-                  Predicate predicate) REQUIRES(mutex)
-      NO_THREAD_SAFETY_ANALYSIS {
-    return cv_.wait_until(mutex, deadline, std::move(predicate));
   }
 
  private:

@@ -21,8 +21,11 @@
 //   make_preempt_qnet / preempt_image — the same tiny quantized MLP zoo
 //                   entries the shared-device suite uses (seeded, so
 //                   schedules replay from a seed).
+//   parked        — a deploy config whose engine workers hold their batches
+//                   open, so submissions stay outstanding and countable.
 //
-// Used by tests/test_preemption.cpp and tests/test_shared_device.cpp; any
+// Used by the serving suites (test_preemption, test_shared_device,
+// test_serve, test_server, test_device, test_replicas, test_capacity); any
 // future SharedDevice scheduling test should build on these seams rather
 // than wall-clock sleeps.
 #pragma once
@@ -36,10 +39,46 @@
 #include <thread>
 
 #include "nn/zoo.hpp"
+#include "serve/engine.hpp"
 #include "serve/shared_device.hpp"
 #include "util/mutex.hpp"
 
 namespace mfdfp::serve::testing {
+
+/// `config` with its engine workers parked in batch formation: each worker
+/// claims one request and then holds the batch open for `max_wait_us`
+/// (max_batch 256 never fills), so submissions stay outstanding — routing,
+/// gauges, admission and drains become observable instead of racing the
+/// workers — until the hold ends or the engine stops. An engine holds a
+/// batch open only for min(max_wait_us, its backend's batch_fixed_us()),
+/// and a dedicated device has no fixed per-batch cost. So every replica
+/// (`config.device` when the placement is empty) moves onto its own
+/// unpaced one-tenant SharedDevice whose weight reload costs
+/// 2 x max_wait_us. The device takes the entry's name and speed_factor, so
+/// per-sample costs and normalized routing stay those of the entry, and
+/// the entry keeps its scheduling overrides. A lone engine attaches with
+/// `config.device.shared->attach(members, config)`.
+inline DeployConfig parked(DeployConfig config,
+                           std::int64_t max_wait_us = 300'000) {
+  config.max_batch = 256;
+  config.max_wait_us = max_wait_us;
+  const auto park = [max_wait_us](DeviceSpec& entry) {
+    DeviceSpec spec;
+    spec.name = entry.name;
+    spec.speed_factor = entry.speed_factor;
+    SharedDeviceConfig pu;
+    pu.paced = false;
+    pu.coalesce_window_us = 0;
+    pu.model_switch_us = 2.0 * static_cast<double>(max_wait_us);
+    entry.shared = SharedDevice::create(std::move(spec), std::move(pu));
+  };
+  if (config.placement.empty()) {
+    park(config.device);
+  } else {
+    for (DeviceSpec& entry : config.placement) park(entry);
+  }
+  return config;
+}
 
 /// Seeded tiny quantized MLP (3 x dim x dim in, 5 classes) — one cheap,
 /// bit-reproducible tenant model per seed. Distinct `hw_dim`s give

@@ -18,6 +18,7 @@
 #include "nn/zoo.hpp"
 #include "serve/server.hpp"
 #include "serve/shared_device.hpp"
+#include "serve_test_util.hpp"
 
 namespace mfdfp::serve {
 namespace {
@@ -516,9 +517,7 @@ TEST(Capacity, EngineRouterAndAnalyzerShareOneCostFormula) {
   config.in_h = config.in_w = 16;
   config.workers = 1;
   // Park batch formation so submissions stay outstanding and countable.
-  config.max_batch = 256;
-  config.max_wait_us = 300'000;
-  server.deploy("m", {qnet}, config);
+  server.deploy("m", {qnet}, testing::parked(config));
 
   const std::shared_ptr<InferenceEngine> engine = server.engine("m");
   ASSERT_NE(engine, nullptr);
@@ -534,7 +533,7 @@ TEST(Capacity, EngineRouterAndAnalyzerShareOneCostFormula) {
       engine->backend().cross_tenant_backlog_us());
   EXPECT_DOUBLE_EQ(engine->estimated_queue_delay_us(), expected);
   EXPECT_DOUBLE_EQ(engine->backend().cross_tenant_backlog_us(), 0.0)
-      << "dedicated backend: no cross-tenant term";
+      << "one-tenant device: no cross-tenant term";
   EXPECT_DOUBLE_EQ(server.replica_set("m")->estimated_queue_delay_us(),
                    expected);
 

@@ -16,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <utility>
 #include <vector>
 
 #ifdef __linux__
@@ -27,6 +28,8 @@
 #include "nn/zoo.hpp"
 #include "serve/server.hpp"
 #include "serve/shared_device.hpp"
+#include "serve_test_util.hpp"
+#include "util/stopwatch.hpp"
 
 namespace mfdfp::serve {
 namespace {
@@ -56,15 +59,6 @@ DeployConfig small_config() {
   config.max_batch = 4;
   config.max_wait_us = 1000;
   config.workers = 1;
-  return config;
-}
-
-/// Workers parked in a long coalescing wait: submissions stay outstanding,
-/// so routing decisions are observable instead of racing the drain.
-DeployConfig parked_config() {
-  DeployConfig config = small_config();
-  config.max_batch = 256;
-  config.max_wait_us = 300'000;
   return config;
 }
 
@@ -232,8 +226,8 @@ TEST(InferenceEngine, InvalidDeviceSpeedThrowsAtConstruction) {
 /// alone, with no knowledge of what executes the batch.
 class StubBackend final : public ExecutionBackend {
  public:
-  StubBackend(std::size_t classes, double sample_us)
-      : classes_(classes), sample_us_(sample_us) {}
+  StubBackend(std::size_t classes, double sample_us, double fixed_us = 0.0)
+      : classes_(classes), sample_us_(sample_us), fixed_us_(fixed_us) {}
 
   [[nodiscard]] BatchResult execute(const Tensor& stacked, hw::ExecScratch&,
                                     const ExecHints&) const override {
@@ -258,6 +252,9 @@ class StubBackend final : public ExecutionBackend {
   [[nodiscard]] double batch_dma_bytes(std::size_t batch_size) const override {
     return 100.0 * static_cast<double>(batch_size);
   }
+  [[nodiscard]] double batch_fixed_us() const noexcept override {
+    return fixed_us_;
+  }
   [[nodiscard]] std::size_t member_count() const noexcept override {
     return 1;
   }
@@ -272,6 +269,7 @@ class StubBackend final : public ExecutionBackend {
  private:
   std::size_t classes_;
   double sample_us_;
+  double fixed_us_;
   mutable std::atomic<std::uint64_t> executions_{0};
   mutable std::atomic<long> timer_slack_ns_{-1};
 };
@@ -370,6 +368,55 @@ TEST(SharedDevice, PacedDispatcherRunsWithFineTimerSlack) {
   set.stop();
 }
 
+// ---- batch window: hold a batch only while a rider can share its cost -----
+
+TEST(InferenceEngine, BatchWindowIsMaxWaitCappedByFixedCost) {
+  DeployConfig config = small_config();
+  config.max_wait_us = 1000;
+  const auto window = [&config](double fixed_us) {
+    InferenceEngine engine(std::make_shared<StubBackend>(4, 10.0, fixed_us),
+                           config);
+    return engine.batch_window_us();
+  };
+  EXPECT_EQ(window(0.0), 0) << "nothing to share: close at once";
+  EXPECT_EQ(window(299.2), 300) << "whole microseconds, rounded up";
+  EXPECT_EQ(window(1000.0), 1000);
+  EXPECT_EQ(window(5000.0), 1000) << "max_wait_us stays the upper bound";
+}
+
+// The timed wait may wake late (host load), never early, so only lower
+// bounds are checked: a lone request's batch closes no earlier than
+// enqueue_us + min(max_wait_us, F).
+TEST(InferenceEngine, LoneRequestWaitsOutTheSharedFixedCost) {
+  util::Rng rng{426};
+  for (const auto& [max_wait_us, fixed_us] :
+       {std::pair<std::int64_t, double>{100'000, 3000.0},
+        std::pair<std::int64_t, double>{2000, 1e6}}) {
+    DeployConfig config = small_config();
+    config.max_wait_us = max_wait_us;
+    InferenceEngine engine(std::make_shared<StubBackend>(4, 10.0, fixed_us),
+                           config);
+    const Response response = engine.submit(random_image(rng)).get();
+    ASSERT_TRUE(ok(response.status)) << response.detail;
+    EXPECT_EQ(response.batch_size, 1u);
+    EXPECT_GE(response.queue_wait_us,
+              std::min(max_wait_us, static_cast<std::int64_t>(fixed_us)));
+  }
+}
+
+// With no fixed cost to share, even a minute-long max_wait_us does not
+// hold a lone request.
+TEST(InferenceEngine, NoFixedCostClosesALoneBatchAtOnce) {
+  DeployConfig config = small_config();
+  config.max_wait_us = 60'000'000;
+  InferenceEngine engine(std::make_shared<StubBackend>(4, 10.0), config);
+  util::Rng rng{430};
+  util::Stopwatch watch;
+  const Response response = engine.submit(random_image(rng)).get();
+  ASSERT_TRUE(ok(response.status)) << response.detail;
+  EXPECT_LT(watch.micros(), 10'000'000);
+}
+
 TEST(InferenceEngine, NullBackendThrows) {
   EXPECT_THROW(
       InferenceEngine(std::shared_ptr<const ExecutionBackend>{},
@@ -410,9 +457,9 @@ TEST(ReplicaSet, InvalidPlacementEntryRejectedAtDeploy) {
 
 TEST(ReplicaSet, NormalizedRoutingSendsProportionalTraffic) {
   const hw::QNetDesc qnet = make_test_qnet(433);
-  DeployConfig config = parked_config();
+  DeployConfig config = small_config();
   config.placement = {make_device("slow", 1.0), make_device("fast", 4.0)};
-  ReplicaSet set({qnet}, config);
+  ReplicaSet set({qnet}, testing::parked(config));
 
   util::Rng rng{434};
   std::vector<std::future<Response>> futures;
@@ -435,10 +482,10 @@ TEST(ReplicaSet, NormalizedRoutingSendsProportionalTraffic) {
 
 TEST(ReplicaSet, SpeedBlindRoutingBalancesRawCounts) {
   const hw::QNetDesc qnet = make_test_qnet(435);
-  DeployConfig config = parked_config();
+  DeployConfig config = small_config();
   config.placement = {make_device("slow", 1.0), make_device("fast", 4.0)};
   config.routing = RoutingPolicy::kOutstandingCount;
-  ReplicaSet set({qnet}, config);
+  ReplicaSet set({qnet}, testing::parked(config));
 
   util::Rng rng{436};
   std::vector<std::future<Response>> futures;

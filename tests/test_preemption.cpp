@@ -345,6 +345,69 @@ TEST(Preemption, ChunkLoopSplitsPassesAndPreservesLogits) {
   EXPECT_EQ(samples_by_model(snapshot)["b"], 24u);
 }
 
+// ---- chunk events say when the budget split a run ---------------------------
+
+// One 5-sample sub-batch, executed straight through its tenant backend on a
+// virtual clock, so only the budget decides the chunks. With room for two
+// samples per chunk the budget closes the first two chunks mid-run and the
+// third ends the run; without a budget the run is one unflagged chunk.
+TEST(Preemption, ChunkEventsFlagBudgetClosedChunks) {
+  const hw::QNetDesc qnet = make_preempt_qnet(940);
+  DeployConfig tenant;
+  tenant.in_c = 3;
+  tenant.in_h = tenant.in_w = 16;
+  const double sample_us =
+      SimulatedAcceleratorBackend({qnet}, tenant.accel, DeviceSpec{}, 3, 16,
+                                  16)
+          .sample_us();
+  ASSERT_GT(sample_us, 0.0);
+
+  const auto run_chunks = [&](double granularity_us) {
+    VirtualClock clock;
+    ChunkGate gate;  // opened: records every boundary, holds none
+    SharedDeviceConfig pu_config;
+    pu_config.paced = true;
+    pu_config.coalesce_window_us = 0;
+    pu_config.preempt_granularity_us = granularity_us;
+    clock.bind(pu_config);
+    gate.bind(pu_config);
+    gate.open();
+    auto pu = SharedDevice::create({}, pu_config);
+    const auto backend = pu->attach({qnet}, tenant);
+    util::Rng rng{941};
+    Tensor stacked{tensor::Shape{5, 3, 16, 16}};
+    stacked.fill_uniform(rng, -1.0f, 1.0f);
+    hw::ExecScratch scratch;
+    (void)backend->execute(stacked, scratch, ExecHints{});
+    // The hook runs after the chunk's riders are released, so collect the
+    // events until the run's last sample is accounted for.
+    std::vector<SharedDeviceChunkEvent> events;
+    std::size_t samples = 0;
+    while (samples < 5) {
+      const auto event = gate.next_for(std::chrono::seconds(20));
+      if (!event.has_value()) break;
+      samples += event->chunk_samples;
+      events.push_back(*event);
+    }
+    return events;
+  };
+
+  const std::vector<SharedDeviceChunkEvent> split =
+      run_chunks(2.5 * sample_us);
+  ASSERT_EQ(split.size(), 3u);
+  EXPECT_EQ(split[0].chunk_samples, 2u);
+  EXPECT_EQ(split[1].chunk_samples, 2u);
+  EXPECT_EQ(split[2].chunk_samples, 1u);
+  EXPECT_TRUE(split[0].budget_closed);
+  EXPECT_TRUE(split[1].budget_closed);
+  EXPECT_FALSE(split[2].budget_closed) << "the run's end closed it";
+
+  const std::vector<SharedDeviceChunkEvent> whole = run_chunks(0.0);
+  ASSERT_EQ(whole.size(), 1u);
+  EXPECT_EQ(whole[0].chunk_samples, 5u);
+  EXPECT_FALSE(whole[0].budget_closed) << "no budget, no budget close";
+}
+
 // ---- virtual-time pacing replays deterministically --------------------------
 
 TEST(Preemption, PacedScheduleReplaysOnVirtualClock) {

@@ -18,6 +18,7 @@
 #include "nn/zoo.hpp"
 #include "serve/server.hpp"
 #include "serve/shared_device.hpp"
+#include "serve_test_util.hpp"
 #include "util/stopwatch.hpp"
 
 namespace mfdfp::serve {
@@ -49,15 +50,6 @@ DeployConfig replica_config(std::size_t replicas) {
   config.max_wait_us = 1000;
   config.workers = 1;
   config.placement.assign(replicas, config.device);
-  return config;
-}
-
-/// Workers parked in a long coalescing wait: submissions stay outstanding,
-/// so routing decisions are observable instead of racing the drain.
-DeployConfig parked_config(std::size_t replicas) {
-  DeployConfig config = replica_config(replicas);
-  config.max_batch = 256;
-  config.max_wait_us = 300'000;
   return config;
 }
 
@@ -108,7 +100,7 @@ TEST(ReplicaSet, ReplicatedDeploymentServesBitIdenticalLogits) {
 
 TEST(ReplicaSet, RoutesToLeastLoadedReplica) {
   const hw::QNetDesc qnet = make_test_qnet(311);
-  ReplicaSet set({qnet}, parked_config(2));
+  ReplicaSet set({qnet}, testing::parked(replica_config(2)));
 
   util::Rng rng{312};
   // Load replica 0 directly (behind the router's back) with 4 requests.
@@ -142,7 +134,7 @@ TEST(ReplicaSet, RoutesToLeastLoadedReplica) {
 
 TEST(ReplicaSet, TiesBreakRoundRobinAcrossReplicas) {
   const hw::QNetDesc qnet = make_test_qnet(321);
-  ReplicaSet set({qnet}, parked_config(3));
+  ReplicaSet set({qnet}, testing::parked(replica_config(3)));
 
   util::Rng rng{322};
   // 9 submissions into an initially idle set: every submission either ties
@@ -168,7 +160,7 @@ TEST(ReplicaSet, TiesBreakRoundRobinAcrossReplicas) {
 
 TEST(ReplicaSet, EstimatedDelayIsMinimumOverReplicas) {
   const hw::QNetDesc qnet = make_test_qnet(331);
-  ReplicaSet set({qnet}, parked_config(2));
+  ReplicaSet set({qnet}, testing::parked(replica_config(2)));
   EXPECT_EQ(set.estimated_queue_delay_us(), 0.0);
 
   util::Rng rng{332};
@@ -187,7 +179,7 @@ TEST(ReplicaSet, EstimatedDelayIsMinimumOverReplicas) {
 
 TEST(ReplicaSet, BatchQuotaCapsAdmissionAcrossTheWholeSet) {
   const hw::QNetDesc qnet = make_test_qnet(341);
-  DeployConfig config = parked_config(2);
+  DeployConfig config = testing::parked(replica_config(2));
   config.batch_quota = 4;
 
   ModelServer server;
@@ -271,7 +263,7 @@ TEST(ReplicaSet, AggregatedSnapshotSumsReplicaSnapshots) {
 TEST(ReplicaSet, HotRedeployAndUndeployDrainEveryReplica) {
   const hw::QNetDesc qnet = make_test_qnet(361);
   ModelServer server;
-  server.deploy("m", {qnet}, parked_config(2));
+  server.deploy("m", {qnet}, testing::parked(replica_config(2)));
 
   util::Rng rng{362};
   std::vector<std::future<Response>> v1_futures;

@@ -19,6 +19,7 @@
 #include "core/ensemble.hpp"
 #include "nn/zoo.hpp"
 #include "serve/request_queue.hpp"
+#include "serve_test_util.hpp"
 #include "util/stopwatch.hpp"
 
 namespace mfdfp::serve {
@@ -511,12 +512,12 @@ TEST(InferenceEngine, RejectsNanSamplesWithInvalidInput) {
 
 TEST(InferenceEngine, ExpiredAtSubmitFailsImmediatelyAsTimedOut) {
   const hw::QNetDesc desc = make_test_qnet(62, false);
-  DeployConfig config = small_deploy_config();
   // Park the workers in a long coalescing wait so a queued request would
   // sit for a while — the expired request must not reach the queue at all.
-  config.max_batch = 64;
-  config.max_wait_us = 500'000;
-  InferenceEngine engine({desc}, config);
+  const DeployConfig config =
+      testing::parked(small_deploy_config(), 500'000);
+  InferenceEngine engine(config.device.shared->attach({desc}, config),
+                         config);
 
   util::Rng rng{63};
   Tensor image{Shape{1, 3, 16, 16}};
@@ -541,10 +542,10 @@ TEST(InferenceEngine, StopDrainsPendingWorkWithoutDeadlock) {
   const hw::QNetDesc desc = make_test_qnet(71, false);
   DeployConfig config = small_deploy_config();
   // Park requests in the coalescing wait so stop() races batch formation.
-  config.max_batch = 64;
-  config.max_wait_us = 500'000;
   config.workers = 3;
-  InferenceEngine engine({desc}, config);
+  config = testing::parked(config, 500'000);
+  InferenceEngine engine(config.device.shared->attach({desc}, config),
+                         config);
 
   util::Rng rng{72};
   std::vector<std::future<Response>> futures;
@@ -615,12 +616,16 @@ TEST(InferenceEngine, FailsRequestsThatExpireWhileQueued) {
 TEST(InferenceEngine, Int64MaxBudgetsSaturate) {
   const hw::QNetDesc desc = make_test_qnet(91, false);
   const hw::AcceleratorExecutor reference(desc);
-  DeployConfig config = small_deploy_config();
+  // A parked device (see testing::parked) keeps the never-closing window:
+  // on a dedicated device the engine's window would be 0.
+  DeployConfig config = testing::parked(
+      small_deploy_config(), std::numeric_limits<std::int64_t>::max());
   config.workers = 1;
   config.max_batch = 2;
-  config.max_wait_us = std::numeric_limits<std::int64_t>::max();
   config.default_deadline_us = std::numeric_limits<std::int64_t>::max();
-  InferenceEngine engine({desc}, config);
+  InferenceEngine engine(config.device.shared->attach({desc}, config),
+                         config);
+  ASSERT_EQ(engine.batch_window_us(), config.max_wait_us);
 
   util::Rng rng{92};
   Tensor images{Shape{3, 3, 16, 16}};

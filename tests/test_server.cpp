@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "nn/zoo.hpp"
+#include "serve_test_util.hpp"
 #include "util/stopwatch.hpp"
 
 namespace mfdfp::serve {
@@ -126,12 +127,10 @@ TEST(ModelServer, UnknownModelResolvesModelNotFound) {
 
 TEST(ModelServer, RedeployBumpsVersionAndDrainsOldEngine) {
   ModelServer server;
-  DeployConfig config = small_deploy_config();
   // Park v1's workers in a long coalescing wait so requests are still
   // in flight when the redeploy lands.
-  config.max_batch = 64;
-  config.max_wait_us = 300'000;
-  server.deploy("m", {make_test_qnet(221, false)}, config);
+  server.deploy("m", {make_test_qnet(221, false)},
+                testing::parked(small_deploy_config()));
 
   util::Rng rng{222};
   std::vector<std::future<Response>> v1_futures;
@@ -195,10 +194,8 @@ TEST(ModelServer,
 
 TEST(ModelServer, UndeployDrainsInFlightRequests) {
   ModelServer server;
-  DeployConfig config = small_deploy_config();
-  config.max_batch = 64;
-  config.max_wait_us = 300'000;
-  server.deploy("m", {make_test_qnet(231, false)}, config);
+  server.deploy("m", {make_test_qnet(231, false)},
+                testing::parked(small_deploy_config()));
 
   util::Rng rng{232};
   std::vector<std::future<Response>> futures;
@@ -237,9 +234,9 @@ TEST(ModelServer, AdmissionControlShedsOnlyBatchTraffic) {
   const hw::QNetDesc qnet = make_test_qnet(251, true);
   DeployConfig config = small_deploy_config();
   config.workers = 1;
-  config.max_wait_us = 300'000;
   config.queue_capacity = 8192;
   config.admission_control = true;
+  config = testing::parked(config);
   server.deploy("m", {qnet}, config);
 
   // The shed candidate's budget is generous in wall-clock terms (so a slow
@@ -306,10 +303,8 @@ TEST(ModelServer, DisabledAdmissionControlQueuesTightBudgetBatchWork) {
   ModelServer server;
   DeployConfig config = small_deploy_config();
   config.workers = 1;
-  config.max_batch = 64;
-  config.max_wait_us = 300'000;
   config.admission_control = false;
-  server.deploy("m", {make_test_qnet(261, false)}, config);
+  server.deploy("m", {make_test_qnet(261, false)}, testing::parked(config));
 
   util::Rng rng{262};
   std::vector<std::future<Response>> futures;
@@ -439,9 +434,8 @@ TEST(ModelServer, LiveLaneGaugesTrackParkedWork) {
   // Park the worker in a long coalescing wait so submissions stay
   // outstanding and the gauges are deterministic.
   config.workers = 1;
-  config.max_batch = 256;
-  config.max_wait_us = 300'000;
-  server.deploy("parked", {make_test_qnet(33, false)}, config);
+  server.deploy("parked", {make_test_qnet(33, false)},
+                testing::parked(config));
 
   util::Rng rng{6};
   std::vector<std::future<Response>> futures;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <future>
 #include <limits>
 #include <memory>
@@ -327,16 +328,15 @@ TEST(SharedDevice, NeighbourBacklogShedsIdleTenantsBatchWork) {
 TEST(SharedDevice, CrossTenantBacklogIsEachNeighboursCommittedWork) {
   const hw::QNetDesc qnet_a = make_test_qnet(545);
   const hw::QNetDesc qnet_b = make_test_qnet(546);
-  auto pu = SharedDevice::create({}, {.paced = false});
 
   ModelServer server;
   DeployConfig config = small_config();
   // Park batch formation: the one worker claims the first request and
-  // waits seconds for more, so every submit below stays outstanding.
+  // waits seconds for more, so every submit below stays outstanding. Both
+  // models deploy on the one parking PU the config names.
   config.workers = 1;
-  config.max_batch = 256;
-  config.max_wait_us = 10'000'000;
-  config.placement = {DeviceSpec::on(pu)};
+  config = testing::parked(config, 10'000'000);
+  const std::shared_ptr<SharedDevice> pu = config.device.shared;
   server.deploy("a", {qnet_a}, config);
   server.deploy("b", {qnet_b}, config);
   const std::shared_ptr<InferenceEngine> engine_a = server.engine("a");
@@ -378,6 +378,53 @@ TEST(SharedDevice, CrossTenantBacklogIsEachNeighboursCommittedWork) {
 
   server.shutdown();
   for (auto& future : futures) EXPECT_TRUE(ok(future.get().status));
+}
+
+// ---- batch window -----------------------------------------------------------
+
+// A tenant's per-batch fixed cost is what a pass pays once for all its
+// riders: the tenant's weight reload plus the PU's pass overhead.
+TEST(SharedDevice, BatchFixedCostIsSwitchPlusPassOverhead) {
+  SharedDeviceConfig pu_config;
+  pu_config.paced = false;
+  pu_config.pass_overhead_us = 37.5;  // reload derived from the weights
+  auto pu = SharedDevice::create({}, pu_config);
+  ModelServer server;
+  DeployConfig config = small_config();
+  config.placement = {DeviceSpec::on(pu)};
+  server.deploy("m", {make_test_qnet(561)}, config);
+  const std::shared_ptr<InferenceEngine> engine = server.engine("m");
+  const auto* backend =
+      dynamic_cast<const SharedDeviceBackend*>(&engine->backend());
+  ASSERT_NE(backend, nullptr);
+  EXPECT_GT(backend->switch_us(), 0.0);
+  EXPECT_DOUBLE_EQ(backend->batch_fixed_us(), backend->switch_us() + 37.5);
+  // The tiny net reloads in well under its 500 us max_wait_us, so the
+  // engine holds a batch only as long as the pass's fixed cost.
+  EXPECT_EQ(engine->batch_window_us(),
+            static_cast<std::int64_t>(std::ceil(backend->batch_fixed_us())));
+  EXPECT_LT(engine->batch_window_us(), config.max_wait_us);
+  server.shutdown();
+}
+
+// The shared_pu_flood benchmark's tenants (perfbench/main.cpp): a
+// 2,500 us reload outprices their 500 us max_wait_us, so they keep the
+// full window.
+TEST(SharedDevice, TenantWhoseSwitchOutpricesMaxWaitKeepsIt) {
+  SharedDeviceConfig pu_config;
+  pu_config.paced = false;
+  pu_config.model_switch_us = 2500.0;
+  pu_config.preempt_granularity_us = 10'000.0;
+  auto pu = SharedDevice::create({}, pu_config);
+  ModelServer server;
+  DeployConfig config = small_config();
+  config.max_wait_us = 500;
+  config.placement = {DeviceSpec::on(pu)};
+  server.deploy("a", {make_test_qnet(562)}, config);
+  server.deploy("b", {make_test_qnet(563)}, config);
+  EXPECT_EQ(server.engine("a")->batch_window_us(), 500);
+  EXPECT_EQ(server.engine("b")->batch_window_us(), 500);
+  server.shutdown();
 }
 
 // ---- stats rows -------------------------------------------------------------
